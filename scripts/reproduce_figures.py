@@ -37,7 +37,6 @@ def main() -> int:
         choices=PRESET_NAMES,
         help="run only this preset (repeatable; default all)",
     )
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     out_dir = pathlib.Path(args.out_dir)
@@ -49,7 +48,7 @@ def main() -> int:
         shape = "x".join(str(s) for s in spec.shape)
         print(f"{name}: sweeping {shape} grid ...", flush=True)
         started = time.perf_counter()
-        grid = run_sweep(spec, workers=args.workers)
+        grid = run_sweep(spec)
         csv_path = out_dir / f"{name}.csv"
         emit_csv(grid, str(csv_path))
         svg_path = out_dir / f"{name}.svg"

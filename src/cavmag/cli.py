@@ -5,8 +5,9 @@ figure preset and writes CSV (and optionally an SVG heatmap),
 ``threshold`` bisects the entanglement survival temperature,
 ``list-presets`` enumerates the available presets.
 
-Exit codes: 0 success, 2 invalid arguments or configuration, 3 unstable
-system at a point query, 4 file I/O error.
+Exit codes: 0 success, 2 invalid arguments or configuration, 3 no
+trustworthy steady state (unstable, near-singular or precision-limited),
+4 file I/O error. Each error prints one ``error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import argparse
 import sys
 
 from ._version import __version__
-from .errors import NoEntanglementError, UnstableSystemError
+from .errors import CavmagError, NoEntanglementError
 from .model import BASELINE, SystemParams, entanglement_report
 from .sweep import (
     PRESET_DESCRIPTIONS,
@@ -31,10 +32,10 @@ from .sweep import (
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_UNSTABLE = 3
+EXIT_NO_STEADY_STATE = 3
 EXIT_IO = 4
 
-POINT_CSV_COLUMNS = ("E_aa", "E_mm", "E_a1m1", "E_a2m2", "stable", "max_real_part")
+POINT_CSV_COLUMNS = ("E_aa", "E_mm", "E_a1m1", "E_a2m2")
 
 
 def _add_param_options(parser: argparse.ArgumentParser) -> None:
@@ -74,9 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--heatmap", metavar="FILE", help="also write an SVG heatmap")
     p_sweep.add_argument(
         "--resolution", type=int, metavar="N", help="points per continuous axis"
-    )
-    p_sweep.add_argument(
-        "--workers", type=int, default=1, metavar="N", help="parallel evaluation threads"
     )
     _add_param_options(p_sweep)
 
@@ -126,6 +124,7 @@ def _run_point(args) -> int:
     params = _effective_params(args)
     report = entanglement_report(params)
     unit = params.kappa_a[0]
+    values = [_fmt(getattr(report, name)) for name in POINT_CSV_COLUMNS]
     rows = [
         ("r", _fmt(params.r)),
         ("theta", _fmt(params.theta)),
@@ -136,43 +135,20 @@ def _run_point(args) -> int:
         ("g_over_kappa_a", f"{_fmt(params.g[0] / unit)},{_fmt(params.g[1] / unit)}"),
         ("delta_a_over_kappa_a", f"{_fmt(params.delta_a[0] / unit)},{_fmt(params.delta_a[1] / unit)}"),
         ("delta_m_over_kappa_a", f"{_fmt(params.delta_m[0] / unit)},{_fmt(params.delta_m[1] / unit)}"),
-        ("stable", "true" if report.stability.stable else "false"),
-        ("max_real_part", _fmt(report.stability.max_real_part)),
+        *zip(POINT_CSV_COLUMNS, values),
     ]
-    if report.cm is not None:
-        rows += [
-            ("E_aa", _fmt(report.E_aa)),
-            ("E_mm", _fmt(report.E_mm)),
-            ("E_a1m1", _fmt(report.E_a1m1)),
-            ("E_a2m2", _fmt(report.E_a2m2)),
-        ]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {value}")
-    if report.cm is None:
-        print("steady state unavailable: drift matrix is not strictly stable", file=sys.stderr)
-        return EXIT_UNSTABLE
     if args.csv:
-        stable = "true" if report.stability.stable else "false"
-        print(
-            ",".join(
-                [
-                    _fmt(report.E_aa),
-                    _fmt(report.E_mm),
-                    _fmt(report.E_a1m1),
-                    _fmt(report.E_a2m2),
-                    stable,
-                    _fmt(report.stability.max_real_part),
-                ]
-            )
-        )
+        print(",".join(values))
     return EXIT_OK
 
 
 def _run_sweep(args) -> int:
     base = _effective_params(args)
     spec = figure_preset(args.preset, resolution=args.resolution, base=base)
-    grid = run_sweep(spec, workers=args.workers)
+    grid = run_sweep(spec)
     try:
         if args.out:
             emit_csv(grid, args.out)
@@ -215,10 +191,13 @@ def main(argv=None) -> int:
         if args.command == "list-presets":
             return _run_list_presets()
         parser.error(f"unknown command {args.command!r}")
-    except UnstableSystemError as exc:
+    except NoEntanglementError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
-    except (ValueError, NoEntanglementError) as exc:
+        return EXIT_USAGE
+    except CavmagError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_STEADY_STATE
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _IoError as exc:

@@ -12,12 +12,12 @@ class UnphysicalStateError(CavmagError, ValueError):
 
 
 class NumericalFailureError(CavmagError, RuntimeError):
-    """A numerical routine produced an internally inconsistent result.
+    """A numerical routine cannot deliver a result it can vouch for.
 
-    Raised when two independent computation routes disagree beyond
-    tolerance, or when an eigen-solve returns values that should be real
-    but are not. This is always a bug or a pathological input, never an
-    expected runtime condition.
+    Raised when a Lyapunov residual exceeds its bound, when an eigen-solve
+    returns values that should be real but are not, or when a negativity
+    lies below the precision the matrix scale allows (e.g. squeezing
+    r > 4.4 at zero coupling).
     """
 
 

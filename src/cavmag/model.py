@@ -24,9 +24,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .cvgaussian import CovarianceMatrix, log_negativity, reduce
-from .errors import UnstableSystemError
-from .linsys import MARGINAL_REAL_PART, StabilityReport, solve_lyapunov, stability
+from .cvgaussian import (
+    CovarianceMatrix,
+    clamp_negativity,
+    log_negativity,
+    negativity_indicator,
+    reduce,
+)
+from .linsys import solve_lyapunov
 
 HBAR = 1.054571817e-34  # J s, CODATA 2018
 KBOLTZ = 1.380649e-23  # J / K, exact SI value
@@ -277,41 +282,32 @@ class EntanglementReport:
     """Steady-state bipartite entanglement summary.
 
     Logarithmic negativities of the four physically interesting
-    bipartitions. Entanglement fields and ``cm`` are None when the drift
-    is unstable (``stability.stable`` False or marginal).
+    bipartitions. ``N_am`` is the unclamped negativity indicator of the
+    (cavity1, magnon1) pair, from which ``E_a1m1`` is clamped.
     """
 
-    stability: StabilityReport
-    cm: CovarianceMatrix | None
-    E_aa: float | None
-    E_mm: float | None
-    E_a1m1: float | None
-    E_a2m2: float | None
+    cm: CovarianceMatrix
+    E_aa: float
+    E_mm: float
+    E_a1m1: float
+    E_a2m2: float
+    N_am: float
 
 
 def entanglement_report(params: SystemParams) -> EntanglementReport:
     """Solve for the steady state and quantify its bipartite entanglement.
 
     E_aa: the two cavity modes; E_mm: the two magnon modes;
-    E_a1m1 / E_a2m2: each cavity with its own magnon.
+    E_a1m1 / E_a2m2: each cavity with its own magnon. No stability test
+    is needed: build_drift gives A + A^T = -2 diag(kappa) / kappa_a1.
     """
-    drift = build_drift(params)
-    report = stability(drift)
-    if report.max_real_part >= MARGINAL_REAL_PART:
-        return EntanglementReport(
-            stability=report, cm=None, E_aa=None, E_mm=None, E_a1m1=None, E_a2m2=None
-        )
-    try:
-        cm = steady_state_cm(params)
-    except UnstableSystemError as exc:
-        return EntanglementReport(
-            stability=exc.report, cm=None, E_aa=None, E_mm=None, E_a1m1=None, E_a2m2=None
-        )
+    cm = steady_state_cm(params)
+    n_am = negativity_indicator(reduce(cm, (0, 2)))
     return EntanglementReport(
-        stability=report,
         cm=cm,
         E_aa=log_negativity(reduce(cm, (0, 1))),
         E_mm=log_negativity(reduce(cm, (2, 3))),
-        E_a1m1=log_negativity(reduce(cm, (0, 2))),
+        E_a1m1=clamp_negativity(n_am),
         E_a2m2=log_negativity(reduce(cm, (1, 3))),
+        N_am=n_am,
     )

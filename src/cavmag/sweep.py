@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._version import __version__
-from .cvgaussian import partial_transpose, reduce, symplectic_eigenvalues
+from .cvgaussian import symplectic_eigenvalues
 from .errors import NoEntanglementError
 from .model import BASELINE, SystemParams, entanglement_report
 
@@ -29,7 +28,6 @@ OUTPUT_COLUMNS = (
     "E_a2m2",
     "E_mm_over_E_aa",
     "N_am",
-    "max_real_part",
 )
 
 DEFAULT_RESOLUTION_2D = 61
@@ -220,14 +218,11 @@ class SweepSpec:
 class CellSummary:
     """Entanglement summary of a single grid cell.
 
-    Value fields are NaN when the cell is unstable. ``E_mm_over_E_aa`` is
-    NaN where E_aa is zero (the ratio is undefined there). ``N_am`` is
-    the unclamped -ln(2 nu_min) of the (cavity1, magnon1) pair and is
-    negative for separable pairs.
+    ``E_mm_over_E_aa`` is NaN where E_aa is zero (the ratio is undefined
+    there). ``N_am`` is the unclamped -ln(2 nu_min) of the (cavity1,
+    magnon1) pair and is negative for separable pairs.
     """
 
-    stable: bool
-    max_real_part: float
     E_aa: float
     E_mm: float
     E_a1m1: float
@@ -256,12 +251,9 @@ class SweepGrid:
 
     def value_array(self, column: str) -> np.ndarray:
         """Values of one summary column, shaped like the grid."""
-        if column == "stable":
-            data = np.array([c.stable for c in self.cells], dtype=bool)
-        else:
-            if column not in OUTPUT_COLUMNS and column != "min_symplectic_eigenvalue":
-                raise ValueError(f"unknown column {column!r}")
-            data = np.array([getattr(c, column) for c in self.cells], dtype=float)
+        if column not in OUTPUT_COLUMNS and column != "min_symplectic_eigenvalue":
+            raise ValueError(f"unknown column {column!r}")
+        data = np.array([getattr(c, column) for c in self.cells], dtype=float)
         return data.reshape(self.shape)
 
 
@@ -275,38 +267,18 @@ def _cell_parameters(spec: SweepSpec, i: int, j: int | None) -> SystemParams:
 def summarize_point(params: SystemParams) -> CellSummary:
     """Entanglement summary of a single parameter point."""
     report = entanglement_report(params)
-    max_real = report.stability.max_real_part
-    if report.cm is None:
-        nan = float("nan")
-        return CellSummary(
-            stable=False,
-            max_real_part=max_real,
-            E_aa=nan,
-            E_mm=nan,
-            E_a1m1=nan,
-            E_a2m2=nan,
-            E_mm_over_E_aa=nan,
-            N_am=nan,
-            min_symplectic_eigenvalue=nan,
-        )
-    cm = report.cm
-    min_nu = float(symplectic_eigenvalues(cm)[0])
-    pair = reduce(cm, (0, 2))
-    nu_min_pt = float(symplectic_eigenvalues(partial_transpose(pair, 0))[0])
-    n_am = -math.log(2.0 * nu_min_pt)
+    min_nu = float(symplectic_eigenvalues(report.cm)[0])
     if report.E_aa > 0.0:
         ratio = report.E_mm / report.E_aa
     else:
         ratio = float("nan")
     return CellSummary(
-        stable=True,
-        max_real_part=max_real,
         E_aa=report.E_aa,
         E_mm=report.E_mm,
         E_a1m1=report.E_a1m1,
         E_a2m2=report.E_a2m2,
         E_mm_over_E_aa=ratio,
-        N_am=n_am,
+        N_am=report.N_am,
         min_symplectic_eigenvalue=min_nu,
     )
 
@@ -345,14 +317,8 @@ def _provenance_lines(spec: SweepSpec) -> tuple[str, ...]:
     return tuple(lines)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:
-    """Evaluate the sweep lattice and return the assembled grid.
-
-    ``workers`` > 1 evaluates cells in a thread pool; results are always
-    assembled by grid index, so worker count never changes the output.
-    """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+def run_sweep(spec: SweepSpec) -> SweepGrid:
+    """Evaluate the sweep lattice and return the assembled grid."""
     if spec.axis2 is None:
         points = [_cell_parameters(spec, i, None) for i in range(len(spec.axis1.values))]
     else:
@@ -361,12 +327,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepGrid:
             for i in range(len(spec.axis1.values))
             for j in range(len(spec.axis2.values))
         ]
-    if workers == 1:
-        cells = [summarize_point(p) for p in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(summarize_point, points))
-    return SweepGrid(spec=spec, cells=tuple(cells), provenance=_provenance_lines(spec))
+    cells = tuple(summarize_point(p) for p in points)
+    return SweepGrid(spec=spec, cells=cells, provenance=_provenance_lines(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +494,7 @@ def find_temperature_threshold(
 
     def entangled(temperature: float) -> bool:
         report = entanglement_report(params.replace(temperature=temperature))
-        return report.E_mm is not None and report.E_mm > 0.0
+        return report.E_mm > 0.0
 
     if not entangled(0.0):
         raise NoEntanglementError(
@@ -559,9 +521,9 @@ def emit_csv(grid: SweepGrid, destination) -> None:
 
     Provenance lines prefixed ``#`` come first, then the column header
     ``axis1[,axis2],<outputs...>,stable`` and one row per cell in
-    row-major order. Values carry 9 significant digits; unstable cells
-    show NaN outputs and ``false`` in the stable column. Bytes are
-    identical across repeated runs of the same spec.
+    row-major order. Values carry 9 significant digits. ``stable`` is
+    always ``true`` (every valid drift is stable) and kept for the file
+    format. Bytes are identical across repeated runs of the same spec.
     """
     text = _csv_text(grid)
     _write_text(destination, text)
@@ -581,7 +543,7 @@ def _csv_text(grid: SweepGrid) -> str:
         if spec.axis2:
             row.append(_fmt(spec.axis2.values[j]))
         row.extend(_fmt(getattr(cell, column)) for column in spec.outputs)
-        row.append("true" if cell.stable else "false")
+        row.append("true")
         buf.write(",".join(row) + "\n")
     return buf.getvalue()
 
@@ -664,7 +626,7 @@ def emit_heatmap(grid: SweepGrid, column: str | None, destination) -> None:
     first output. One colored rectangle per cell (axis1 horizontal,
     axis2 vertical and increasing upward), a colorbar legend with the
     value range, and axis labels taken from the parameter paths.
-    Unstable (NaN) cells are gray. Output bytes are a pure function of
+    NaN cells (an undefined E_mm/E_aa ratio) are gray. Output bytes are a pure function of
     the grid contents.
 
     Raises ValueError for one-dimensional grids; use

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cavmag.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from cavmag.cli import EXIT_IO, EXIT_NO_STEADY_STATE, EXIT_OK, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -27,7 +27,7 @@ class TestPoint:
         code, out, err = run(capsys, "point")
         assert code == EXIT_OK
         assert err == ""
-        assert report_value(out, "stable") == "true"
+        assert "stable" not in out
         assert report_value(out, "r") == "1"
         assert float(report_value(out, "E_mm")) == pytest.approx(1.25468819, abs=1e-6)
         assert report_value(out, "E_a1m1") == "0"
@@ -45,10 +45,33 @@ class TestPoint:
         assert code == EXIT_OK
         last = out.splitlines()[-1]
         fields = last.split(",")
-        assert len(fields) == 6
+        assert len(fields) == 4
         assert float(fields[1]) == pytest.approx(1.25468819, abs=1e-6)
         assert fields[2] == "0"
-        assert fields[4] == "true"
+
+    def test_strong_squeezing_csv(self, capsys):
+        code, out, err = run(capsys, "point", "--param", "r=6", "--csv")
+        assert code == EXIT_OK
+        assert err == ""
+        fields = [float(x) for x in out.splitlines()[-1].split(",")]
+        assert len(fields) == 4
+        assert fields[0] > 0.0 and fields[1] > 0.0
+
+    def test_near_singular_steady_state_exits_3(self, capsys):
+        code, out, err = run(capsys, "point", "--param", "g=0", "--param", "kappa_m=1e-13")
+        assert code == EXIT_NO_STEADY_STATE
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "condition estimate" in err
+
+    def test_unresolvable_negativity_exits_3(self, capsys):
+        # E_aa = 16 at g = 0: nu_min = exp(-16)/2 is below what the
+        # eigen-solve resolves at matrix scale exp(16)/2.
+        code, out, err = run(capsys, "point", "--param", "r=8", "--param", "g=0")
+        assert code == EXIT_NO_STEADY_STATE
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "resolution" in err
 
     def test_malformed_param(self, capsys):
         code, _, err = run(capsys, "point", "--param", "r0.4")
@@ -134,11 +157,9 @@ class TestSweep:
         assert code == EXIT_IO
         assert "error" in err
 
-    def test_workers_flag(self, capsys):
+    def test_repeated_sweeps_print_identical_csv(self, capsys):
         code1, out1, _ = run(capsys, "sweep", "--preset", "fig4", "--resolution", "5")
-        code2, out2, _ = run(
-            capsys, "sweep", "--preset", "fig4", "--resolution", "5", "--workers", "2"
-        )
+        code2, out2, _ = run(capsys, "sweep", "--preset", "fig4", "--resolution", "5")
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
 

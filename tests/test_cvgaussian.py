@@ -9,6 +9,7 @@ from cavmag.cvgaussian import (
     CovarianceMatrix,
     is_physical,
     log_negativity,
+    negativity_indicator,
     partial_transpose,
     reduce,
     symplectic_eigenvalues,
@@ -226,6 +227,13 @@ class TestSymplecticEigenvalues:
             closed = two_mode_symplectic_eigenvalues(cm)
             assert np.max(np.abs(eig_route - closed)) < 1e-9
 
+    def test_residue_check_is_scale_relative(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            cm = random_physical_cm(rng)
+            scaled = symplectic_eigenvalues(CovarianceMatrix(1e9 * cm.entries))
+            assert np.allclose(scaled, 1e9 * symplectic_eigenvalues(cm), rtol=1e-9)
+
     def test_closed_form_requires_two_modes(self):
         with pytest.raises(ValueError):
             two_mode_symplectic_eigenvalues(CovarianceMatrix(0.5 * np.eye(2)))
@@ -293,6 +301,21 @@ class TestLogNegativity:
     def test_unphysical_input_rejected(self):
         with pytest.raises(UnphysicalStateError):
             log_negativity(CovarianceMatrix(np.eye(4) / 4.0))
+
+    def test_indicator_is_unclamped(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            cm = random_separable_cm(rng)
+            nu_min = symplectic_eigenvalues(partial_transpose(cm, 0))[0]
+            assert negativity_indicator(cm) == pytest.approx(-np.log(2.0 * nu_min), abs=1e-12)
+            assert log_negativity(cm) == 0.0
+        assert negativity_indicator(tmsv_cm(0.4)) == log_negativity(tmsv_cm(0.4))
+
+    def test_precision_guard_is_scale_relative(self):
+        # eps * ||V|| / nu_min = eps * exp(4r) passes 1e-8 near r = 4.4.
+        assert log_negativity(tmsv_cm(4.0)) == pytest.approx(8.0, abs=1e-8)
+        with pytest.raises(NumericalFailureError, match="resolution"):
+            log_negativity(tmsv_cm(5.0))
 
     def test_requires_two_modes(self):
         with pytest.raises(ValueError):

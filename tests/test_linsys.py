@@ -85,12 +85,13 @@ class TestSolveLyapunov:
     def test_scaling_covariance(self):
         # Scaling both A and D by s > 0 leaves V unchanged, so the rate
         # normalization used by the physical model is observationally
-        # neutral.
+        # neutral; the stability and conditioning tests are scale-free.
         rng = np.random.default_rng(47)
         a, d = random_stable_system(rng)
         v1 = solve_lyapunov(a, d)
-        v2 = solve_lyapunov(1e6 * a, 1e6 * d)
-        assert np.allclose(v1, v2, rtol=1e-9, atol=1e-12)
+        for scale in (1e6, 1e-14):
+            v2 = solve_lyapunov(scale * a, scale * d)
+            assert np.allclose(v1, v2, rtol=1e-9, atol=1e-12)
 
     def test_unstable_drift_rejected_with_report(self):
         a = np.diag([0.1, -1.0])
@@ -108,7 +109,7 @@ class TestSolveLyapunov:
         # Stable, but eigenvalue-pair sums span 15 orders of magnitude,
         # so the vectorized system is numerically near-singular.
         a = np.diag([-1e3, -1.1e-12])
-        with pytest.raises(NearSingularError):
+        with pytest.raises(NearSingularError, match="condition estimate 4.5"):
             solve_lyapunov(a, np.eye(2))
 
     def test_asymmetric_diffusion_rejected(self):

@@ -204,6 +204,32 @@ class TestBuildDrift:
         )
         assert stability(build_drift(p)).stable
 
+    @given(
+        kappa_a2=st.floats(0.1, 10.0),
+        kappa_m=st.tuples(st.floats(1e-9, 10.0), st.floats(1e-9, 10.0)),
+        g=st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0)),
+        detunings=st.tuples(*[st.floats(-50.0, 50.0)] * 4),
+    )
+    @settings(max_examples=80)
+    def test_symmetric_part_is_the_decay(self, kappa_a2, kappa_m, g, detunings):
+        # A + A^T = -2 diag(kappa) / kappa_a1 for every valid parameter
+        # set, so max Re lambda <= -min(kappa) / kappa_a1 < 0: the model
+        # cannot produce an unstable drift, and reports carry no
+        # stability check.
+        unit = BASELINE.kappa_a[0]
+        omega = TWO_PI * 1e10
+        da1, da2, dm1, dm2 = (d * unit for d in detunings)
+        p = valid_params(
+            kappa_a=(unit, kappa_a2 * unit),
+            kappa_m=(kappa_m[0] * unit, kappa_m[1] * unit),
+            g=(g[0] * unit, g[1] * unit),
+            omega_a=(omega + da1, omega + da2),
+            omega_m=(omega + dm1, omega + dm2),
+        )
+        a = build_drift(p)
+        kappa = np.repeat(np.array(p.kappa_a + p.kappa_m) / unit, 2)
+        assert np.array_equal(a + a.T, -2.0 * np.diag(kappa))
+
 
 class TestBuildDiffusion:
     def test_vacuum_noise_floor(self):
@@ -272,7 +298,6 @@ class TestSteadyStateCm:
 class TestEntanglementReport:
     def test_baseline_magnon_entanglement_frozen(self):
         rep = entanglement_report(valid_params(r=1.0, temperature=0.0))
-        assert rep.stability.stable
         assert rep.E_mm == pytest.approx(E_MM_BASELINE_R1_T0, abs=1e-9)
 
     def test_headline_value_at_100mk(self):
