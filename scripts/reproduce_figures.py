@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate every figure preset: CSV data plus an SVG render for each.
 
-Two-axis presets get a heatmap, one-axis presets (and fig3b's line
-family) get a line plot. At the default resolution the full run takes
-a minute or two; pass --resolution 21 for a quick look.
+Each preset's row in the preset table says whether it is drawn as a
+line plot (fig4, and fig3b's line family) or as a heatmap. At the
+default resolution the full run takes under a minute; pass
+--resolution 21 for a quick look.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from cavmag.sweep import (
     PRESET_NAMES,
+    PRESETS,
     emit_csv,
     emit_heatmap,
     emit_lineplot,
@@ -52,10 +54,10 @@ def main() -> int:
         csv_path = out_dir / f"{name}.csv"
         emit_csv(grid, str(csv_path))
         svg_path = out_dir / f"{name}.svg"
-        if spec.axis2 is not None and name != "fig3b":
-            emit_heatmap(grid, None, str(svg_path))
-        else:
+        if PRESETS[name].lines:
             emit_lineplot(grid, str(svg_path))
+        else:
+            emit_heatmap(grid, None, str(svg_path))
         elapsed = time.perf_counter() - started
         print(f"{name}: wrote {csv_path} and {svg_path} in {elapsed:.1f} s")
 

@@ -4,7 +4,7 @@ squeezing, and write the curve as CSV plus an SVG line plot.
 
 Zero squeezing never entangles the magnon pair, so the scan starts at
 r > 0. Points whose threshold exceeds --tmax are recorded as empty CSV
-fields and skipped in the plot.
+fields and break the plotted line.
 """
 
 from __future__ import annotations
@@ -19,56 +19,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from cavmag.model import BASELINE
-from cavmag.sweep import find_temperature_threshold
-
-
-def render_curve(rows, destination: pathlib.Path) -> None:
-    left, top, plot_w, plot_h = 70, 40, 500, 420
-    width, height = left + plot_w + 30, top + plot_h + 60
-    points = [(r, t) for r, t in rows if t is not None]
-    r_lo, r_hi = points[0][0], points[-1][0]
-    t_hi = max(t for _, t in points)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{width / 2:.1f}" y="24" font-family="monospace" font-size="15" '
-        f'text-anchor="middle">entanglement survival temperature</text>',
-        f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" fill="none" '
-        f'stroke="#000000" stroke-width="1"/>',
-    ]
-    coords = []
-    for r, t in points:
-        x = left + (r - r_lo) / (r_hi - r_lo) * plot_w
-        y = top + plot_h - t / t_hi * plot_h
-        coords.append(f"{x:.2f},{y:.2f}")
-    parts.append(
-        f'<polyline points="{" ".join(coords)}" fill="none" stroke="#1f77b4" '
-        f'stroke-width="2"/>'
-    )
-    for frac, value in ((0.0, r_lo), (0.5, (r_lo + r_hi) / 2), (1.0, r_hi)):
-        x = left + frac * plot_w
-        parts.append(
-            f'<text x="{x:.1f}" y="{top + plot_h + 18}" font-family="monospace" '
-            f'font-size="11" text-anchor="middle">{value:.6g}</text>'
-        )
-    for frac, value in ((0.0, 0.0), (0.5, t_hi / 2), (1.0, t_hi)):
-        y = top + plot_h - frac * plot_h
-        parts.append(
-            f'<text x="{left - 6}" y="{y + 4:.1f}" font-family="monospace" '
-            f'font-size="11" text-anchor="end">{value:.6g}</text>'
-        )
-    parts.append(
-        f'<text x="{left + plot_w / 2:.1f}" y="{height - 14}" font-family="monospace" '
-        f'font-size="13" text-anchor="middle">r</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{top + plot_h / 2:.1f}" font-family="monospace" font-size="13" '
-        f'text-anchor="middle" transform="rotate(-90 16 {top + plot_h / 2:.1f})">'
-        f"threshold temperature (K)</text>"
-    )
-    parts.append("</svg>")
-    destination.write_text("\n".join(parts) + "\n", encoding="utf-8")
+from cavmag.sweep import find_temperature_threshold, render_lines
 
 
 def main() -> int:
@@ -102,7 +53,9 @@ def main() -> int:
             fh.write(f"{r:.9g},{value}\n")
 
     svg_path = out_dir / "survival_temperature.svg"
-    render_curve(rows, svg_path)
+    r_values, thresholds = zip(*rows)
+    series = [("threshold temperature (K)", thresholds)]
+    render_lines(r_values, series, "entanglement survival temperature", "r", str(svg_path))
     elapsed = time.perf_counter() - started
     print(f"wrote {csv_path} and {svg_path} in {elapsed:.1f} s")
     return 0

@@ -13,14 +13,16 @@ trustworthy steady state (unstable, near-singular or precision-limited),
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from ._version import __version__
 from .errors import CavmagError, NoEntanglementError
 from .model import BASELINE, SystemParams, entanglement_report
 from .sweep import (
-    PRESET_DESCRIPTIONS,
     PRESET_NAMES,
+    PRESETS,
+    _fmt,
     apply_parameter,
     emit_csv,
     emit_heatmap,
@@ -116,10 +118,6 @@ class _IoError(Exception):
     pass
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
 def _run_point(args) -> int:
     params = _effective_params(args)
     report = entanglement_report(params)
@@ -129,7 +127,7 @@ def _run_point(args) -> int:
         ("r", _fmt(params.r)),
         ("theta", _fmt(params.theta)),
         ("temperature_K", _fmt(params.temperature)),
-        ("kappa_a_hz", _fmt(params.kappa_a[0] / (2.0 * 3.141592653589793))),
+        ("kappa_a_hz", _fmt(params.kappa_a[0] / (2.0 * math.pi))),
         ("kappa_a2_over_kappa_a1", _fmt(params.kappa_a[1] / unit)),
         ("kappa_m_over_kappa_a", f"{_fmt(params.kappa_m[0] / unit)},{_fmt(params.kappa_m[1] / unit)}"),
         ("g_over_kappa_a", f"{_fmt(params.g[0] / unit)},{_fmt(params.g[1] / unit)}"),
@@ -148,12 +146,11 @@ def _run_point(args) -> int:
 def _run_sweep(args) -> int:
     base = _effective_params(args)
     spec = figure_preset(args.preset, resolution=args.resolution, base=base)
+    if args.heatmap and spec.axis2 is None:
+        raise ValueError("heatmap requires a two-axis grid; use emit_lineplot for lines")
     grid = run_sweep(spec)
     try:
-        if args.out:
-            emit_csv(grid, args.out)
-        else:
-            emit_csv(grid, sys.stdout)
+        emit_csv(grid, args.out or sys.stdout)
         if args.heatmap:
             emit_heatmap(grid, None, args.heatmap)
     except OSError as exc:
@@ -164,23 +161,19 @@ def _run_sweep(args) -> int:
 def _run_threshold(args) -> int:
     params = _effective_params(args).replace(r=args.r)
     result = find_temperature_threshold(params, t_max=args.tmax, tol=args.tol)
-    if result is None:
-        print("none")
-    else:
-        print(_fmt(result))
+    print("none" if result is None else _fmt(result))
     return EXIT_OK
 
 
 def _run_list_presets() -> int:
     width = max(len(name) for name in PRESET_NAMES)
     for name in PRESET_NAMES:
-        print(f"{name:<{width}}  {PRESET_DESCRIPTIONS[name]}")
+        print(f"{name:<{width}}  {PRESETS[name].description}")
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "point":
             return _run_point(args)
@@ -188,9 +181,7 @@ def main(argv=None) -> int:
             return _run_sweep(args)
         if args.command == "threshold":
             return _run_threshold(args)
-        if args.command == "list-presets":
-            return _run_list_presets()
-        parser.error(f"unknown command {args.command!r}")
+        return _run_list_presets()
     except NoEntanglementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -203,7 +194,6 @@ def main(argv=None) -> int:
     except _IoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .cvgaussian import symplectic_eigenvalues
+from .cvgaussian import log_negativity, reduce, symplectic_eigenvalues
 from .errors import NoEntanglementError
-from .model import BASELINE, SystemParams, entanglement_report
+from .model import BASELINE, SystemParams, entanglement_report, steady_state_cm
 
 OUTPUT_COLUMNS = (
     "E_aa",
@@ -257,13 +257,6 @@ class SweepGrid:
         return data.reshape(self.shape)
 
 
-def _cell_parameters(spec: SweepSpec, i: int, j: int | None) -> SystemParams:
-    params = apply_parameter(spec.base, spec.axis1.path, spec.axis1.values[i])
-    if spec.axis2 is not None and j is not None:
-        params = apply_parameter(params, spec.axis2.path, spec.axis2.values[j])
-    return params
-
-
 def summarize_point(params: SystemParams) -> CellSummary:
     """Entanglement summary of a single parameter point."""
     report = entanglement_report(params)
@@ -301,15 +294,8 @@ def _provenance_lines(spec: SweepSpec) -> tuple[str, ...]:
         )
     lines.append("outputs: " + ",".join(spec.outputs))
     p = spec.base
-    pairs = [
-        ("omega_a", p.omega_a),
-        ("omega_m", p.omega_m),
-        ("omega_drive", p.omega_drive),
-        ("kappa_a", p.kappa_a),
-        ("kappa_m", p.kappa_m),
-        ("g", p.g),
-    ]
-    for name, (first, second) in pairs:
+    for name in ("omega_a", "omega_m", "omega_drive", "kappa_a", "kappa_m", "g"):
+        first, second = getattr(p, name)
         lines.append(f"base.{name} = ({_fmt(first)}, {_fmt(second)}) rad/s")
     lines.append(f"base.r = {_fmt(p.r)}")
     lines.append(f"base.theta = {_fmt(p.theta)}")
@@ -319,14 +305,10 @@ def _provenance_lines(spec: SweepSpec) -> tuple[str, ...]:
 
 def run_sweep(spec: SweepSpec) -> SweepGrid:
     """Evaluate the sweep lattice and return the assembled grid."""
-    if spec.axis2 is None:
-        points = [_cell_parameters(spec, i, None) for i in range(len(spec.axis1.values))]
-    else:
-        points = [
-            _cell_parameters(spec, i, j)
-            for i in range(len(spec.axis1.values))
-            for j in range(len(spec.axis2.values))
-        ]
+    points = [apply_parameter(spec.base, spec.axis1.path, v) for v in spec.axis1.values]
+    if spec.axis2 is not None:
+        path2, values2 = spec.axis2.path, spec.axis2.values
+        points = [apply_parameter(p, path2, v) for p in points for v in values2]
     cells = tuple(summarize_point(p) for p in points)
     return SweepGrid(spec=spec, cells=cells, provenance=_provenance_lines(spec))
 
@@ -335,120 +317,106 @@ def run_sweep(spec: SweepSpec) -> SweepGrid:
 # figure presets
 
 
-def _lin(lo: float, hi: float, n: int) -> tuple[float, ...]:
-    return tuple(float(v) for v in np.linspace(lo, hi, n))
+@dataclass(frozen=True)
+class Preset:
+    """One figure panel as a sweep over the pinned operating point.
+
+    Each axis is ``(path, lo, hi)``, spanned by ``resolution`` evenly
+    spaced points, or ``(path, values)`` for fixed values. ``pins`` set
+    the operating point on top of the resonant base with theta = 0 and
+    kappa_m = 0.2; ``lines`` marks panels drawn as line plots.
+    """
+
+    description: str
+    axis1: tuple
+    axis2: tuple | None
+    outputs: tuple[str, ...]
+    pins: tuple[tuple[str, float], ...]
+    lines: bool = False
 
 
-def _pin_common(base: SystemParams, r: float, temperature: float) -> SystemParams:
-    params = base.replace(
-        omega_a=base.omega_drive,
-        omega_m=base.omega_drive,
-        r=r,
-        theta=0.0,
-        temperature=temperature,
-    )
-    params = apply_parameter(params, "kappa_m", 0.2)
-    return params
+_COLD = (("r", 1.0), ("temperature", 0.0))
+_WARM = (("r", 1.0), ("temperature", 0.1))
+_SQUEEZING = ("r", 0.0, 2.0)
+_LINEWIDTH = ("kappa_m", 0.01, 1.0)
+_COUPLING = ("g", 0.0, 10.0)
 
-
-def _preset_detuning_grid(base, n, which):
-    params = apply_parameter(_pin_common(base, r=1.0, temperature=0.1), "g", 5.0)
-    span = _lin(-1.0, 1.0, n)
-    return SweepSpec(
-        base=params,
-        axis1=SweepAxis(f"delta_a{which}", span),
-        axis2=SweepAxis(f"delta_m{which}", span),
-        outputs=("E_mm",),
-        name=f"fig2{'a' if which == 1 else 'b'}",
-    )
-
-
-def _preset_fig2c(base, n):
-    params = apply_parameter(_pin_common(base, r=1.0, temperature=0.0), "g", 5.0)
-    return SweepSpec(
-        base=params,
-        axis1=SweepAxis("r", _lin(0.0, 2.0, n)),
-        axis2=SweepAxis("temperature", _lin(0.0, 1.0, n)),
-        outputs=("E_mm",),
-        name="fig2c",
-    )
-
-
-def _preset_fig3a(base, n):
-    params = apply_parameter(_pin_common(base, r=1.0, temperature=0.1), "g", 5.0)
-    return SweepSpec(
-        base=params,
-        axis1=SweepAxis("r", _lin(0.0, 2.0, n)),
-        axis2=SweepAxis("g2_over_g1", _lin(0.0, 2.0, n)),
-        outputs=("E_mm",),
-        name="fig3a",
-    )
-
-
-def _preset_fig3b(base, n):
-    params = _pin_common(base, r=1.0, temperature=0.1)
-    return SweepSpec(
-        base=params,
-        axis1=SweepAxis("r", _lin(0.0, 2.0, n)),
-        axis2=SweepAxis("g", (0.5, 1.0, 2.0)),
-        outputs=("E_aa", "E_mm", "E_mm_over_E_aa"),
-        name="fig3b",
-    )
-
-
-def _preset_fig4(base, n):
-    params = apply_parameter(_pin_common(base, r=1.0, temperature=0.0), "g", 0.0)
-    return SweepSpec(
-        base=params,
-        axis1=SweepAxis("r", _lin(0.0, 2.0, n)),
-        axis2=None,
-        outputs=("E_aa",),
-        name="fig4",
-    )
-
-
-def _preset_coupling_grid(base, n, name, outputs):
-    params = _pin_common(base, r=1.0, temperature=0.0)
-    return SweepSpec(
-        base=params,
-        axis1=SweepAxis("kappa_m", _lin(0.01, 1.0, n)),
-        axis2=SweepAxis("g", _lin(0.0, 10.0, n)),
-        outputs=outputs,
-        name=name,
-    )
-
-
-_PRESET_BUILDERS = {
-    "fig2a": lambda base, n: _preset_detuning_grid(base, n or DEFAULT_RESOLUTION_2D, 1),
-    "fig2b": lambda base, n: _preset_detuning_grid(base, n or DEFAULT_RESOLUTION_2D, 2),
-    "fig2c": lambda base, n: _preset_fig2c(base, n or DEFAULT_RESOLUTION_2D),
-    "fig3a": lambda base, n: _preset_fig3a(base, n or DEFAULT_RESOLUTION_2D),
-    "fig3b": lambda base, n: _preset_fig3b(base, n or DEFAULT_RESOLUTION_1D),
-    "fig4": lambda base, n: _preset_fig4(base, n or DEFAULT_RESOLUTION_1D),
-    "fig5a": lambda base, n: _preset_coupling_grid(
-        base, n or DEFAULT_RESOLUTION_2D, "fig5a", ("E_aa",)
+PRESETS = {
+    "fig2a": Preset(
+        "magnon entanglement vs first-subsystem cavity and magnon detunings",
+        ("delta_a1", -1.0, 1.0),
+        ("delta_m1", -1.0, 1.0),
+        ("E_mm",),
+        _WARM + (("g", 5.0),),
     ),
-    "fig5b": lambda base, n: _preset_coupling_grid(
-        base, n or DEFAULT_RESOLUTION_2D, "fig5b", ("E_mm",)
+    "fig2b": Preset(
+        "magnon entanglement vs second-subsystem cavity and magnon detunings",
+        ("delta_a2", -1.0, 1.0),
+        ("delta_m2", -1.0, 1.0),
+        ("E_mm",),
+        _WARM + (("g", 5.0),),
     ),
-    "fig6": lambda base, n: _preset_coupling_grid(
-        base, n or DEFAULT_RESOLUTION_2D, "fig6", ("N_am", "E_a1m1", "E_a2m2")
+    "fig2c": Preset(
+        "magnon entanglement vs drive squeezing and bath temperature",
+        _SQUEEZING,
+        ("temperature", 0.0, 1.0),
+        ("E_mm",),
+        _COLD + (("g", 5.0),),
+    ),
+    "fig3a": Preset(
+        "magnon entanglement vs squeezing and coupling asymmetry g2/g1",
+        _SQUEEZING,
+        ("g2_over_g1", 0.0, 2.0),
+        ("E_mm",),
+        _WARM + (("g", 5.0),),
+    ),
+    "fig3b": Preset(
+        "transfer ratio E_mm/E_aa vs squeezing for three matched couplings",
+        _SQUEEZING,
+        ("g", (0.5, 1.0, 2.0)),
+        ("E_aa", "E_mm", "E_mm_over_E_aa"),
+        _WARM,
+        lines=True,
+    ),
+    "fig4": Preset(
+        "cavity-pair entanglement vs squeezing at zero coupling",
+        _SQUEEZING,
+        None,
+        ("E_aa",),
+        _COLD + (("g", 0.0),),
+        lines=True,
+    ),
+    "fig5a": Preset(
+        "cavity-pair entanglement vs linewidth ratio and coupling",
+        _LINEWIDTH,
+        _COUPLING,
+        ("E_aa",),
+        _COLD,
+    ),
+    "fig5b": Preset(
+        "magnon-pair entanglement vs linewidth ratio and coupling",
+        _LINEWIDTH,
+        _COUPLING,
+        ("E_mm",),
+        _COLD,
+    ),
+    "fig6": Preset(
+        "cavity-magnon negativity indicator vs linewidth ratio and coupling",
+        _LINEWIDTH,
+        _COUPLING,
+        ("N_am", "E_a1m1", "E_a2m2"),
+        _COLD,
     ),
 }
 
-PRESET_NAMES = tuple(sorted(_PRESET_BUILDERS))
+PRESET_NAMES = tuple(sorted(PRESETS))
 
-PRESET_DESCRIPTIONS = {
-    "fig2a": "magnon entanglement vs first-subsystem cavity and magnon detunings",
-    "fig2b": "magnon entanglement vs second-subsystem cavity and magnon detunings",
-    "fig2c": "magnon entanglement vs drive squeezing and bath temperature",
-    "fig3a": "magnon entanglement vs squeezing and coupling asymmetry g2/g1",
-    "fig3b": "transfer ratio E_mm/E_aa vs squeezing for three matched couplings",
-    "fig4": "cavity-pair entanglement vs squeezing at zero coupling",
-    "fig5a": "cavity-pair entanglement vs linewidth ratio and coupling",
-    "fig5b": "magnon-pair entanglement vs linewidth ratio and coupling",
-    "fig6": "cavity-magnon negativity indicator vs linewidth ratio and coupling",
-}
+
+def _preset_axis(axis: tuple | None, n: int) -> SweepAxis | None:
+    if axis is None:
+        return None
+    path, *span = axis
+    return SweepAxis(path, span[0] if len(span) == 1 else tuple(np.linspace(*span, n)))
 
 
 def figure_preset(
@@ -462,11 +430,23 @@ def figure_preset(
     built-in operating point; preset-pinned values are applied on top of
     it, so only the absolute frequency and linewidth scale carry over.
     """
-    if name not in _PRESET_BUILDERS:
+    if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
     if resolution is not None and (not isinstance(resolution, int) or resolution < 1):
         raise ValueError("resolution must be a positive integer")
-    return _PRESET_BUILDERS[name](base if base is not None else BASELINE, resolution)
+    preset = PRESETS[name]
+    n = resolution or (DEFAULT_RESOLUTION_1D if preset.lines else DEFAULT_RESOLUTION_2D)
+    base = base if base is not None else BASELINE
+    params = base.replace(omega_a=base.omega_drive, omega_m=base.omega_drive, theta=0.0)
+    for path, value in (("kappa_m", 0.2),) + preset.pins:
+        params = apply_parameter(params, path, value)
+    return SweepSpec(
+        base=params,
+        axis1=_preset_axis(preset.axis1, n),
+        axis2=_preset_axis(preset.axis2, n),
+        outputs=preset.outputs,
+        name=name,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +473,8 @@ def find_temperature_threshold(
         raise ValueError("tol must satisfy 0 < tol < t_max")
 
     def entangled(temperature: float) -> bool:
-        report = entanglement_report(params.replace(temperature=temperature))
-        return report.E_mm > 0.0
+        cm = steady_state_cm(params.replace(temperature=temperature))
+        return log_negativity(reduce(cm, (2, 3))) > 0.0
 
     if not entangled(0.0):
         raise NoEntanglementError(
@@ -525,11 +505,6 @@ def emit_csv(grid: SweepGrid, destination) -> None:
     always ``true`` (every valid drift is stable) and kept for the file
     format. Bytes are identical across repeated runs of the same spec.
     """
-    text = _csv_text(grid)
-    _write_text(destination, text)
-
-
-def _csv_text(grid: SweepGrid) -> str:
     buf = io.StringIO()
     for line in grid.provenance:
         buf.write(f"# {line}\n")
@@ -545,7 +520,7 @@ def _csv_text(grid: SweepGrid) -> str:
         row.extend(_fmt(getattr(cell, column)) for column in spec.outputs)
         row.append("true")
         buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    _write_text(destination, buf.getvalue())
 
 
 def _write_text(destination, text: str) -> None:
@@ -605,14 +580,31 @@ def color_for(fraction: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def _svg_header(width: int, height: int, title: str) -> list[str]:
-    return [
+def _rect(x, y, width, height, fill: str | None = None) -> str:
+    """A filled rectangle, or a black frame when ``fill`` is None."""
+    paint = f'fill="{fill}"' if fill else 'fill="none" stroke="#000000" stroke-width="1"'
+    return f'<rect x="{x}" y="{y}" width="{width}" height="{height}" {paint}/>'
+
+
+def _text(x, y, body: str, size: int = 11, anchor: str | None = None, attrs: str = "") -> str:
+    anchored = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x}" y="{y}" font-family="monospace" font-size="{size}"{anchored}{attrs}>'
+        f"{body}</text>"
+    )
+
+
+def _write_svg(destination, width: int, height: int, title: str, body: list[str]) -> None:
+    """Write a white page of the given size with a centered title over ``body``."""
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{width / 2:.1f}" y="24" font-family="monospace" font-size="15" '
-        f'text-anchor="middle">{title}</text>',
+        _text(f"{width / 2:.1f}", 24, title, 15, "middle"),
+        *body,
+        "</svg>",
     ]
+    _write_text(destination, "\n".join(parts) + "\n")
 
 
 def _tick_label(x: float) -> str:
@@ -653,9 +645,9 @@ def emit_heatmap(grid: SweepGrid, column: str | None, destination) -> None:
     right_pad, bottom_pad = 110, 60
     width, height = left + plot_w + right_pad, top + plot_h + bottom_pad
     cw, ch = plot_w / n1, plot_h / n2
+    cell_w, cell_h = f"{cw + 0.05:.2f}", f"{ch + 0.05:.2f}"
 
-    title = f"{spec.name or 'sweep'}: {column}"
-    parts = _svg_header(width, height, title)
+    parts = []
     for i in range(n1):
         for j in range(n2):
             v = values[i, j]
@@ -667,14 +659,8 @@ def emit_heatmap(grid: SweepGrid, column: str | None, destination) -> None:
                 fill = color_for((v - vmin) / span)
             x = left + i * cw
             y = top + (n2 - 1 - j) * ch
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw + 0.05:.2f}" '
-                f'height="{ch + 0.05:.2f}" fill="{fill}"/>'
-            )
-    parts.append(
-        f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#000000" stroke-width="1"/>'
-    )
+            parts.append(_rect(f"{x:.2f}", f"{y:.2f}", cell_w, cell_h, fill))
+    parts.append(_rect(left, top, plot_w, plot_h))
 
     a1, a2 = spec.axis1.values, spec.axis2.values
     x_ticks = [a1[0], a1[len(a1) // 2], a1[-1]]
@@ -686,49 +672,25 @@ def emit_heatmap(grid: SweepGrid, column: str | None, destination) -> None:
     if len(a2) == 1:
         y_ticks, y_pos = [a2[0]], [top + plot_h / 2]
     for value, x in zip(x_ticks, x_pos):
-        parts.append(
-            f'<text x="{x:.1f}" y="{top + plot_h + 18}" font-family="monospace" '
-            f'font-size="11" text-anchor="middle">{_tick_label(value)}</text>'
-        )
+        parts.append(_text(f"{x:.1f}", top + plot_h + 18, _tick_label(value), anchor="middle"))
     for value, y in zip(y_ticks, y_pos):
-        parts.append(
-            f'<text x="{left - 6}" y="{y + 4:.1f}" font-family="monospace" '
-            f'font-size="11" text-anchor="end">{_tick_label(value)}</text>'
-        )
-    parts.append(
-        f'<text x="{left + plot_w / 2:.1f}" y="{height - 14}" font-family="monospace" '
-        f'font-size="13" text-anchor="middle">{spec.axis1.path}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{top + plot_h / 2:.1f}" font-family="monospace" font-size="13" '
-        f'text-anchor="middle" transform="rotate(-90 16 {top + plot_h / 2:.1f})">'
-        f"{spec.axis2.path}</text>"
-    )
+        parts.append(_text(left - 6, f"{y + 4:.1f}", _tick_label(value), anchor="end"))
+    parts.append(_text(f"{left + plot_w / 2:.1f}", height - 14, spec.axis1.path, 13, "middle"))
+    mid = f"{top + plot_h / 2:.1f}"
+    rotate = f' transform="rotate(-90 16 {mid})"'
+    parts.append(_text(16, mid, spec.axis2.path, 13, "middle", rotate))
 
     bar_x = left + plot_w + 24
     bar_w, bar_h = 18, plot_h
     steps = 32
     for s in range(steps):
-        frac = (s + 0.5) / steps
         y = top + bar_h - (s + 1) * (bar_h / steps)
-        parts.append(
-            f'<rect x="{bar_x}" y="{y:.2f}" width="{bar_w}" '
-            f'height="{bar_h / steps + 0.05:.2f}" fill="{color_for(frac)}"/>'
-        )
-    parts.append(
-        f'<rect x="{bar_x}" y="{top}" width="{bar_w}" height="{bar_h}" '
-        f'fill="none" stroke="#000000" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<text x="{bar_x + bar_w + 6}" y="{top + 10}" font-family="monospace" '
-        f'font-size="11">{_tick_label(vmax)}</text>'
-    )
-    parts.append(
-        f'<text x="{bar_x + bar_w + 6}" y="{top + bar_h}" font-family="monospace" '
-        f'font-size="11">{_tick_label(vmin)}</text>'
-    )
-    parts.append("</svg>")
-    _write_text(destination, "\n".join(parts) + "\n")
+        fill = color_for((s + 0.5) / steps)
+        parts.append(_rect(bar_x, f"{y:.2f}", bar_w, f"{bar_h / steps + 0.05:.2f}", fill))
+    parts.append(_rect(bar_x, top, bar_w, bar_h))
+    parts.append(_text(bar_x + bar_w + 6, top + 10, _tick_label(vmax)))
+    parts.append(_text(bar_x + bar_w + 6, top + bar_h, _tick_label(vmin)))
+    _write_svg(destination, width, height, f"{spec.name or 'sweep'}: {column}", parts)
 
 
 LINE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
@@ -748,7 +710,6 @@ def emit_lineplot(grid: SweepGrid, destination, columns: tuple[str, ...] | None 
         if column not in spec.outputs:
             raise ValueError(f"column {column!r} is not among the grid outputs {spec.outputs}")
 
-    xs = np.asarray(spec.axis1.values)
     series: list[tuple[str, np.ndarray]] = []
     for column in columns:
         values = grid.value_array(column)
@@ -758,7 +719,18 @@ def emit_lineplot(grid: SweepGrid, destination, columns: tuple[str, ...] | None 
             for j, second in enumerate(spec.axis2.values):
                 label = f"{column} @ {spec.axis2.path}={_tick_label(second)}"
                 series.append((label, values[:, j]))
+    title = f"{spec.name or 'sweep'}: {', '.join(columns)}"
+    render_lines(spec.axis1.values, series, title, spec.axis1.path, destination)
 
+
+def render_lines(xs, series, title: str, x_label: str, destination) -> None:
+    """Draw (label, ys) ``series`` over the shared ``xs`` as an SVG line plot.
+
+    The vertical range spans every finite sample. NaN (or None) samples
+    break a line; each line gets its own color and legend entry.
+    """
+    xs = np.asarray(xs, dtype=float)
+    series = [(label, np.asarray(ys, dtype=float)) for label, ys in series]
     finite = np.concatenate([s[np.isfinite(s)] for _, s in series]) if series else np.array([])
     if finite.size:
         vmin, vmax = float(np.min(finite)), float(np.max(finite))
@@ -779,16 +751,10 @@ def emit_lineplot(grid: SweepGrid, destination, columns: tuple[str, ...] | None 
     def sy(v: float) -> float:
         return top + plot_h - (v - vmin) / (vmax - vmin) * plot_h
 
-    title = f"{spec.name or 'sweep'}: {', '.join(columns)}"
-    parts = _svg_header(width, height, title)
-    parts.append(
-        f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#000000" stroke-width="1"/>'
-    )
+    parts = [_rect(left, top, plot_w, plot_h)]
     for k, (label, ys) in enumerate(series):
         color = LINE_COLORS[k % len(LINE_COLORS)]
-        points: list[str] = []
-        chunks: list[list[str]] = [points]
+        chunks: list[list[str]] = [[]]
         for x, y in zip(xs, ys):
             if math.isnan(y):
                 if chunks[-1]:
@@ -801,23 +767,10 @@ def emit_lineplot(grid: SweepGrid, destination, columns: tuple[str, ...] | None 
                     f'<polyline points="{" ".join(chunk)}" fill="none" '
                     f'stroke="{color}" stroke-width="1.5"/>'
                 )
-        parts.append(
-            f'<text x="{left + 8}" y="{top + 16 + 14 * k}" font-family="monospace" '
-            f'font-size="11" fill="{color}">{label}</text>'
-        )
+        parts.append(_text(left + 8, top + 16 + 14 * k, label, attrs=f' fill="{color}"'))
     for value, x in ((x_lo, left), (x_hi, left + plot_w)):
-        parts.append(
-            f'<text x="{x}" y="{top + plot_h + 18}" font-family="monospace" '
-            f'font-size="11" text-anchor="middle">{_tick_label(value)}</text>'
-        )
+        parts.append(_text(x, top + plot_h + 18, _tick_label(value), anchor="middle"))
     for value, y in ((vmin, top + plot_h), (vmax, top + 10)):
-        parts.append(
-            f'<text x="{left - 6}" y="{y:.1f}" font-family="monospace" font-size="11" '
-            f'text-anchor="end">{_tick_label(value)}</text>'
-        )
-    parts.append(
-        f'<text x="{left + plot_w / 2:.1f}" y="{height - 14}" font-family="monospace" '
-        f'font-size="13" text-anchor="middle">{spec.axis1.path}</text>'
-    )
-    parts.append("</svg>")
-    _write_text(destination, "\n".join(parts) + "\n")
+        parts.append(_text(left - 6, f"{y:.1f}", _tick_label(value), anchor="end"))
+    parts.append(_text(f"{left + plot_w / 2:.1f}", height - 14, x_label, 13, "middle"))
+    _write_svg(destination, width, height, title, parts)

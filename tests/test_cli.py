@@ -125,18 +125,17 @@ class TestSweep:
         assert svg_target.read_text().startswith("<svg")
 
     def test_heatmap_rejected_for_line_preset(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys,
-            "sweep",
-            "--preset",
-            "fig4",
-            "--resolution",
-            "3",
-            "--heatmap",
-            str(tmp_path / "x.svg"),
-        )
+        svg_target = tmp_path / "x.svg"
+        argv = ("sweep", "--preset", "fig4", "--resolution", "3", "--heatmap", str(svg_target))
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert "emit_lineplot" in err or "two-axis" in err
+        assert out == ""
+        csv_target = tmp_path / "f4.csv"
+        code, _, _ = run(capsys, *argv, "--out", str(csv_target))
+        assert code == EXIT_USAGE
+        assert not csv_target.exists()
+        assert not svg_target.exists()
 
     def test_unknown_preset(self, capsys):
         code, _, err = run(capsys, "sweep", "--preset", "nope")
