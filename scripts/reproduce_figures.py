@@ -40,6 +40,8 @@ def main() -> int:
         help="run only this preset (repeatable; default all)",
     )
     args = parser.parse_args()
+    if args.resolution is not None and args.resolution < 1:
+        parser.error("--resolution must be at least 1")
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

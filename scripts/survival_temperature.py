@@ -3,8 +3,9 @@
 squeezing, and write the curve as CSV plus an SVG line plot.
 
 Zero squeezing never entangles the magnon pair, so the scan starts at
-r > 0. Points whose threshold exceeds --tmax are recorded as empty CSV
-fields and break the plotted line.
+r > 0. Points whose threshold exceeds --tmax, or whose magnon pair is
+not entangled even at zero temperature, are recorded as empty CSV fields
+and break the plotted line.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
+from cavmag.errors import NoEntanglementError
 from cavmag.model import BASELINE
 from cavmag.sweep import find_temperature_threshold, render_lines
 
@@ -31,6 +33,8 @@ def main() -> int:
     parser.add_argument("--tmax", type=float, default=3.0, help="search ceiling in kelvin")
     parser.add_argument("--tol", type=float, default=1e-3)
     args = parser.parse_args()
+    if args.points < 1:
+        parser.error("--points must be at least 1")
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -38,11 +42,15 @@ def main() -> int:
     rows = []
     started = time.perf_counter()
     for r in np.linspace(args.r_min, args.r_max, args.points):
-        threshold = find_temperature_threshold(
-            BASELINE.replace(r=float(r)), t_max=args.tmax, tol=args.tol
-        )
+        try:
+            threshold = find_temperature_threshold(
+                BASELINE.replace(r=float(r)), t_max=args.tmax, tol=args.tol
+            )
+        except NoEntanglementError:
+            threshold, shown = None, "none (not entangled at 0 K)"
+        else:
+            shown = "none" if threshold is None else f"{threshold:.4f} K"
         rows.append((float(r), threshold))
-        shown = "none" if threshold is None else f"{threshold:.4f} K"
         print(f"r = {r:.3f}: threshold {shown}", flush=True)
 
     csv_path = out_dir / "survival_temperature.csv"

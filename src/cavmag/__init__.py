@@ -40,6 +40,7 @@ from .model import (
     build_diffusion,
     build_drift,
     entanglement_report,
+    entanglement_reports,
     noise_moments,
     steady_state_cm,
     thermal_occupation,
@@ -81,6 +82,7 @@ __all__ = [
     "emit_heatmap",
     "emit_lineplot",
     "entanglement_report",
+    "entanglement_reports",
     "figure_preset",
     "find_temperature_threshold",
     "integrate_lyapunov_oracle",

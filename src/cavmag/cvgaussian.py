@@ -9,6 +9,7 @@ matrix, with natural logarithms throughout.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,17 +33,11 @@ STATE_CHECK_SLACK = 1e-6
 SEPARABLE_SLACK = 1e-12
 
 
-_OMEGA_CACHE: dict[int, NDArray[np.float64]] = {}
-
-
+@functools.cache
 def _omega(n_modes: int) -> NDArray[np.float64]:
-    cached = _OMEGA_CACHE.get(n_modes)
-    if cached is None:
-        block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        cached = np.kron(np.eye(n_modes), block)
-        cached.flags.writeable = False
-        _OMEGA_CACHE[n_modes] = cached
-    return cached
+    omega = np.kron(np.eye(n_modes), [[0.0, 1.0], [-1.0, 0.0]])
+    omega.flags.writeable = False
+    return omega
 
 
 def symplectic_form(n_modes: int) -> NDArray[np.float64]:
@@ -228,29 +223,37 @@ def two_mode_symplectic_eigenvalues(cm: CovarianceMatrix) -> NDArray[np.float64]
     return np.array([lo, hi])
 
 
-def symplectic_eigenvalues(cm: CovarianceMatrix) -> NDArray[np.float64]:
-    """Symplectic eigenvalues of a covariance matrix, ascending.
+def symplectic_spectra(v) -> NDArray[np.float64]:
+    """Symplectic eigenvalues, ascending, of a stack (..., 2n, 2n) of
+    covariance matrices, as an array (..., n).
 
-    Returns the n moduli of the eigenvalues of i*Omega*V. Those come in
-    +-nu pairs; each pair is reported once (partners are averaged to damp
-    round-off). :func:`two_mode_symplectic_eigenvalues` is an independent
-    closed-form route, kept as an oracle for tests.
+    The n moduli of the eigenvalues of i*Omega*V per matrix. Those come
+    in +-nu pairs; each pair is reported once (partners are averaged to
+    damp round-off). :func:`two_mode_symplectic_eigenvalues` is an
+    independent closed-form route, kept as an oracle for tests. The
+    first matrix whose complex residue exceeds 1e-8 of its largest
+    modulus raises NumericalFailureError.
     """
-    v = cm.entries
-    omega = _omega(cm.n_modes)
+    v = np.asarray(v, dtype=float)
     # Eigenvalues of i*Omega*V are i times those of the real matrix
     # Omega @ V, so the real solve carries the same information at lower
     # cost; the residue measured here equals the imaginary residue of the
     # i*Omega*V spectrum.
-    evals = np.linalg.eigvals(omega @ v)
-    mods = np.sort(np.abs(evals))
-    residue = float(np.max(np.abs(evals.real)))
-    if residue > COMPLEX_RESIDUE_RTOL * mods[-1]:
+    evals = np.linalg.eigvals(_omega(v.shape[-1] // 2) @ v)
+    mods = np.sort(np.abs(evals), axis=-1)
+    residue = np.max(np.abs(evals.real), axis=-1)
+    failed = residue > COMPLEX_RESIDUE_RTOL * mods[..., -1]
+    if np.any(failed):
         raise NumericalFailureError(
-            f"eigen-solve of i*Omega*V left a complex residue of {residue:.3e}; "
+            f"eigen-solve of i*Omega*V left a complex residue of {residue[failed][0]:.3e}; "
             "input is not a valid covariance matrix or numerics failed"
         )
-    return 0.5 * (mods[0::2] + mods[1::2])
+    return 0.5 * (mods[..., 0::2] + mods[..., 1::2])
+
+
+def symplectic_eigenvalues(cm: CovarianceMatrix) -> NDArray[np.float64]:
+    """Symplectic eigenvalues of ``cm``, ascending; see :func:`symplectic_spectra`."""
+    return symplectic_spectra(cm.entries)
 
 
 def is_physical(cm: CovarianceMatrix, slack: float = PHYSICALITY_SLACK) -> bool:
@@ -258,40 +261,50 @@ def is_physical(cm: CovarianceMatrix, slack: float = PHYSICALITY_SLACK) -> bool:
     return bool(symplectic_eigenvalues(cm)[0] >= 0.5 - slack)
 
 
-def negativity_indicator(cm: CovarianceMatrix) -> float:
-    """Unclamped -ln(2 nu_min) of a two-mode Gaussian state.
+# partial_transpose(cm, 0) as an entrywise sign pattern.
+_PT_SIGNS = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
+
+
+def negativity_indicators(v) -> NDArray[np.float64]:
+    """Unclamped -ln(2 nu_min) of a stack (..., 4, 4) of two-mode states.
 
     nu_min is the smallest symplectic eigenvalue of the partially
-    transposed covariance matrix and ln the natural logarithm; the value
-    is positive exactly for entangled states.
-
-    Raises
-    ------
-    UnphysicalStateError
-        If the input itself has a symplectic eigenvalue below
-        1/2 - 1e-6, i.e. is not a quantum state to begin with.
-    NumericalFailureError
-        If the state is entangled and eps * ||V||_2 / nu_min > 1e-8.
+    transposed matrix and ln the natural logarithm; the value is
+    positive exactly for entangled states. Each check runs over the
+    whole stack before the next, and the first matrix that fails raises:
+    NumericalFailureError if a state is entangled and
+    eps * ||V||_2 / nu_min > 1e-8, then UnphysicalStateError if a state
+    itself has a symplectic eigenvalue below 1/2 - 1e-6.
     """
-    if cm.n_modes != 2:
+    v = np.asarray(v, dtype=float)
+    if v.shape[-2:] != (4, 4):
         raise ValueError("logarithmic negativity is defined here for two-mode states")
-    nu_min = float(symplectic_eigenvalues(partial_transpose(cm, 0))[0])
+    nu_min = symplectic_spectra(v * _PT_SIGNS)[..., 0]
     # Checked before physicality: where nu_min cannot be resolved, the
     # state's own spectrum (error of order eps * ||V||^2) cannot either.
-    if 2.0 * nu_min < 1.0:
+    entangled = 2.0 * nu_min < 1.0
+    if np.any(entangled):
         # V_pt = P V P with P orthogonal, so ||V_pt||_2 = ||V||_2.
-        scale = float(np.linalg.eigvalsh(cm.entries)[-1])
-        if np.finfo(float).eps * scale > NEGATIVITY_PRECISION_LIMIT * nu_min:
+        nu, scale = nu_min[entangled], np.linalg.eigvalsh(v[entangled])[:, -1]
+        coarse = np.finfo(float).eps * scale > NEGATIVITY_PRECISION_LIMIT * nu
+        if np.any(coarse):
             raise NumericalFailureError(
-                f"smallest partially transposed symplectic eigenvalue {nu_min:.3e} "
-                f"is below the eigen-solve's resolution at matrix scale {scale:.3e}"
+                f"smallest partially transposed symplectic eigenvalue {nu[coarse][0]:.3e} "
+                f"is below the eigen-solve's resolution at matrix scale {scale[coarse][0]:.3e}"
             )
-    nu_state = symplectic_eigenvalues(cm)[0]
-    if nu_state < 0.5 - STATE_CHECK_SLACK:
+    nu_state = symplectic_spectra(v)[..., 0]
+    unphysical = nu_state < 0.5 - STATE_CHECK_SLACK
+    if np.any(unphysical):
         raise UnphysicalStateError(
-            f"covariance matrix is unphysical (min symplectic eigenvalue {nu_state:.9g})"
+            "covariance matrix is unphysical "
+            f"(min symplectic eigenvalue {nu_state[unphysical][0]:.9g})"
         )
-    return float(-np.log(2.0 * nu_min))
+    return -np.log(2.0 * nu_min)
+
+
+def negativity_indicator(cm: CovarianceMatrix) -> float:
+    """Unclamped -ln(2 nu_min) of ``cm``; see :func:`negativity_indicators`."""
+    return float(negativity_indicators(cm.entries))
 
 
 def log_negativity(cm: CovarianceMatrix) -> float:

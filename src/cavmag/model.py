@@ -27,9 +27,8 @@ from numpy.typing import NDArray
 from .cvgaussian import (
     CovarianceMatrix,
     clamp_negativity,
-    log_negativity,
-    negativity_indicator,
-    reduce,
+    negativity_indicators,
+    symplectic_spectra,
 )
 from .linsys import solve_lyapunov
 
@@ -277,37 +276,54 @@ def steady_state_cm(params: SystemParams) -> CovarianceMatrix:
     return CovarianceMatrix(v, MODE_LABELS)
 
 
+# Quadratures of the four reported pairs in field order: the cavities,
+# the magnons, and each cavity with its own magnon.
+_PAIR_QUADRATURES = np.array([[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 4, 5], [2, 3, 6, 7]])
+
+
 @dataclass(frozen=True)
 class EntanglementReport:
-    """Steady-state bipartite entanglement summary.
+    """Steady-state bipartite entanglement summary of one parameter point.
 
     Logarithmic negativities of the four physically interesting
-    bipartitions. ``N_am`` is the unclamped negativity indicator of the
-    (cavity1, magnon1) pair, from which ``E_a1m1`` is clamped.
+    bipartitions; ``E_mm_over_E_aa`` is NaN where E_aa is zero. ``N_am``
+    is the unclamped -ln(2 nu_min) of the (cavity1, magnon1) pair, from
+    which ``E_a1m1`` is clamped. ``min_symplectic_eigenvalue`` is that
+    of the full four-mode state.
     """
 
-    cm: CovarianceMatrix
     E_aa: float
     E_mm: float
     E_a1m1: float
     E_a2m2: float
+    E_mm_over_E_aa: float
     N_am: float
+    min_symplectic_eigenvalue: float
+
+
+def entanglement_reports(points) -> list[EntanglementReport]:
+    """Solve for each point's steady state and quantify its entanglement.
+
+    E_aa: the two cavity modes; E_mm: the two magnon modes;
+    E_a1m1 / E_a2m2: each cavity with its own magnon. The pair blocks
+    and the full states of all points go through one array call each.
+    No stability test is needed: build_drift gives
+    A + A^T = -2 diag(kappa) / kappa_a1.
+    """
+    if not points:
+        return []
+    v = np.stack([steady_state_cm(p).entries for p in points])
+    q = _PAIR_QUADRATURES
+    indicators = negativity_indicators(v[:, q[:, :, None], q[:, None, :]]).tolist()
+    reports = []
+    for (aa, mm, am1, am2), min_nu in zip(indicators, symplectic_spectra(v)[:, 0].tolist()):
+        e_aa, e_mm = clamp_negativity(aa), clamp_negativity(mm)
+        ratio = e_mm / e_aa if e_aa > 0.0 else math.nan
+        e_am = clamp_negativity(am1), clamp_negativity(am2)
+        reports.append(EntanglementReport(e_aa, e_mm, *e_am, ratio, am1, min_nu))
+    return reports
 
 
 def entanglement_report(params: SystemParams) -> EntanglementReport:
-    """Solve for the steady state and quantify its bipartite entanglement.
-
-    E_aa: the two cavity modes; E_mm: the two magnon modes;
-    E_a1m1 / E_a2m2: each cavity with its own magnon. No stability test
-    is needed: build_drift gives A + A^T = -2 diag(kappa) / kappa_a1.
-    """
-    cm = steady_state_cm(params)
-    n_am = negativity_indicator(reduce(cm, (0, 2)))
-    return EntanglementReport(
-        cm=cm,
-        E_aa=log_negativity(reduce(cm, (0, 1))),
-        E_mm=log_negativity(reduce(cm, (2, 3))),
-        E_a1m1=clamp_negativity(n_am),
-        E_a2m2=log_negativity(reduce(cm, (1, 3))),
-        N_am=n_am,
-    )
+    """:func:`entanglement_reports` of one point."""
+    return entanglement_reports([params])[0]

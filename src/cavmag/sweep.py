@@ -17,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .cvgaussian import log_negativity, reduce, symplectic_eigenvalues
+from .cvgaussian import log_negativity, reduce
 from .errors import NoEntanglementError
-from .model import BASELINE, SystemParams, entanglement_report, steady_state_cm
+from .model import BASELINE, EntanglementReport, SystemParams, steady_state_cm
+from .model import entanglement_report, entanglement_reports
 
 OUTPUT_COLUMNS = (
     "E_aa",
@@ -215,29 +216,11 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class CellSummary:
-    """Entanglement summary of a single grid cell.
-
-    ``E_mm_over_E_aa`` is NaN where E_aa is zero (the ratio is undefined
-    there). ``N_am`` is the unclamped -ln(2 nu_min) of the (cavity1,
-    magnon1) pair and is negative for separable pairs.
-    """
-
-    E_aa: float
-    E_mm: float
-    E_a1m1: float
-    E_a2m2: float
-    E_mm_over_E_aa: float
-    N_am: float
-    min_symplectic_eigenvalue: float
-
-
-@dataclass(frozen=True)
 class SweepGrid:
     """Dense sweep results in row-major axis order (axis1 outer)."""
 
     spec: SweepSpec
-    cells: tuple[CellSummary, ...]
+    cells: tuple[EntanglementReport, ...]
     provenance: tuple[str, ...]
 
     def __post_init__(self):
@@ -257,23 +240,9 @@ class SweepGrid:
         return data.reshape(self.shape)
 
 
-def summarize_point(params: SystemParams) -> CellSummary:
+def summarize_point(params: SystemParams) -> EntanglementReport:
     """Entanglement summary of a single parameter point."""
-    report = entanglement_report(params)
-    min_nu = float(symplectic_eigenvalues(report.cm)[0])
-    if report.E_aa > 0.0:
-        ratio = report.E_mm / report.E_aa
-    else:
-        ratio = float("nan")
-    return CellSummary(
-        E_aa=report.E_aa,
-        E_mm=report.E_mm,
-        E_a1m1=report.E_a1m1,
-        E_a2m2=report.E_a2m2,
-        E_mm_over_E_aa=ratio,
-        N_am=report.N_am,
-        min_symplectic_eigenvalue=min_nu,
-    )
+    return entanglement_report(params)
 
 
 def _fmt(value: float) -> str:
@@ -309,7 +278,7 @@ def run_sweep(spec: SweepSpec) -> SweepGrid:
     if spec.axis2 is not None:
         path2, values2 = spec.axis2.path, spec.axis2.values
         points = [apply_parameter(p, path2, v) for p in points for v in values2]
-    cells = tuple(summarize_point(p) for p in points)
+    cells = tuple(entanglement_reports(points))
     return SweepGrid(spec=spec, cells=cells, provenance=_provenance_lines(spec))
 
 

@@ -10,10 +10,12 @@ from cavmag.cvgaussian import (
     is_physical,
     log_negativity,
     negativity_indicator,
+    negativity_indicators,
     partial_transpose,
     reduce,
     symplectic_eigenvalues,
     symplectic_form,
+    symplectic_spectra,
     tmsv_cm,
     two_mode_symplectic_eigenvalues,
 )
@@ -320,6 +322,38 @@ class TestLogNegativity:
     def test_requires_two_modes(self):
         with pytest.raises(ValueError):
             log_negativity(CovarianceMatrix(0.5 * np.eye(6)))
+
+
+class TestStackedEvaluation:
+    """The array functions are the one route; one matrix is a stack of one."""
+
+    def test_stack_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(43)
+        cms = [random_physical_cm(rng) for _ in range(60)] + [
+            random_separable_cm(rng) for _ in range(20)
+        ]
+        stack = np.stack([cm.entries for cm in cms]).reshape(8, 10, 4, 4)
+        indicators = negativity_indicators(stack).ravel()
+        spectra = symplectic_spectra(stack).reshape(80, 2)
+        for k, cm in enumerate(cms):
+            assert indicators[k] == negativity_indicator(cm)
+            assert np.array_equal(spectra[k], symplectic_eigenvalues(cm))
+
+    def test_one_unphysical_member_fails_the_stack(self):
+        rng = np.random.default_rng(47)
+        stack = np.stack([random_physical_cm(rng).entries for _ in range(5)])
+        stack[3] = np.eye(4) / 4.0
+        with pytest.raises(UnphysicalStateError):
+            negativity_indicators(stack)
+
+    def test_one_unresolvable_member_fails_the_stack(self):
+        stack = np.stack([tmsv_cm(0.4).entries, tmsv_cm(5.0).entries])
+        with pytest.raises(NumericalFailureError, match="resolution"):
+            negativity_indicators(stack)
+
+    def test_stack_requires_two_mode_blocks(self):
+        with pytest.raises(ValueError):
+            negativity_indicators(np.stack([0.5 * np.eye(6)] * 2))
 
 
 class TestTmsvCm:

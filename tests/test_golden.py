@@ -1,6 +1,6 @@
 """Golden-byte tests of the CSV and SVG emitters.
 
-Every grid here is synthetic: fixed ``CellSummary`` values and no
+Every grid here is synthetic: fixed ``EntanglementReport`` values and no
 solver, so the emitted bytes depend on the emitters alone and not on
 the platform's linear algebra. The expected files live in
 ``tests/golden/``. Regenerate them with ``python tests/test_golden.py``
@@ -15,9 +15,8 @@ import pathlib
 
 import pytest
 
-from cavmag.model import BASELINE
+from cavmag.model import BASELINE, EntanglementReport
 from cavmag.sweep import (
-    CellSummary,
     SweepAxis,
     SweepGrid,
     SweepSpec,
@@ -30,8 +29,8 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 NAN = float("nan")
 
 
-def cell(value: float, ratio: float | None = None) -> CellSummary:
-    return CellSummary(
+def cell(value: float, ratio: float | None = None) -> EntanglementReport:
+    return EntanglementReport(
         E_aa=2.0 * value,
         E_mm=value,
         E_a1m1=0.0,
@@ -54,7 +53,7 @@ def grid(axis1, axis2, values, outputs=("E_mm",), name="golden") -> SweepGrid:
         outputs=outputs,
         name=name,
     )
-    cells = tuple(v if isinstance(v, CellSummary) else cell(v) for v in values)
+    cells = tuple(v if isinstance(v, EntanglementReport) else cell(v) for v in values)
     return SweepGrid(spec=spec, cells=cells, provenance=("synthetic grid", f"name: {name}"))
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavmag.analytic import ReducedParams, vmm_analytic
-from cavmag.cvgaussian import is_physical, log_negativity, reduce, tmsv_cm
+from cavmag.cvgaussian import (
+    clamp_negativity,
+    is_physical,
+    log_negativity,
+    negativity_indicator,
+    reduce,
+    symplectic_eigenvalues,
+    tmsv_cm,
+)
 from cavmag.linsys import stability
 from cavmag.model import (
     BASELINE,
@@ -19,6 +28,7 @@ from cavmag.model import (
     build_diffusion,
     build_drift,
     entanglement_report,
+    entanglement_reports,
     noise_moments,
     steady_state_cm,
     thermal_occupation,
@@ -337,3 +347,57 @@ class TestEntanglementReport:
         rep_swapped = entanglement_report(swapped)
         assert rep_swapped.E_mm == pytest.approx(rep.E_mm, abs=1e-10)
         assert rep_swapped.E_aa == pytest.approx(rep.E_aa, abs=1e-10)
+
+
+def scalar_report_fields(params: SystemParams) -> tuple[float, ...]:
+    """The report's fields composed from the one-matrix functions."""
+    cm = steady_state_cm(params)
+    n_aa, n_mm, n_am1, n_am2 = (
+        negativity_indicator(reduce(cm, pair)) for pair in ((0, 1), (2, 3), (0, 2), (1, 3))
+    )
+    e_aa, e_mm = clamp_negativity(n_aa), clamp_negativity(n_mm)
+    ratio = e_mm / e_aa if e_aa > 0.0 else math.nan
+    e_am = clamp_negativity(n_am1), clamp_negativity(n_am2)
+    return (e_aa, e_mm, *e_am, ratio, n_am1, float(symplectic_eigenvalues(cm)[0]))
+
+
+def same_floats(a, b) -> bool:
+    """Exact equality, with NaN equal to NaN."""
+    return np.array_equal(np.array(a), np.array(b), equal_nan=True)
+
+
+class TestEntanglementReports:
+    def grid_points(self) -> list[SystemParams]:
+        unit = BASELINE.kappa_a[0]
+        drive = BASELINE.omega_drive
+        detuned = BASELINE.replace(
+            omega_a=(drive[0] + 0.3 * unit, drive[1]),
+            omega_m=(drive[0], drive[1] - 0.2 * unit),
+            temperature=0.05,
+        )
+        points = [
+            detuned.replace(kappa_m=(km * unit, km * unit), g=(g * unit, g * unit))
+            for km in (0.05, 0.2, 1.0)
+            for g in (0.0, 0.4, 2.5, 7.0)
+        ]
+        return points + [p.replace(r=0.0) for p in points[:4]]
+
+    def test_fields_equal_the_scalar_composition(self):
+        points = self.grid_points()
+        reports = entanglement_reports(points)
+        assert len(reports) == len(points)
+        for params, rep in zip(points, reports):
+            assert same_floats(dataclasses.astuple(rep), scalar_report_fields(params))
+        for rep in reports[-4:]:
+            assert rep.E_aa == 0.0
+            assert math.isnan(rep.E_mm_over_E_aa)
+
+    def test_single_report_is_a_batch_of_one(self):
+        points = self.grid_points()
+        batch = entanglement_reports(points)
+        for params, rep in zip(points, batch):
+            single = dataclasses.astuple(entanglement_report(params))
+            assert same_floats(single, dataclasses.astuple(rep))
+
+    def test_empty_input(self):
+        assert entanglement_reports([]) == []

@@ -4,16 +4,22 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name: str, *argv: str) -> None:
-    proc = subprocess.run(
+def script_process(name: str, *argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *argv],
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def run_script(name: str, *argv: str) -> None:
+    proc = script_process(name, *argv)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -42,3 +48,26 @@ def test_survival_temperature_writes_csv_and_svg(tmp_path):
     assert rows[0] == "r,threshold_K"
     assert len(rows) == 4
     assert (tmp_path / "survival_temperature.svg").read_text().startswith("<svg")
+
+
+def test_survival_temperature_leaves_unentangled_r_empty(tmp_path):
+    run_script(
+        "survival_temperature.py", "--out-dir", str(tmp_path), "--r-min", "0", "--points", "3"
+    )
+    rows = (tmp_path / "survival_temperature.csv").read_text().splitlines()
+    assert rows[:2] == ["r,threshold_K", "0,"]
+    assert [row.split(",")[0] for row in rows[2:]] == ["1", "2"]
+    assert all(float(row.split(",")[1]) > 0.0 for row in rows[2:])
+    assert (tmp_path / "survival_temperature.svg").read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize(
+    "name, option",
+    [("survival_temperature.py", "--points"), ("reproduce_figures.py", "--resolution")],
+)
+def test_scripts_reject_a_zero_count(tmp_path, name, option):
+    proc = script_process(name, "--out-dir", str(tmp_path / "out"), option, "0")
+    assert proc.returncode == 2
+    assert option in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
