@@ -4,9 +4,8 @@ squeezed microwave light.
 The package builds the drift and diffusion matrices of the linearized
 eight-quadrature model, solves the steady-state Lyapunov equation for the
 covariance matrix, and quantifies bipartite entanglement between mode pairs
-via logarithmic negativity.  Closed-form covariance blocks for the matched
-resonant regime live in :mod:`cavmag.analytic`; parameter sweeps and figure
-presets in :mod:`cavmag.sweep`.
+via logarithmic negativity.  Parameter sweeps and figure presets live in
+:mod:`cavmag.sweep`, the ``cavmag`` command in :mod:`cavmag.cli`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .errors import (
     UnphysicalStateError,
     UnstableSystemError,
 )
-from .linsys import StabilityReport, integrate_lyapunov_oracle, solve_lyapunov, stability
+from .linsys import StabilityReport, solve_lyapunov, stability
 from .model import (
     BASELINE,
     EntanglementReport,
@@ -85,7 +84,6 @@ __all__ = [
     "entanglement_reports",
     "figure_preset",
     "find_temperature_threshold",
-    "integrate_lyapunov_oracle",
     "is_physical",
     "log_negativity",
     "noise_moments",

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: ``point`` evaluates one parameter point, ``sweep`` runs a
-figure preset and writes CSV (and optionally an SVG heatmap),
-``threshold`` bisects the entanglement survival temperature,
-``list-presets`` enumerates the available presets.
+Subcommands: ``point`` evaluates one parameter point, ``sweep`` writes
+figure presets as CSV and SVG, ``threshold`` bisects the entanglement
+survival temperature at one r or over an r range, ``list-presets``
+enumerates the available presets.
 
 Exit codes: 0 success, 2 invalid arguments or configuration, 3 no
 trustworthy steady state (unstable, near-singular or precision-limited),
@@ -13,8 +13,12 @@ trustworthy steady state (unstable, near-singular or precision-limited),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import os
 import sys
+
+import numpy as np
 
 from ._version import __version__
 from .errors import CavmagError, NoEntanglementError
@@ -23,12 +27,15 @@ from .sweep import (
     PRESET_NAMES,
     PRESETS,
     _fmt,
+    _write_text,
     apply_parameter,
     emit_csv,
     emit_heatmap,
+    emit_lineplot,
     figure_preset,
     find_temperature_threshold,
     parse_config,
+    render_lines,
     run_sweep,
 )
 
@@ -55,6 +62,7 @@ def _add_param_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavmag",
@@ -64,6 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_point = sub.add_parser("point", help="evaluate one parameter point")
+    p_point.set_defaults(run=_run_point)
     _add_param_options(p_point)
     p_point.add_argument(
         "--csv",
@@ -71,8 +80,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="append one machine-readable CSV line: " + ",".join(POINT_CSV_COLUMNS),
     )
 
-    p_sweep = sub.add_parser("sweep", help="run a figure preset over a parameter grid")
-    p_sweep.add_argument("--preset", required=True, help="preset name (see list-presets)")
+    p_sweep = sub.add_parser("sweep", help="run figure presets over their parameter grids")
+    p_sweep.set_defaults(run=_run_sweep)
+    p_sweep.add_argument(
+        "--preset",
+        action="append",
+        help="preset name (see list-presets); with --out-dir repeatable, default all",
+    )
+    p_sweep.add_argument("--out-dir", metavar="DIR", help="write NAME.csv and NAME.svg there")
     p_sweep.add_argument("--out", metavar="FILE", help="CSV destination (default stdout)")
     p_sweep.add_argument("--heatmap", metavar="FILE", help="also write an SVG heatmap")
     p_sweep.add_argument(
@@ -83,12 +98,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_thr = sub.add_parser(
         "threshold", help="bisect the temperature where magnon entanglement vanishes"
     )
-    p_thr.add_argument("--r", type=float, required=True, help="drive squeezing strength")
+    p_thr.set_defaults(run=_run_threshold)
+    which = p_thr.add_mutually_exclusive_group(required=True)
+    which.add_argument("--r", type=float, help="drive squeezing strength")
+    which.add_argument(
+        "--r-range",
+        type=float,
+        nargs=3,
+        metavar=("LO", "HI", "N"),
+        help="N evenly spaced r from LO to HI; prints r,threshold_K CSV",
+    )
+    p_thr.add_argument("--out-dir", metavar="DIR", help="with --r-range: write CSV and SVG there")
     p_thr.add_argument("--tmax", type=float, default=2.0, help="search ceiling in kelvin")
     p_thr.add_argument("--tol", type=float, default=1e-3, help="bisection accuracy in kelvin")
     _add_param_options(p_thr)
 
-    sub.add_parser("list-presets", help="list available figure presets")
+    p_list = sub.add_parser("list-presets", help="list available figure presets")
+    p_list.set_defaults(run=_run_list_presets)
     return parser
 
 
@@ -99,8 +125,8 @@ def _effective_params(args) -> SystemParams:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise _IoError(f"cannot read config file: {exc}") from exc
-        for path, value in parse_config(text).items():
+            raise OSError(f"cannot read config file: {exc}") from exc
+        for path, value in parse_config(text):
             params = apply_parameter(params, path, value)
     for item in getattr(args, "param", []):
         key, sep, value = item.partition("=")
@@ -114,8 +140,10 @@ def _effective_params(args) -> SystemParams:
     return params
 
 
-class _IoError(Exception):
-    pass
+def _out_paths(out_dir: str, name: str) -> tuple[str, str]:
+    """DIR/NAME.csv and DIR/NAME.svg, creating DIR if needed."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, f"{name}.csv"), os.path.join(out_dir, f"{name}.svg")
 
 
 def _run_point(args) -> int:
@@ -145,27 +173,68 @@ def _run_point(args) -> int:
 
 def _run_sweep(args) -> int:
     base = _effective_params(args)
-    spec = figure_preset(args.preset, resolution=args.resolution, base=base)
-    if args.heatmap and spec.axis2 is None:
-        raise ValueError("heatmap requires a two-axis grid; use emit_lineplot for lines")
-    grid = run_sweep(spec)
-    try:
+    if args.out_dir is None:
+        if not args.preset:
+            raise ValueError("sweep needs --preset NAME, or --out-dir DIR for several presets")
+        spec = figure_preset(args.preset[-1], resolution=args.resolution, base=base)
+        if args.heatmap and spec.axis2 is None:
+            raise ValueError("heatmap requires a two-axis grid; use emit_lineplot for lines")
+        grid = run_sweep(spec)
         emit_csv(grid, args.out or sys.stdout)
         if args.heatmap:
             emit_heatmap(grid, None, args.heatmap)
-    except OSError as exc:
-        raise _IoError(str(exc)) from exc
+        return EXIT_OK
+    if args.out or args.heatmap:
+        raise ValueError("--out and --heatmap do not combine with --out-dir")
+    names = args.preset or PRESET_NAMES
+    specs = [figure_preset(name, resolution=args.resolution, base=base) for name in names]
+    for spec in specs:
+        grid = run_sweep(spec)
+        csv_path, svg_path = _out_paths(args.out_dir, spec.name)
+        emit_csv(grid, csv_path)
+        if PRESETS[spec.name].lines:
+            emit_lineplot(grid, svg_path)
+        else:
+            emit_heatmap(grid, None, svg_path)
+        print(f"{spec.name}: wrote {csv_path} and {svg_path}", flush=True)
     return EXIT_OK
 
 
 def _run_threshold(args) -> int:
-    params = _effective_params(args).replace(r=args.r)
-    result = find_temperature_threshold(params, t_max=args.tmax, tol=args.tol)
-    print("none" if result is None else _fmt(result))
+    params = _effective_params(args)
+    search = functools.partial(find_temperature_threshold, t_max=args.tmax, tol=args.tol)
+    if args.r is not None:
+        if args.out_dir is not None:
+            raise ValueError("--out-dir needs --r-range")
+        result = search(params.replace(r=args.r))
+        print("none" if result is None else _fmt(result))
+        return EXIT_OK
+    lo, hi, count = args.r_range
+    if not (count >= 1 and count.is_integer()):
+        raise ValueError(f"--r-range N must be a whole number of at least 1, got {_fmt(count)}")
+    r_values = np.linspace(lo, hi, int(count)).tolist()
+    thresholds = []  # None above --tmax, or where the magnons are separable at 0 K
+    for r in r_values:
+        try:
+            threshold = search(params.replace(r=r))
+        except NoEntanglementError:
+            threshold = None
+        thresholds.append(threshold)
+    text = "r,threshold_K\n" + "".join(
+        f"{_fmt(r)},{'' if t is None else _fmt(t)}\n" for r, t in zip(r_values, thresholds)
+    )
+    if args.out_dir is None:
+        _write_text(sys.stdout, text)
+        return EXIT_OK
+    csv_path, svg_path = _out_paths(args.out_dir, "survival_temperature")
+    _write_text(csv_path, text)
+    series = [("threshold temperature (K)", thresholds)]
+    render_lines(r_values, series, "entanglement survival temperature", "r", svg_path)
+    print(f"survival_temperature: wrote {csv_path} and {svg_path}")
     return EXIT_OK
 
 
-def _run_list_presets() -> int:
+def _run_list_presets(args) -> int:
     width = max(len(name) for name in PRESET_NAMES)
     for name in PRESET_NAMES:
         print(f"{name:<{width}}  {PRESETS[name].description}")
@@ -175,25 +244,14 @@ def _run_list_presets() -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "point":
-            return _run_point(args)
-        if args.command == "sweep":
-            return _run_sweep(args)
-        if args.command == "threshold":
-            return _run_threshold(args)
-        return _run_list_presets()
-    except NoEntanglementError as exc:
+        return args.run(args)
+    except (CavmagError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, OSError):
+            return EXIT_IO
+        if isinstance(exc, CavmagError) and not isinstance(exc, NoEntanglementError):
+            return EXIT_NO_STEADY_STATE
         return EXIT_USAGE
-    except CavmagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_STEADY_STATE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -6,8 +6,7 @@ diffusion matrix D, solves the continuous-time Lyapunov equation
     A V + V A^T + D = 0.
 
 The solver uses the Schur-based Bartels-Stewart method (Bartels & Stewart,
-CACM 1972) of ``scipy.linalg.solve_continuous_lyapunov``; an integral
-quadrature of e^{At} D e^{A^T t} is provided as an independent oracle.
+CACM 1972) of ``scipy.linalg.solve_continuous_lyapunov``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import expm, solve_continuous_lyapunov
+from scipy.linalg import solve_continuous_lyapunov
 
 from .errors import NearSingularError, NumericalFailureError, UnstableSystemError
 
@@ -47,8 +46,10 @@ def _square_matrix(m, name: str) -> NDArray[np.float64]:
     return a
 
 
-def _check_diffusion(d: NDArray[np.float64]) -> None:
-    scale = max(float(np.max(np.abs(d))), 1.0)
+def _check_diffusion(d: NDArray[np.float64]) -> float:
+    """Reject an asymmetric or indefinite D; return its largest |entry|."""
+    peak = float(np.max(np.abs(d)))
+    scale = max(peak, 1.0)
     if np.max(np.abs(d - d.T)) > 1e-12 * scale:
         raise ValueError("diffusion matrix must be symmetric")
     min_eig = float(np.linalg.eigvalsh(0.5 * (d + d.T)).min())
@@ -56,6 +57,7 @@ def _check_diffusion(d: NDArray[np.float64]) -> None:
         raise ValueError(
             f"diffusion matrix must be positive semidefinite (min eigenvalue {min_eig:.3e})"
         )
+    return peak
 
 
 def stability(a) -> StabilityReport:
@@ -90,7 +92,8 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
     Returns
     -------
     V, symmetrized as (V + V^T)/2, with residual Frobenius norm
-    ``|| A V + V A^T + D ||_F <= 1e-9 * ||D||_F`` guaranteed.
+    ``|| A V + V A^T + D ||_F <= 1e-9 * ||D||_F`` guaranteed, checked on D
+    scaled by a power of two to unit largest entry, where it cannot overflow.
 
     Raises
     ------
@@ -100,13 +103,13 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
         If the condition estimate ``||A||_1 / (2 |max Re lambda|)`` of
         the Lyapunov operator exceeds 1e12.
     NumericalFailureError
-        If the residual bound is violated by the computed solution.
+        If the residual is above that bound or not finite.
     """
     a = _square_matrix(a, "drift matrix")
     d = _square_matrix(d, "diffusion matrix")
     if a.shape != d.shape:
         raise ValueError("drift and diffusion matrices must have the same shape")
-    _check_diffusion(d)
+    exponent = math.frexp(_check_diffusion(d))[1]
     report = stability(a)
     if report.max_real_part >= 0.0:
         raise UnstableSystemError(report)
@@ -117,68 +120,14 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
         raise NearSingularError(
             f"Lyapunov operator is near singular (condition estimate {cond:.3e})"
         )
+    d = np.ldexp(d, -exponent)
     v = solve_continuous_lyapunov(a, -d)
     v = 0.5 * (v + v.T)
     d_norm = float(np.linalg.norm(d, "fro"))
     residual = float(np.linalg.norm(a @ v + v @ a.T + d, "fro"))
-    if residual > RESIDUAL_RTOL * max(d_norm, np.finfo(float).tiny):
+    if not residual <= RESIDUAL_RTOL * max(d_norm, np.finfo(float).tiny):
         raise NumericalFailureError(
             f"Lyapunov residual {residual:.3e} exceeds {RESIDUAL_RTOL:.1e} * ||D||"
         )
-    return v
+    return np.ldexp(v, exponent)
 
-
-def integrate_lyapunov_oracle(a, d, horizon: float, step: float) -> NDArray[np.float64]:
-    """Steady-state covariance by direct quadrature, as an independent check.
-
-    Approximates V = integral of e^{At} D e^{A^T t} over [0, horizon] with
-    composite Simpson quadrature, stepping the propagator by a single
-    matrix exponential per step. Truncation error decays like
-    exp(max_real_part * horizon).
-
-    Preconditions: ``horizon >= 10 / |max_real_part|`` and
-    ``step <= 0.01 / spectral_radius(a)``. Deliberately slow and simple;
-    use :func:`solve_lyapunov` for production work.
-    """
-    a = _square_matrix(a, "drift matrix")
-    d = _square_matrix(d, "diffusion matrix")
-    if a.shape != d.shape:
-        raise ValueError("drift and diffusion matrices must have the same shape")
-    _check_diffusion(d)
-    report = stability(a)
-    if report.max_real_part >= 0.0:
-        raise UnstableSystemError(report)
-    if not (horizon > 0 and np.isfinite(horizon)):
-        raise ValueError("horizon must be positive and finite")
-    if not (step > 0 and np.isfinite(step)):
-        raise ValueError("step must be positive and finite")
-    decay = abs(report.max_real_part)
-    if horizon < 10.0 / decay:
-        raise ValueError(
-            f"horizon {horizon:.6g} too short for decay rate {decay:.6g}; "
-            f"need at least {10.0 / decay:.6g}"
-        )
-    radius = report.spectral_radius
-    if radius > 0 and step > 0.01 / radius:
-        raise ValueError(
-            f"step {step:.6g} too coarse for spectral radius {radius:.6g}; "
-            f"need at most {0.01 / radius:.6g}"
-        )
-    n_steps = int(math.ceil(horizon / step))
-    if n_steps % 2 == 1:
-        n_steps += 1
-    h = horizon / n_steps
-    propagator = expm(a * h)
-    phi = np.eye(a.shape[0])
-    acc = d.copy()
-    for k in range(1, n_steps + 1):
-        phi = propagator @ phi
-        f = phi @ d @ phi.T
-        if k == n_steps:
-            acc += f
-        elif k % 2 == 1:
-            acc += 4.0 * f
-        else:
-            acc += 2.0 * f
-    v = acc * (h / 3.0)
-    return 0.5 * (v + v.T)

@@ -19,6 +19,7 @@ invariant under that common rescaling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,10 +31,14 @@ from .cvgaussian import (
     negativity_indicators,
     symplectic_spectra,
 )
+from .errors import NumericalFailureError
 from .linsys import solve_lyapunov
 
 HBAR = 1.054571817e-34  # J s, CODATA 2018
 KBOLTZ = 1.380649e-23  # J / K, exact SI value
+# Squeezing above which 2N + 1 = cosh 2r or 2|M| = sinh 2r exceeds a quarter
+# of the largest double, leaving no headroom for sums of D and V entries.
+R_MAX = 0.5 * math.acosh(0.25 * sys.float_info.max)
 
 MODE_LABELS = ("cavity1", "cavity2", "magnon1", "magnon2")
 
@@ -182,8 +187,11 @@ def noise_moments(params: SystemParams) -> NoiseMoments:
 
     N = sinh(r)^2, M = e^{i theta} sinh(r) cosh(r), which saturate
     |M|^2 = N (N + 1) for the pure squeezed drive. Magnon occupations are
-    evaluated at each magnon frequency.
+    evaluated at each magnon frequency. Raises NumericalFailureError for
+    r above :data:`R_MAX`.
     """
+    if params.r > R_MAX:
+        raise NumericalFailureError(f"drive moments overflow at squeezing r = {params.r:.6g}")
     sh = math.sinh(params.r)
     ch = math.cosh(params.r)
     n_drive = sh * sh

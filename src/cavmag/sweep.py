@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .cvgaussian import log_negativity, reduce
+from .cvgaussian import clamp_negativity, negativity_indicators
 from .errors import NoEntanglementError
-from .model import BASELINE, EntanglementReport, SystemParams, steady_state_cm
-from .model import entanglement_report, entanglement_reports
+from .model import _PAIR_QUADRATURES, BASELINE, EntanglementReport, SystemParams
+from .model import entanglement_report, entanglement_reports, steady_state_cm
 
 OUTPUT_COLUMNS = (
     "E_aa",
@@ -122,13 +122,13 @@ def apply_parameter(params: SystemParams, path: str, value: float) -> SystemPara
     return PARAMETER_PATHS[path](params, value)
 
 
-def parse_config(text: str) -> dict[str, float]:
-    """Parse a flat ``params.key = value`` config file into a path map.
+def parse_config(text: str) -> list[tuple[str, float]]:
+    """Parse a ``params.key = value`` config file into (path, value) pairs in file order.
 
     Blank lines and ``#`` comment lines are ignored. Only the ``params``
     section is recognized and every key must be a known parameter path.
     """
-    overrides: dict[str, float] = {}
+    overrides: list[tuple[str, float]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -146,7 +146,7 @@ def parse_config(text: str) -> dict[str, float]:
         if name not in PARAMETER_PATHS:
             raise ValueError(f"config line {line_no}: unknown parameter path {name!r}")
         try:
-            overrides[name] = float(value_text)
+            overrides.append((name, float(value_text)))
         except ValueError:
             raise ValueError(f"config line {line_no}: not a number: {value_text!r}") from None
     return overrides
@@ -441,9 +441,11 @@ def find_temperature_threshold(
     if not (math.isfinite(tol) and 0 < tol < t_max):
         raise ValueError("tol must satisfy 0 < tol < t_max")
 
+    magnons = np.ix_(_PAIR_QUADRATURES[1], _PAIR_QUADRATURES[1])
+
     def entangled(temperature: float) -> bool:
-        cm = steady_state_cm(params.replace(temperature=temperature))
-        return log_negativity(reduce(cm, (2, 3))) > 0.0
+        v = steady_state_cm(params.replace(temperature=temperature)).entries
+        return clamp_negativity(negativity_indicators(v[magnons])) > 0.0
 
     if not entangled(0.0):
         raise NoEntanglementError(

@@ -1,14 +1,15 @@
-"""Closed-form steady-state covariance blocks in the resonant matched
-regime.
+"""Independent routes that the tests compare the library against.
 
-Valid when both subsystems are driven on resonance (all detunings zero),
-the two cavities share a linewidth, the two magnon modes share a
-linewidth, the couplings match, and the magnon baths are cold enough that
-their thermal occupation is negligible. Everything then depends only on
-the two rate ratios and the squeezing strength, collected in
-:class:`ReducedParams`. These expressions serve as independent oracles
-for the numerical pipeline and as the data source for the
-coupling-ratio figure presets.
+Closed-form steady-state covariance blocks in the resonant matched
+regime, and a direct quadrature of the Lyapunov integral. The library
+does not use them; each is a second way to the numbers it computes.
+
+The closed forms are valid when both subsystems are driven on resonance
+(all detunings zero), the two cavities share a linewidth, the two magnon
+modes share a linewidth, the couplings match, and the magnon baths are
+cold enough that their thermal occupation is negligible. Everything then
+depends only on the two rate ratios and the squeezing strength,
+collected in :class:`ReducedParams`.
 """
 
 from __future__ import annotations
@@ -17,12 +18,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
-from .cvgaussian import (
+from cavmag.cvgaussian import (
     CovarianceMatrix,
     partial_transpose,
     two_mode_symplectic_eigenvalues,
 )
+from cavmag.errors import UnstableSystemError
+from cavmag.linsys import _check_diffusion, _square_matrix, stability
 
 
 @dataclass(frozen=True)
@@ -145,3 +149,59 @@ def cavity_magnon_N(p: ReducedParams) -> float:
     flipped = partial_transpose(vam_analytic(p), 0)
     nu_min = float(two_mode_symplectic_eigenvalues(flipped)[0])
     return -math.log(2.0 * nu_min)
+
+
+def integrate_lyapunov_oracle(a, d, horizon: float, step: float) -> np.ndarray:
+    """Steady-state covariance by direct quadrature, as an independent check.
+
+    Approximates V = integral of e^{At} D e^{A^T t} over [0, horizon] with
+    composite Simpson quadrature, stepping the propagator by a single
+    matrix exponential per step. Truncation error decays like
+    exp(max_real_part * horizon).
+
+    Preconditions: ``horizon >= 10 / |max_real_part|`` and
+    ``step <= 0.01 / spectral_radius(a)``. Deliberately slow and simple;
+    use :func:`cavmag.linsys.solve_lyapunov` for production work.
+    """
+    a = _square_matrix(a, "drift matrix")
+    d = _square_matrix(d, "diffusion matrix")
+    if a.shape != d.shape:
+        raise ValueError("drift and diffusion matrices must have the same shape")
+    _check_diffusion(d)
+    report = stability(a)
+    if report.max_real_part >= 0.0:
+        raise UnstableSystemError(report)
+    if not (horizon > 0 and np.isfinite(horizon)):
+        raise ValueError("horizon must be positive and finite")
+    if not (step > 0 and np.isfinite(step)):
+        raise ValueError("step must be positive and finite")
+    decay = abs(report.max_real_part)
+    if horizon < 10.0 / decay:
+        raise ValueError(
+            f"horizon {horizon:.6g} too short for decay rate {decay:.6g}; "
+            f"need at least {10.0 / decay:.6g}"
+        )
+    radius = report.spectral_radius
+    if radius > 0 and step > 0.01 / radius:
+        raise ValueError(
+            f"step {step:.6g} too coarse for spectral radius {radius:.6g}; "
+            f"need at most {0.01 / radius:.6g}"
+        )
+    n_steps = int(math.ceil(horizon / step))
+    if n_steps % 2 == 1:
+        n_steps += 1
+    h = horizon / n_steps
+    propagator = expm(a * h)
+    phi = np.eye(a.shape[0])
+    acc = d.copy()
+    for k in range(1, n_steps + 1):
+        phi = propagator @ phi
+        f = phi @ d @ phi.T
+        if k == n_steps:
+            acc += f
+        elif k % 2 == 1:
+            acc += 4.0 * f
+        else:
+            acc += 2.0 * f
+    v = acc * (h / 3.0)
+    return 0.5 * (v + v.T)

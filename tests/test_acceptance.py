@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 from conftest import random_stable_system
 
-from cavmag.analytic import ReducedParams, vam_analytic, vmm_analytic
 from cavmag.cvgaussian import log_negativity, reduce, tmsv_cm
-from cavmag.linsys import integrate_lyapunov_oracle, solve_lyapunov
+from cavmag.linsys import solve_lyapunov
 from cavmag.model import BASELINE, entanglement_report, steady_state_cm
 from cavmag.sweep import (
     PRESET_NAMES,
@@ -25,6 +24,7 @@ from cavmag.sweep import (
     find_temperature_threshold,
     run_sweep,
 )
+from oracles import ReducedParams, integrate_lyapunov_oracle, vam_analytic, vmm_analytic
 
 UNIT = BASELINE.kappa_a[0]
 

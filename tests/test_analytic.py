@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavmag.analytic import (
+from cavmag.cvgaussian import is_physical, log_negativity, tmsv_cm
+
+from oracles import (
     ReducedParams,
     cavity_magnon_N,
     eaa_analytic,
@@ -15,7 +17,6 @@ from cavmag.analytic import (
     vam_analytic,
     vmm_analytic,
 )
-from cavmag.cvgaussian import is_physical, log_negativity, tmsv_cm
 
 # Frozen reference values at kappa_ratio 0.2, coupling_ratio 5, r = 1,
 # independently evaluated with 40-digit arithmetic.

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from cavmag.cli import EXIT_IO, EXIT_NO_STEADY_STATE, EXIT_OK, EXIT_USAGE, main
+from cavmag.sweep import PRESET_NAMES
 
 
 def run(capsys, *argv):
@@ -72,6 +73,29 @@ class TestPoint:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "resolution" in err
+
+    @pytest.mark.parametrize("r", ["355", "360", "711"])
+    def test_overflowing_drive_exits_3(self, capsys, r):
+        code, out, err = run(capsys, "point", "--param", f"r={r}")
+        assert code == EXIT_NO_STEADY_STATE
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "overflow" in err
+
+    def test_extreme_temperature_reports_zeros(self, capsys):
+        code, out, err = run(capsys, "point", "--param", "temperature=1e300", "--csv")
+        assert code == EXIT_OK
+        assert err == ""
+        assert out.splitlines()[-1] == "0,0,0,0"
+
+    def test_consecutive_calls_do_not_share_params(self, capsys):
+        _, first, _ = run(capsys, "point", "--param", "r=0.4", "--param", "g=2", "--csv")
+        _, second, _ = run(capsys, "point", "--param", "temperature=0.1", "--csv")
+        _, fresh, _ = run(capsys, "point", "--csv")
+        assert report_value(first, "r") == "0.4"
+        assert report_value(second, "r") == "1"
+        assert report_value(second, "g_over_kappa_a") == "5,5"
+        assert report_value(fresh, "temperature_K") == "0"
 
     def test_malformed_param(self, capsys):
         code, _, err = run(capsys, "point", "--param", "r0.4")
@@ -156,6 +180,51 @@ class TestSweep:
         assert code == EXIT_IO
         assert "error" in err
 
+    def test_missing_preset_without_out_dir(self, capsys):
+        code, out, err = run(capsys, "sweep")
+        assert code == EXIT_USAGE
+        assert out == "" and "--preset" in err
+
+    def test_out_dir_writes_csv_and_svg_per_preset(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        argv = ("sweep", "--out-dir", str(out_dir), "--resolution", "3")
+        code, out, _ = run(capsys, *argv, "--preset", "fig3b", "--preset", "fig2c")
+        assert code == EXIT_OK
+        assert out.splitlines() == [
+            f"{name}: wrote {out_dir / name}.csv and {out_dir / name}.svg"
+            for name in ("fig3b", "fig2c")
+        ]
+        for name in ("fig3b", "fig2c"):
+            assert (out_dir / f"{name}.csv").read_text().startswith("# cavmag")
+            assert (out_dir / f"{name}.svg").read_text().startswith("<svg")
+        assert "<polyline" in (out_dir / "fig3b.svg").read_text()
+        assert "<polyline" not in (out_dir / "fig2c.svg").read_text()
+
+    def test_out_dir_runs_every_preset_by_default(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "sweep", "--out-dir", str(tmp_path), "--resolution", "2")
+        assert code == EXIT_OK
+        assert [line.split(":")[0] for line in out.splitlines()] == list(PRESET_NAMES)
+        assert len(list(tmp_path.iterdir())) == 2 * len(PRESET_NAMES)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--preset", "fig2c", "--resolution", "0"),
+            ("--preset", "nope"),
+            ("--preset", "fig2c", "--out", "x.csv"),
+            ("--preset", "fig2c", "--heatmap", "x.svg"),
+        ],
+        ids=["zero-resolution", "unknown-preset", "with-out", "with-heatmap"],
+    )
+    def test_out_dir_argument_errors_exit_2_before_anything_is_written(
+        self, capsys, tmp_path, extra
+    ):
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "sweep", "--out-dir", str(out_dir), *extra)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ")
+        assert not out_dir.exists()
+
     def test_repeated_sweeps_print_identical_csv(self, capsys):
         code1, out1, _ = run(capsys, "sweep", "--preset", "fig4", "--resolution", "5")
         code2, out2, _ = run(capsys, "sweep", "--preset", "fig4", "--resolution", "5")
@@ -183,6 +252,54 @@ class TestThreshold:
         code, _, err = run(capsys, "threshold", "--r", "-1")
         assert code == EXIT_USAGE
 
+    def test_r_range_prints_csv_with_empty_field_for_unentangled_r(self, capsys):
+        code, out, _ = run(capsys, "threshold", "--r-range", "0", "2", "3", "--tmax", "3")
+        assert code == EXIT_OK
+        rows = out.splitlines()
+        assert rows[:2] == ["r,threshold_K", "0,"]
+        assert [row.split(",")[0] for row in rows[2:]] == ["1", "2"]
+        assert all(float(row.split(",")[1]) > 0.0 for row in rows[2:])
+
+    def test_r_range_leaves_threshold_above_tmax_empty(self, capsys):
+        code, out, _ = run(capsys, "threshold", "--r-range", "0.4", "0.4", "1", "--tmax", "0.3")
+        assert code == EXIT_OK
+        assert out.splitlines() == ["r,threshold_K", "0.4,"]
+
+    def test_r_range_out_dir_writes_csv_and_svg(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        argv = ("threshold", "--r-range", "0.05", "2", "3", "--out-dir", str(out_dir))
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        csv_path = out_dir / "survival_temperature.csv"
+        svg_path = out_dir / "survival_temperature.svg"
+        assert out == f"survival_temperature: wrote {csv_path} and {svg_path}\n"
+        rows = csv_path.read_text().splitlines()
+        assert rows[0] == "r,threshold_K"
+        assert len(rows) == 4
+        assert svg_path.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("count", ["0", "1.5", "-3"])
+    def test_r_range_bad_count_exits_2_before_anything_is_written(
+        self, capsys, tmp_path, count
+    ):
+        out_dir = tmp_path / "out"
+        argv = ("threshold", "--r-range", "0.05", "2", count, "--out-dir", str(out_dir))
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and "--r-range" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_out_dir_needs_r_range(self, capsys, tmp_path):
+        code, _, err = run(capsys, "threshold", "--r", "0.4", "--out-dir", str(tmp_path / "o"))
+        assert code == EXIT_USAGE
+        assert "--r-range" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_r_and_r_range_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["threshold", "--r", "0.4", "--r-range", "0", "1", "2"])
+        assert excinfo.value.code == 2
+
 
 class TestConfig:
     def test_config_file_applies(self, capsys, tmp_path):
@@ -198,6 +315,18 @@ class TestConfig:
         code, out, _ = run(capsys, "point", "--config", str(cfg), "--param", "r=1.0")
         assert code == EXIT_OK
         assert report_value(out, "r") == "1"
+
+    def test_entries_apply_in_file_order(self, capsys, tmp_path):
+        # g is in units of kappa_a: set before the second kappa_a_hz, it
+        # is halved by it, as the same --param sequence would be.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("params.kappa_a_hz = 1e6\nparams.g = 5\nparams.kappa_a_hz = 2e6\n")
+        code, out, _ = run(capsys, "point", "--config", str(cfg))
+        assert code == EXIT_OK
+        argv = ("--param", "kappa_a_hz=1e6", "--param", "g=5", "--param", "kappa_a_hz=2e6")
+        _, same, _ = run(capsys, "point", *argv)
+        assert report_value(out, "g_over_kappa_a") == "2.5,2.5"
+        assert out == same
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "point", "--config", str(tmp_path / "absent.cfg"))

@@ -3,15 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cavmag.errors import NearSingularError, UnstableSystemError
-from cavmag.linsys import (
-    StabilityReport,
-    integrate_lyapunov_oracle,
-    solve_lyapunov,
-    stability,
-)
+from cavmag import linsys
+from cavmag.errors import NearSingularError, NumericalFailureError, UnstableSystemError
+from cavmag.linsys import StabilityReport, solve_lyapunov, stability
 
 from conftest import random_stable_system
+from oracles import integrate_lyapunov_oracle
 
 
 def frobenius(m):
@@ -124,6 +121,22 @@ class TestSolveLyapunov:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             solve_lyapunov(-np.eye(3), np.eye(2))
+
+    def test_power_of_two_scale_is_exact_where_the_norm_overflows(self):
+        # ||D||_F of D * 2^1000 overflows; the solve still runs on D at
+        # unit scale, so V scales by exactly the same power of two.
+        rng = np.random.default_rng(61)
+        a, d = random_stable_system(rng)
+        v = solve_lyapunov(a, d)
+        assert np.array_equal(solve_lyapunov(a, np.ldexp(d, 1000)), np.ldexp(v, 1000))
+
+    def test_non_finite_residual_fails_the_gate(self, monkeypatch):
+        def unconverged(a, q):
+            return np.full_like(q, np.nan)
+
+        monkeypatch.setattr(linsys, "solve_continuous_lyapunov", unconverged)
+        with pytest.raises(NumericalFailureError, match="residual"):
+            solve_lyapunov(-np.eye(2), np.eye(2))
 
 
 class TestIntegrationOracle:

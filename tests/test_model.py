@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavmag.analytic import ReducedParams, vmm_analytic
 from cavmag.cvgaussian import (
     clamp_negativity,
     is_physical,
@@ -18,6 +17,7 @@ from cavmag.cvgaussian import (
     symplectic_eigenvalues,
     tmsv_cm,
 )
+from cavmag.errors import NumericalFailureError
 from cavmag.linsys import stability
 from cavmag.model import (
     BASELINE,
@@ -33,6 +33,8 @@ from cavmag.model import (
     steady_state_cm,
     thermal_occupation,
 )
+
+from oracles import ReducedParams, vmm_analytic
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,6 +135,11 @@ class TestNoiseMoments:
         m = noise_moments(valid_params(r=0.4, theta=theta))
         assert m.correlation == pytest.approx(M_R04 * complex(math.cos(theta), math.sin(theta)))
         assert m.mean_occupation == pytest.approx(N_R04, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [360.0, 711.0])
+    def test_overflowing_drive_raises_typed_error(self, r):
+        with pytest.raises(NumericalFailureError, match="overflow"):
+            noise_moments(valid_params(r=r))
 
     @given(r=st.floats(0.0, 3.0), theta=st.floats(-math.pi, math.pi))
     @settings(max_examples=60)
@@ -319,6 +326,13 @@ class TestEntanglementReport:
             rep = entanglement_report(valid_params(r=r, temperature=0.1))
             assert rep.E_a1m1 == 0.0
             assert rep.E_a2m2 == 0.0
+
+    def test_extreme_temperature_is_finite_and_separable(self):
+        # ||D||_F overflows at 1e300 K; the solve's residual gate must
+        # still hold, and the hot magnon baths leave no entanglement.
+        rep = entanglement_report(valid_params(temperature=1e300))
+        assert (rep.E_aa, rep.E_mm, rep.E_a1m1, rep.E_a2m2) == (0.0, 0.0, 0.0, 0.0)
+        assert math.isfinite(rep.min_symplectic_eigenvalue)
 
     def test_decoupled_limit(self):
         rep = entanglement_report(valid_params(r=0.4, g=(0.0, 0.0), temperature=0.0))

@@ -106,11 +106,11 @@ class TestApplyParameter:
 class TestParseConfig:
     def test_valid_file(self):
         text = "# drive\nparams.r = 0.4\n\nparams.temperature = 0.1\nparams.g = 2\n"
-        assert parse_config(text) == {"r": 0.4, "temperature": 0.1, "g": 2.0}
+        assert parse_config(text) == [("r", 0.4), ("temperature", 0.1), ("g", 2.0)]
 
     def test_empty_text(self):
-        assert parse_config("") == {}
-        assert parse_config("# only comments\n\n") == {}
+        assert parse_config("") == []
+        assert parse_config("# only comments\n\n") == []
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -128,7 +128,7 @@ class TestParseConfig:
             parse_config(text)
 
     def test_later_line_wins(self):
-        assert parse_config("params.r = 1\nparams.r = 2\n") == {"r": 2.0}
+        assert parse_config("params.r = 1\nparams.r = 2\n") == [("r", 1.0), ("r", 2.0)]
 
 
 class TestAxisAndSpecValidation:
