@@ -13,13 +13,10 @@ from __future__ import annotations
 from ._version import __version__
 from .cvgaussian import (
     CovarianceMatrix,
-    is_physical,
     log_negativity,
     partial_transpose,
     reduce,
     symplectic_eigenvalues,
-    symplectic_form,
-    tmsv_cm,
     two_mode_symplectic_eigenvalues,
 )
 from .errors import (
@@ -84,7 +81,6 @@ __all__ = [
     "entanglement_reports",
     "figure_preset",
     "find_temperature_threshold",
-    "is_physical",
     "log_negativity",
     "noise_moments",
     "partial_transpose",
@@ -94,8 +90,6 @@ __all__ = [
     "stability",
     "steady_state_cm",
     "symplectic_eigenvalues",
-    "symplectic_form",
     "thermal_occupation",
-    "tmsv_cm",
     "two_mode_symplectic_eigenvalues",
 ]

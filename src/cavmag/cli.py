@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: ``point`` evaluates one parameter point, ``sweep`` writes
-figure presets as CSV and SVG, ``threshold`` bisects the entanglement
-survival temperature at one r or over an r range, ``list-presets``
-enumerates the available presets.
+Subcommands: ``point`` evaluates one parameter point, ``sweep`` prints
+figure presets as CSV or writes them as CSV and SVG, ``threshold``
+bisects the entanglement survival temperature at one r or over an r
+range, ``list-presets`` enumerates the available presets.
 
 Exit codes: 0 success, 2 invalid arguments or configuration, 3 no
 trustworthy steady state (unstable, near-singular or precision-limited),
@@ -27,6 +27,7 @@ from .sweep import (
     PRESET_NAMES,
     PRESETS,
     _fmt,
+    _grid_points,
     _write_text,
     apply_parameter,
     emit_csv,
@@ -34,6 +35,7 @@ from .sweep import (
     emit_lineplot,
     figure_preset,
     find_temperature_threshold,
+    parse_assignment,
     parse_config,
     render_lines,
     run_sweep,
@@ -80,16 +82,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="append one machine-readable CSV line: " + ",".join(POINT_CSV_COLUMNS),
     )
 
-    p_sweep = sub.add_parser("sweep", help="run figure presets over their parameter grids")
+    # No abbreviations: "--out FILE" must not pass for "--out-dir FILE".
+    p_sweep = sub.add_parser("sweep", help="run figure presets", allow_abbrev=False)
     p_sweep.set_defaults(run=_run_sweep)
     p_sweep.add_argument(
         "--preset",
         action="append",
-        help="preset name (see list-presets); with --out-dir repeatable, default all",
+        help="preset name (see list-presets); repeatable, default all",
     )
-    p_sweep.add_argument("--out-dir", metavar="DIR", help="write NAME.csv and NAME.svg there")
-    p_sweep.add_argument("--out", metavar="FILE", help="CSV destination (default stdout)")
-    p_sweep.add_argument("--heatmap", metavar="FILE", help="also write an SVG heatmap")
+    p_sweep.add_argument("--out-dir", metavar="DIR", help="write NAME.csv/.svg there, not stdout")
     p_sweep.add_argument(
         "--resolution", type=int, metavar="N", help="points per continuous axis"
     )
@@ -118,25 +119,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _effective_params(args) -> SystemParams:
-    params = BASELINE
-    if getattr(args, "config", None):
+def _effective_params(args, presets=()) -> SystemParams:
+    """BASELINE with the --config entries, then the --param items, applied in order.
+
+    An entry that changes the parameters but no cell of a preset in ``presets`` is refused.
+    """
+    entries = []
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                entries = parse_config(fh.read())
         except OSError as exc:
             raise OSError(f"cannot read config file: {exc}") from exc
-        for path, value in parse_config(text):
-            params = apply_parameter(params, path, value)
-    for item in getattr(args, "param", []):
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ValueError(f"--param expects PATH=VALUE, got {item!r}")
-        try:
-            number = float(value)
-        except ValueError:
-            raise ValueError(f"--param {key}: not a number: {value!r}") from None
-        params = apply_parameter(params, key.strip(), number)
+    params = BASELINE
+    for path, value in entries + [parse_assignment(item) for item in args.param]:
+        changed = apply_parameter(params, path, value)
+        for name in presets:
+            # One point per continuous axis stands for the grid: a path the
+            # preset pins or sweeps is overridden in every cell.
+            cells = [_grid_points(figure_preset(name, 1, p)) for p in (params, changed)]
+            if changed != params and cells[0] == cells[1]:
+                raise ValueError(f"parameter {path!r} has no effect on preset {name}")
+        params = changed
     return params
 
 
@@ -172,24 +176,14 @@ def _run_point(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    base = _effective_params(args)
-    if args.out_dir is None:
-        if not args.preset:
-            raise ValueError("sweep needs --preset NAME, or --out-dir DIR for several presets")
-        spec = figure_preset(args.preset[-1], resolution=args.resolution, base=base)
-        if args.heatmap and spec.axis2 is None:
-            raise ValueError("heatmap requires a two-axis grid; use emit_lineplot for lines")
-        grid = run_sweep(spec)
-        emit_csv(grid, args.out or sys.stdout)
-        if args.heatmap:
-            emit_heatmap(grid, None, args.heatmap)
-        return EXIT_OK
-    if args.out or args.heatmap:
-        raise ValueError("--out and --heatmap do not combine with --out-dir")
     names = args.preset or PRESET_NAMES
+    base = _effective_params(args, names)
     specs = [figure_preset(name, resolution=args.resolution, base=base) for name in names]
     for spec in specs:
         grid = run_sweep(spec)
+        if args.out_dir is None:
+            emit_csv(grid, sys.stdout)
+            continue
         csv_path, svg_path = _out_paths(args.out_dir, spec.name)
         emit_csv(grid, csv_path)
         if PRESETS[spec.name].lines:

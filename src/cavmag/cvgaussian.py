@@ -19,13 +19,12 @@ from numpy.typing import NDArray
 from .errors import NumericalFailureError, UnphysicalStateError
 
 # Tolerances used by this module. Symmetry and eigen-solve checks are
-# relative to the matrix scale, physicality slacks absolute in quadrature
-# units. The eigen-solve's error on nu_min is of order eps * ||V||, so
-# eps * ||V|| / nu_min bounds the error of -ln(2 nu_min).
+# relative to the matrix scale, the physicality slack absolute in
+# quadrature units. The eigen-solve's error on nu_min is of order
+# eps * ||V||, so eps * ||V|| / nu_min bounds the error of -ln(2 nu_min).
 SYMMETRY_RTOL = 1e-12
 COMPLEX_RESIDUE_RTOL = 1e-8
 NEGATIVITY_PRECISION_LIMIT = 1e-8
-PHYSICALITY_SLACK = 1e-9
 STATE_CHECK_SLACK = 1e-6
 # Round-off guard at the separability boundary: negativity is clamped to
 # exactly 0.0 already when -ln(2*nu_min) <= SEPARABLE_SLACK, so product
@@ -38,19 +37,6 @@ def _omega(n_modes: int) -> NDArray[np.float64]:
     omega = np.kron(np.eye(n_modes), [[0.0, 1.0], [-1.0, 0.0]])
     omega.flags.writeable = False
     return omega
-
-
-def symplectic_form(n_modes: int) -> NDArray[np.float64]:
-    """Return the 2n x 2n symplectic form for ``n_modes`` modes.
-
-    Block diagonal with [[0, 1], [-1, 0]] per mode, matching the
-    (X_1, Y_1, ..., X_n, Y_n) quadrature ordering.
-    """
-    if not isinstance(n_modes, (int, np.integer)):
-        raise ValueError("n_modes must be an integer")
-    if n_modes < 1:
-        raise ValueError("n_modes must be at least 1")
-    return np.array(_omega(int(n_modes)))
 
 
 @dataclass(frozen=True)
@@ -256,11 +242,6 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> NDArray[np.float64]:
     return symplectic_spectra(cm.entries)
 
 
-def is_physical(cm: CovarianceMatrix, slack: float = PHYSICALITY_SLACK) -> bool:
-    """True when all symplectic eigenvalues are >= 1/2 - slack."""
-    return bool(symplectic_eigenvalues(cm)[0] >= 0.5 - slack)
-
-
 # partial_transpose(cm, 0) as an entrywise sign pattern.
 _PT_SIGNS = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
 
@@ -302,40 +283,13 @@ def negativity_indicators(v) -> NDArray[np.float64]:
     return -np.log(2.0 * nu_min)
 
 
-def negativity_indicator(cm: CovarianceMatrix) -> float:
-    """Unclamped -ln(2 nu_min) of ``cm``; see :func:`negativity_indicators`."""
-    return float(negativity_indicators(cm.entries))
-
-
 def log_negativity(cm: CovarianceMatrix) -> float:
     """Logarithmic negativity E = max(0, -ln(2 nu_min)) of a two-mode
-    Gaussian state: :func:`negativity_indicator`, clamped. Separable
-    states return exactly 0.0."""
-    return clamp_negativity(negativity_indicator(cm))
+    Gaussian state: :func:`negativity_indicators` of ``cm``, clamped.
+    Separable states return exactly 0.0."""
+    return clamp_negativity(float(negativity_indicators(cm.entries)))
 
 
 def clamp_negativity(indicator: float) -> float:
-    """Log-negativity from :func:`negativity_indicator`'s value."""
+    """Log-negativity from one value of :func:`negativity_indicators`."""
     return indicator if indicator > SEPARABLE_SLACK else 0.0
-
-
-def tmsv_cm(r: float, theta: float = 0.0) -> CovarianceMatrix:
-    """Covariance matrix of a two-mode squeezed vacuum state.
-
-    Diagonal blocks cosh(2r)/2 * I and correlation block
-
-        sinh(2r)/2 * [[cos(theta), sin(theta)], [sin(theta), -cos(theta)]]
-
-    where theta is the squeezing phase. The state is pure: both
-    symplectic eigenvalues equal 1/2 and det V = 1/16 for any (r, theta).
-    """
-    if not np.isfinite(r) or not np.isfinite(theta):
-        raise ValueError("r and theta must be finite")
-    if r < 0:
-        raise ValueError("squeezing parameter r must be nonnegative")
-    ch = 0.5 * np.cosh(2.0 * r)
-    sh = 0.5 * np.sinh(2.0 * r)
-    ct, st = np.cos(theta), np.sin(theta)
-    corr = sh * np.array([[ct, st], [st, -ct]])
-    v = np.block([[ch * np.eye(2), corr], [corr.T, ch * np.eye(2)]])
-    return CovarianceMatrix(v)

@@ -14,10 +14,11 @@ class UnphysicalStateError(CavmagError, ValueError):
 class NumericalFailureError(CavmagError, RuntimeError):
     """A numerical routine cannot deliver a result it can vouch for.
 
-    Raised when a Lyapunov residual exceeds its bound, when an eigen-solve
-    returns values that should be real but are not, or when a negativity
-    lies below the precision the matrix scale allows (e.g. squeezing
-    r > 4.4 at zero coupling).
+    Raised when the model's drift or diffusion matrix overflows, when a
+    Lyapunov residual exceeds its bound, when an eigen-solve returns
+    values that should be real but are not, or when a negativity lies
+    below the precision the matrix scale allows (e.g. squeezing r > 4.4
+    at zero coupling).
     """
 
 
@@ -27,14 +28,12 @@ class UnstableSystemError(CavmagError, RuntimeError):
     Carries the offending stability report in ``report``.
     """
 
-    def __init__(self, report, message: str | None = None):
+    def __init__(self, report):
         self.report = report
-        if message is None:
-            message = (
-                "drift matrix is not strictly stable "
-                f"(max eigenvalue real part {report.max_real_part:.6g})"
-            )
-        super().__init__(message)
+        super().__init__(
+            "drift matrix is not strictly stable "
+            f"(max eigenvalue real part {report.max_real_part:.6g})"
+        )
 
 
 class NearSingularError(CavmagError, RuntimeError):

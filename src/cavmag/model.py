@@ -278,10 +278,13 @@ def build_diffusion(params: SystemParams) -> NDArray[np.float64]:
 def steady_state_cm(params: SystemParams) -> CovarianceMatrix:
     """Steady-state covariance matrix of the four-mode system.
 
-    Mode order: cavity1, cavity2, magnon1, magnon2.
+    Mode order: cavity1, cavity2, magnon1, magnon2. Raises
+    NumericalFailureError where the drift or diffusion overflows.
     """
-    v = solve_lyapunov(build_drift(params), build_diffusion(params))
-    return CovarianceMatrix(v, MODE_LABELS)
+    a, d = build_drift(params), build_diffusion(params)
+    if not (np.isfinite(a).all() and np.isfinite(d).all()):
+        raise NumericalFailureError("drift or diffusion matrix overflows at these parameters")
+    return CovarianceMatrix(solve_lyapunov(a, d), MODE_LABELS)
 
 
 # Quadratures of the four reported pairs in field order: the cavities,

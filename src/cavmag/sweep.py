@@ -111,15 +111,33 @@ PARAMETER_PATHS = {
 }
 
 
-def apply_parameter(params: SystemParams, path: str, value: float) -> SystemParams:
-    """Return a copy of ``params`` with one named knob set to ``value``."""
+def _known_path(path: str) -> str:
+    """``path`` itself when it names a knob of :data:`PARAMETER_PATHS`."""
     if path not in PARAMETER_PATHS:
         known = ", ".join(sorted(PARAMETER_PATHS))
         raise ValueError(f"unknown parameter path {path!r}; known paths: {known}")
+    return path
+
+
+def apply_parameter(params: SystemParams, path: str, value: float) -> SystemParams:
+    """Return a copy of ``params`` with one named knob set to ``value``."""
+    setter = PARAMETER_PATHS[_known_path(path)]
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"value for {path!r} must be finite")
-    return PARAMETER_PATHS[path](params, value)
+    return setter(params, value)
+
+
+def parse_assignment(text: str) -> tuple[str, float]:
+    """Split a ``--param`` item or config line ``KEY = VALUE`` into key and number."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise ValueError(f"expected PATH=VALUE, got {text!r}")
+    key = key.strip()
+    try:
+        return key, float(value)
+    except ValueError:
+        raise ValueError(f"{key}: not a number: {value.strip()!r}") from None
 
 
 def parse_config(text: str) -> list[tuple[str, float]]:
@@ -133,22 +151,14 @@ def parse_config(text: str) -> list[tuple[str, float]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ValueError(f"config line {line_no}: expected 'section.key = value'")
-        key, _, value_text = line.partition("=")
-        key = key.strip()
-        value_text = value_text.strip()
-        section, dot, name = key.partition(".")
-        if not dot:
-            raise ValueError(f"config line {line_no}: key must be 'section.key', got {key!r}")
-        if section != "params":
-            raise ValueError(f"config line {line_no}: unknown section {section!r}")
-        if name not in PARAMETER_PATHS:
-            raise ValueError(f"config line {line_no}: unknown parameter path {name!r}")
         try:
-            overrides.append((name, float(value_text)))
-        except ValueError:
-            raise ValueError(f"config line {line_no}: not a number: {value_text!r}") from None
+            key, value = parse_assignment(line)
+            section, dot, path = key.partition(".")
+            if section != "params" or not dot:
+                raise ValueError(f"unknown section in {key!r}; keys are 'section.key' in 'params'")
+            overrides.append((_known_path(path), value))
+        except ValueError as exc:
+            raise ValueError(f"config line {line_no}: {exc}") from None
     return overrides
 
 
@@ -164,9 +174,7 @@ class SweepAxis:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if self.path not in PARAMETER_PATHS:
-            known = ", ".join(sorted(PARAMETER_PATHS))
-            raise ValueError(f"unknown parameter path {self.path!r}; known paths: {known}")
+        _known_path(self.path)
         values = tuple(float(v) for v in self.values)
         if len(values) == 0:
             raise ValueError("axis must hold at least one value")
@@ -228,16 +236,12 @@ class SweepGrid:
         if len(self.cells) != expected:
             raise ValueError(f"expected {expected} cells, got {len(self.cells)}")
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.spec.shape
-
     def value_array(self, column: str) -> np.ndarray:
         """Values of one summary column, shaped like the grid."""
         if column not in OUTPUT_COLUMNS and column != "min_symplectic_eigenvalue":
             raise ValueError(f"unknown column {column!r}")
         data = np.array([getattr(c, column) for c in self.cells], dtype=float)
-        return data.reshape(self.shape)
+        return data.reshape(self.spec.shape)
 
 
 def summarize_point(params: SystemParams) -> EntanglementReport:
@@ -272,13 +276,18 @@ def _provenance_lines(spec: SweepSpec) -> tuple[str, ...]:
     return tuple(lines)
 
 
-def run_sweep(spec: SweepSpec) -> SweepGrid:
-    """Evaluate the sweep lattice and return the assembled grid."""
+def _grid_points(spec: SweepSpec) -> list[SystemParams]:
+    """Parameters of every cell of the lattice, in row-major order."""
     points = [apply_parameter(spec.base, spec.axis1.path, v) for v in spec.axis1.values]
     if spec.axis2 is not None:
         path2, values2 = spec.axis2.path, spec.axis2.values
         points = [apply_parameter(p, path2, v) for p in points for v in values2]
-    cells = tuple(entanglement_reports(points))
+    return points
+
+
+def run_sweep(spec: SweepSpec) -> SweepGrid:
+    """Evaluate the sweep lattice and return the assembled grid."""
+    cells = tuple(entanglement_reports(_grid_points(spec)))
     return SweepGrid(spec=spec, cells=cells, provenance=_provenance_lines(spec))
 
 
@@ -343,7 +352,7 @@ PRESETS = {
         "transfer ratio E_mm/E_aa vs squeezing for three matched couplings",
         _SQUEEZING,
         ("g", (0.5, 1.0, 2.0)),
-        ("E_aa", "E_mm", "E_mm_over_E_aa"),
+        ("E_mm_over_E_aa", "E_aa", "E_mm"),
         _WARM,
         lines=True,
     ),

@@ -3,6 +3,8 @@
 Closed-form steady-state covariance blocks in the resonant matched
 regime, and a direct quadrature of the Lyapunov integral. The library
 does not use them; each is a second way to the numbers it computes.
+``tmsv_cm`` is an exact known state (the two-mode squeezed vacuum) for
+the covariance-matrix algebra.
 
 The closed forms are valid when both subsystems are driven on resonance
 (all detunings zero), the two cavities share a linewidth, the two magnon
@@ -57,6 +59,28 @@ class ReducedParams:
             raise ValueError("coupling_ratio must be nonnegative")
         if self.r < 0:
             raise ValueError("r must be nonnegative")
+
+
+def tmsv_cm(r: float, theta: float = 0.0) -> CovarianceMatrix:
+    """Covariance matrix of a two-mode squeezed vacuum state.
+
+    Diagonal blocks cosh(2r)/2 * I and correlation block
+
+        sinh(2r)/2 * [[cos(theta), sin(theta)], [sin(theta), -cos(theta)]]
+
+    where theta is the squeezing phase. The state is pure: both
+    symplectic eigenvalues equal 1/2 and det V = 1/16 for any (r, theta).
+    """
+    if not np.isfinite(r) or not np.isfinite(theta):
+        raise ValueError("r and theta must be finite")
+    if r < 0:
+        raise ValueError("squeezing parameter r must be nonnegative")
+    ch = 0.5 * np.cosh(2.0 * r)
+    sh = 0.5 * np.sinh(2.0 * r)
+    ct, st = np.cos(theta), np.sin(theta)
+    corr = sh * np.array([[ct, st], [st, -ct]])
+    v = np.block([[ch * np.eye(2), corr], [corr.T, ch * np.eye(2)]])
+    return CovarianceMatrix(v)
 
 
 def vaa_analytic(r: float) -> CovarianceMatrix:

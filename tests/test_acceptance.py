@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from conftest import random_stable_system
 
-from cavmag.cvgaussian import log_negativity, reduce, tmsv_cm
+from cavmag.cvgaussian import log_negativity, reduce
 from cavmag.linsys import solve_lyapunov
 from cavmag.model import BASELINE, entanglement_report, steady_state_cm
 from cavmag.sweep import (
@@ -24,7 +24,13 @@ from cavmag.sweep import (
     find_temperature_threshold,
     run_sweep,
 )
-from oracles import ReducedParams, integrate_lyapunov_oracle, vam_analytic, vmm_analytic
+from oracles import (
+    ReducedParams,
+    integrate_lyapunov_oracle,
+    tmsv_cm,
+    vam_analytic,
+    vmm_analytic,
+)
 
 UNIT = BASELINE.kappa_a[0]
 

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavmag.cvgaussian import is_physical, log_negativity, tmsv_cm
+from cavmag.cvgaussian import log_negativity, symplectic_eigenvalues
 
 from oracles import (
     ReducedParams,
     cavity_magnon_N,
     eaa_analytic,
+    tmsv_cm,
     vaa_analytic,
     vam_analytic,
     vmm_analytic,
@@ -117,7 +118,7 @@ class TestMagnonPair:
     @given(p=ratio_strategy)
     @settings(max_examples=80)
     def test_always_physical(self, p):
-        assert is_physical(vmm_analytic(p))
+        assert symplectic_eigenvalues(vmm_analytic(p))[0] >= 0.5 - 1e-9
 
     def test_entanglement_grows_with_coupling(self):
         a = 0.05
@@ -160,7 +161,7 @@ class TestCavityMagnonPair:
     @given(p=ratio_strategy)
     @settings(max_examples=80)
     def test_always_physical(self, p):
-        assert is_physical(vam_analytic(p))
+        assert symplectic_eigenvalues(vam_analytic(p))[0] >= 0.5 - 1e-9
 
     def test_never_entangled_across_parameter_grid(self):
         for a in np.linspace(0.02, 1.0, 15):

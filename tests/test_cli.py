@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -7,6 +9,17 @@ import pytest
 
 from cavmag.cli import EXIT_IO, EXIT_NO_STEADY_STATE, EXIT_OK, EXIT_USAGE, main
 from cavmag.sweep import PRESET_NAMES
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """argv of every ``cavmag ...`` line in the sh block of the README's CLI section."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("cavmag ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
 
 
 def run(capsys, *argv):
@@ -97,6 +110,13 @@ class TestPoint:
         assert report_value(second, "g_over_kappa_a") == "5,5"
         assert report_value(fresh, "temperature_K") == "0"
 
+    @pytest.mark.parametrize("entry", ["temperature=1.7e308", "kappa_a_hz=1e-302"])
+    def test_non_finite_model_matrices_exit_3(self, capsys, entry):
+        code, out, err = run(capsys, "point", "--param", entry)
+        assert code == EXIT_NO_STEADY_STATE
+        assert out == ""
+        assert err == "error: drift or diffusion matrix overflows at these parameters\n"
+
     def test_malformed_param(self, capsys):
         code, _, err = run(capsys, "point", "--param", "r0.4")
         assert code == EXIT_USAGE
@@ -121,69 +141,95 @@ class TestSweep:
         assert data[0] == "axis1,E_aa,stable"
         assert len(data) == 10
 
-    def test_out_file(self, capsys, tmp_path):
-        target = tmp_path / "sweep.csv"
-        code, out, _ = run(
-            capsys, "sweep", "--preset", "fig4", "--resolution", "5", "--out", str(target)
-        )
-        assert code == EXIT_OK
-        assert out == ""
-        assert "axis1,E_aa,stable" in target.read_text()
+    def test_presets_print_their_csv_in_order(self, capsys):
+        argv = ("sweep", "--resolution", "3")
+        code, both, err = run(capsys, *argv, "--preset", "fig4", "--preset", "fig2c")
+        assert code == EXIT_OK and err == ""
+        _, fig4, _ = run(capsys, *argv, "--preset", "fig4")
+        _, fig2c, _ = run(capsys, *argv, "--preset", "fig2c")
+        assert both == fig4 + fig2c
 
     def test_heatmap_written_for_two_axis_preset(self, capsys, tmp_path):
-        csv_target = tmp_path / "grid.csv"
-        svg_target = tmp_path / "grid.svg"
-        code, _, _ = run(
-            capsys,
-            "sweep",
-            "--preset",
-            "fig2c",
-            "--resolution",
-            "3",
-            "--out",
-            str(csv_target),
-            "--heatmap",
-            str(svg_target),
-        )
+        argv = ("sweep", "--preset", "fig2c", "--resolution", "3")
+        code, _, _ = run(capsys, *argv, "--out-dir", str(tmp_path))
         assert code == EXIT_OK
-        assert svg_target.read_text().startswith("<svg")
-
-    def test_heatmap_rejected_for_line_preset(self, capsys, tmp_path):
-        svg_target = tmp_path / "x.svg"
-        argv = ("sweep", "--preset", "fig4", "--resolution", "3", "--heatmap", str(svg_target))
-        code, out, err = run(capsys, *argv)
-        assert code == EXIT_USAGE
-        assert "emit_lineplot" in err or "two-axis" in err
-        assert out == ""
-        csv_target = tmp_path / "f4.csv"
-        code, _, _ = run(capsys, *argv, "--out", str(csv_target))
-        assert code == EXIT_USAGE
-        assert not csv_target.exists()
-        assert not svg_target.exists()
+        svg = (tmp_path / "fig2c.svg").read_text()
+        assert svg.startswith("<svg") and "<polyline" not in svg
+        _, stdout_csv, _ = run(capsys, *argv)
+        assert (tmp_path / "fig2c.csv").read_text() == stdout_csv
 
     def test_unknown_preset(self, capsys):
         code, _, err = run(capsys, "sweep", "--preset", "nope")
         assert code == EXIT_USAGE
         assert "available" in err
 
-    def test_unwritable_out(self, capsys):
-        code, _, err = run(
-            capsys,
-            "sweep",
-            "--preset",
-            "fig4",
-            "--resolution",
-            "3",
-            "--out",
-            "/nonexistent-dir/x.csv",
-        )
+    def test_unwritable_out(self, capsys, tmp_path):
+        # A regular file where a parent directory should be: unwritable
+        # whatever the user's permissions.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ("sweep", "--preset", "fig4", "--resolution", "3")
+        code, out, err = run(capsys, *argv, "--out-dir", str(blocker / "out"))
         assert code == EXIT_IO
-        assert "error" in err
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_preset_without_out_dir(self, capsys):
-        code, out, err = run(capsys, "sweep")
+        code, out, _ = run(capsys, "sweep", "--resolution", "2")
+        assert code == EXIT_OK
+        presets = [line for line in out.splitlines() if line.startswith("# preset: ")]
+        assert presets == [f"# preset: {name}" for name in PRESET_NAMES]
+
+    @pytest.mark.parametrize("option", ["--out", "--heatmap"])
+    def test_removed_file_options_are_rejected(self, capsys, tmp_path, option):
+        # Without abbreviations, "--out" is not taken for "--out-dir".
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--preset", "fig2c", option, str(tmp_path / "x")])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "entries",
+        ["g=2 r=0.3 kappa_m=0.7", "r=0.3", "kappa_m=0.7", "temperature=0.5", "theta=1"]
+        + ["delta_a1=1", "delta_m2=1", "g2_over_g1=2"],
+    )
+    def test_param_the_preset_sets_exits_2_before_any_sweep(self, capsys, tmp_path, entries):
+        path = entries.split("=")[0]
+        params = [arg for entry in entries.split() for arg in ("--param", entry)]
+        argv = ("sweep", "--preset", "fig4", "--resolution", "3", "--out-dir", str(tmp_path / "o"))
+        code, out, err = run(capsys, *argv, *params)
         assert code == EXIT_USAGE
-        assert out == "" and "--preset" in err
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: parameter {path!r} has no effect on preset fig4")
+        assert not (tmp_path / "o").exists()
+
+    def test_param_swept_by_one_requested_preset_is_refused(self, capsys):
+        # fig3b sweeps g over fixed values, so a base g reaches no cell.
+        argv = ("sweep", "--preset", "fig4", "--preset", "fig3b", "--resolution", "2")
+        code, out, err = run(capsys, *argv, "--param", "g=3")
+        assert code == EXIT_USAGE and out == ""
+        assert "preset fig4" in err
+        code, out, err = run(capsys, "sweep", "--preset", "fig3b", "--param", "g=3")
+        assert code == EXIT_USAGE and out == ""
+        assert "preset fig3b" in err
+
+    def test_config_entry_the_preset_sets_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("params.kappa_a2 = 2\nparams.temperature = 0.3\n")
+        code, out, err = run(capsys, "sweep", "--preset", "fig2c", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert "'temperature'" in err
+
+    @pytest.mark.parametrize(
+        "entries", ["kappa_a2=2", "kappa_a_hz=2e6", "omega_a_hz=9e9", "r=1 kappa_a2=2"]
+    )
+    def test_params_that_reach_the_grid_are_accepted(self, capsys, entries):
+        params = [arg for entry in entries.split() for arg in ("--param", entry)]
+        argv = ("sweep", "--resolution", "2")
+        code, out, err = run(capsys, *argv, *params)
+        assert code == EXIT_OK and err == ""
+        _, plain, _ = run(capsys, *argv)
+        assert out != plain
 
     def test_out_dir_writes_csv_and_svg_per_preset(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -211,10 +257,8 @@ class TestSweep:
         [
             ("--preset", "fig2c", "--resolution", "0"),
             ("--preset", "nope"),
-            ("--preset", "fig2c", "--out", "x.csv"),
-            ("--preset", "fig2c", "--heatmap", "x.svg"),
         ],
-        ids=["zero-resolution", "unknown-preset", "with-out", "with-heatmap"],
+        ids=["zero-resolution", "unknown-preset"],
     )
     def test_out_dir_argument_errors_exit_2_before_anything_is_written(
         self, capsys, tmp_path, extra
@@ -370,3 +414,14 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert "fig2a" in proc.stdout
+
+
+class TestReadme:
+    def test_cli_section_has_examples(self):
+        assert len(readme_cli_examples()) >= 5
+
+    @pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+    def test_cli_example_exits_0(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_OK, err

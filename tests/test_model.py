@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from cavmag.cvgaussian import (
     clamp_negativity,
-    is_physical,
     log_negativity,
-    negativity_indicator,
+    negativity_indicators,
     reduce,
     symplectic_eigenvalues,
-    tmsv_cm,
 )
 from cavmag.errors import NumericalFailureError
 from cavmag.linsys import stability
@@ -34,7 +32,7 @@ from cavmag.model import (
     thermal_occupation,
 )
 
-from oracles import ReducedParams, vmm_analytic
+from oracles import ReducedParams, tmsv_cm, vmm_analytic
 
 TWO_PI = 2.0 * math.pi
 
@@ -309,7 +307,23 @@ class TestSteadyStateCm:
         assert np.linalg.norm(block.entries - ref.entries) < 1e-10
 
     def test_result_is_physical(self):
-        assert is_physical(steady_state_cm(valid_params(r=1.5, temperature=0.5)))
+        cm = steady_state_cm(valid_params(r=1.5, temperature=0.5))
+        assert symplectic_eigenvalues(cm)[0] >= 0.5 - 1e-9
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"temperature": 1.7e308},  # occupation ~ T overflows 2 N + 1
+            {"kappa_a": (1e-301, 1e-301)},  # g / kappa_a1 overflows
+        ],
+        ids=["hot-bath", "tiny-cavity-linewidth"],
+    )
+    def test_non_finite_model_matrices_raise_typed_error(self, overrides):
+        params = valid_params(**overrides)
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            steady_state_cm(params)
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            entanglement_report(params)
 
 
 class TestEntanglementReport:
@@ -367,7 +381,8 @@ def scalar_report_fields(params: SystemParams) -> tuple[float, ...]:
     """The report's fields composed from the one-matrix functions."""
     cm = steady_state_cm(params)
     n_aa, n_mm, n_am1, n_am2 = (
-        negativity_indicator(reduce(cm, pair)) for pair in ((0, 1), (2, 3), (0, 2), (1, 3))
+        float(negativity_indicators(reduce(cm, pair).entries))
+        for pair in ((0, 1), (2, 3), (0, 2), (1, 3))
     )
     e_aa, e_mm = clamp_negativity(n_aa), clamp_negativity(n_mm)
     ratio = e_mm / e_aa if e_aa > 0.0 else math.nan

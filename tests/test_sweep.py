@@ -298,7 +298,7 @@ PRESET_TABLE = {
     "fig3b": (
         ("r", 0.0, 2.0),
         ("g", 0.5, 2.0),
-        ("E_aa", "E_mm", "E_mm_over_E_aa"),
+        ("E_mm_over_E_aa", "E_aa", "E_mm"),
         1.0,
         0.1,
         5.0,
