@@ -119,10 +119,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _effective_params(args, presets=()) -> SystemParams:
+def _effective_params(args, presets=(), replaced=()) -> SystemParams:
     """BASELINE with the --config entries, then the --param items, applied in order.
 
-    An entry that changes the parameters but no cell of a preset in ``presets`` is refused.
+    Refused: an entry for a path in ``replaced``, which the command sets itself,
+    and one that changes the parameters but no cell of a preset in ``presets``.
     """
     entries = []
     if args.config:
@@ -133,6 +134,8 @@ def _effective_params(args, presets=()) -> SystemParams:
             raise OSError(f"cannot read config file: {exc}") from exc
     params = BASELINE
     for path, value in entries + [parse_assignment(item) for item in args.param]:
+        if path in replaced:
+            raise ValueError(f"parameter {path!r} has no effect on {args.command}")
         changed = apply_parameter(params, path, value)
         for name in presets:
             # One point per continuous axis stands for the grid: a path the
@@ -195,7 +198,7 @@ def _run_sweep(args) -> int:
 
 
 def _run_threshold(args) -> int:
-    params = _effective_params(args)
+    params = _effective_params(args, replaced=("r", "temperature"))
     search = functools.partial(find_temperature_threshold, t_max=args.tmax, tol=args.tol)
     if args.r is not None:
         if args.out_dir is not None:

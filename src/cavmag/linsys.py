@@ -68,8 +68,7 @@ def stability(a) -> StabilityReport:
     """
     a = _square_matrix(a, "drift matrix")
     evals = np.linalg.eigvals(a)
-    order = np.lexsort((evals.imag, evals.real))
-    evals = evals[order]
+    evals = evals[np.lexsort((evals.imag, evals.real))]
     max_real = float(np.max(evals.real))
     return StabilityReport(
         stable=max_real < 0.0,
@@ -78,7 +77,7 @@ def stability(a) -> StabilityReport:
     )
 
 
-def solve_lyapunov(a, d) -> NDArray[np.float64]:
+def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
     """Solve A V + V A^T + D = 0 for the steady-state covariance V.
 
     Parameters
@@ -88,6 +87,8 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
         part below zero).
     d:
         Symmetric positive semidefinite diffusion matrix of equal shape.
+    gate:
+        False leaves the residual check to the caller (:func:`check_residual`).
 
     Returns
     -------
@@ -123,11 +124,26 @@ def solve_lyapunov(a, d) -> NDArray[np.float64]:
     d = np.ldexp(d, -exponent)
     v = solve_continuous_lyapunov(a, -d)
     v = 0.5 * (v + v.T)
+    if gate:
+        _check_scaled_residual(a, v, d)
+    return np.ldexp(v, exponent)
+
+
+def check_residual(a, v, d) -> None:
+    """Raise NumericalFailureError unless ||A V + V A^T + D||_F <= 1e-9 ||D||_F.
+
+    Checked on V and D scaled by a power of two to unit largest |D| entry,
+    where it cannot overflow; a residual that is not finite fails it.
+    """
+    exponent = math.frexp(float(np.max(np.abs(d))))[1]
+    _check_scaled_residual(a, np.ldexp(v, -exponent), np.ldexp(d, -exponent))
+
+
+def _check_scaled_residual(a, v, d) -> None:
     d_norm = float(np.linalg.norm(d, "fro"))
     residual = float(np.linalg.norm(a @ v + v @ a.T + d, "fro"))
     if not residual <= RESIDUAL_RTOL * max(d_norm, np.finfo(float).tiny):
         raise NumericalFailureError(
             f"Lyapunov residual {residual:.3e} exceeds {RESIDUAL_RTOL:.1e} * ||D||"
         )
-    return np.ldexp(v, exponent)
 

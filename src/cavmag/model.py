@@ -32,7 +32,7 @@ from .cvgaussian import (
     symplectic_spectra,
 )
 from .errors import NumericalFailureError
-from .linsys import solve_lyapunov
+from .linsys import check_residual, solve_lyapunov
 
 HBAR = 1.054571817e-34  # J s, CODATA 2018
 KBOLTZ = 1.380649e-23  # J / K, exact SI value
@@ -165,8 +165,7 @@ def thermal_occupation(omega: float, temperature: float) -> float:
 
     Returns 0.0 at zero temperature. ``omega`` must be positive.
     """
-    omega = float(omega)
-    temperature = float(temperature)
+    omega, temperature = float(omega), float(temperature)
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError("omega must be positive and finite")
     if not math.isfinite(temperature) or temperature < 0:
@@ -224,18 +223,12 @@ def build_drift(params: SystemParams) -> NDArray[np.float64]:
     for j in range(2):
         ca = 2 * j  # cavity block offset
         mg = 4 + 2 * j  # magnon block offset
-        a[ca, ca] = -ka[j]
-        a[ca, ca + 1] = da[j]
-        a[ca + 1, ca] = -da[j]
-        a[ca + 1, ca + 1] = -ka[j]
-        a[mg, mg] = -km[j]
-        a[mg, mg + 1] = dm[j]
-        a[mg + 1, mg] = -dm[j]
-        a[mg + 1, mg + 1] = -km[j]
-        a[ca, mg + 1] = g[j]
-        a[ca + 1, mg] = -g[j]
-        a[mg, ca + 1] = g[j]
-        a[mg + 1, ca] = -g[j]
+        a[ca, ca] = a[ca + 1, ca + 1] = -ka[j]
+        a[ca, ca + 1], a[ca + 1, ca] = da[j], -da[j]
+        a[mg, mg] = a[mg + 1, mg + 1] = -km[j]
+        a[mg, mg + 1], a[mg + 1, mg] = dm[j], -dm[j]
+        a[ca, mg + 1] = a[mg, ca + 1] = g[j]
+        a[ca + 1, mg] = a[mg + 1, ca] = -g[j]
     return a
 
 
@@ -251,10 +244,8 @@ def build_diffusion(params: SystemParams) -> NDArray[np.float64]:
     """
     unit = params.kappa_a[0]
     moments = noise_moments(params)
-    n = moments.mean_occupation
-    m = moments.correlation
+    n, m = moments.mean_occupation, moments.correlation
     ka = [k / unit for k in params.kappa_a]
-    km = [k / unit for k in params.kappa_m]
     cross = math.sqrt(ka[0] * ka[1])
     # 2 Re M = M + M*, 2 Im M = i (M* - M) as real numbers
     c_xx = cross * 2.0 * m.real
@@ -262,17 +253,25 @@ def build_diffusion(params: SystemParams) -> NDArray[np.float64]:
     d = np.zeros((8, 8))
     for j in range(2):
         ca = 2 * j
-        d[ca, ca] = ka[j] * (2.0 * n + 1.0)
-        d[ca + 1, ca + 1] = ka[j] * (2.0 * n + 1.0)
-        mg = 4 + 2 * j
-        therm = km[j] * (2.0 * moments.magnon_occupation[j] + 1.0)
-        d[mg, mg] = therm
-        d[mg + 1, mg + 1] = therm
+        d[ca, ca] = d[ca + 1, ca + 1] = ka[j] * (2.0 * n + 1.0)
     d[0, 2] = d[2, 0] = c_xx
     d[1, 3] = d[3, 1] = -c_xx
     d[0, 3] = d[3, 0] = c_xy
     d[1, 2] = d[2, 1] = c_xy
+    return _set_magnon_blocks(d, params, [2.0 * occ + 1.0 for occ in moments.magnon_occupation])
+
+
+def _set_magnon_blocks(d, params: SystemParams, weights) -> NDArray[np.float64]:
+    """Write kappa_mj / kappa_a1 * weights[j] on the diagonal of magnon j's block of ``d``."""
+    for j, w in enumerate(weights):
+        mg = 4 + 2 * j
+        d[mg, mg] = d[mg + 1, mg + 1] = params.kappa_m[j] / params.kappa_a[0] * w
     return d
+
+
+def _check_finite(*matrices) -> None:
+    if not all(np.isfinite(m).all() for m in matrices):
+        raise NumericalFailureError("drift or diffusion matrix overflows at these parameters")
 
 
 def steady_state_cm(params: SystemParams) -> CovarianceMatrix:
@@ -282,9 +281,31 @@ def steady_state_cm(params: SystemParams) -> CovarianceMatrix:
     NumericalFailureError where the drift or diffusion overflows.
     """
     a, d = build_drift(params), build_diffusion(params)
-    if not (np.isfinite(a).all() and np.isfinite(d).all()):
-        raise NumericalFailureError("drift or diffusion matrix overflows at these parameters")
+    _check_finite(a, d)
     return CovarianceMatrix(solve_lyapunov(a, d), MODE_LABELS)
+
+
+def thermal_steady_state(params: SystemParams):
+    """Steady-state covariance entries of ``params`` as a function of temperature.
+
+    V(T) = V0 + n1(T) W1 + n2(T) W2 on the fixed drift: V0 solves T = 0, Wj the
+    diffusion 2 kappa_mj / kappa_a1 on magnon j's block. Each V(T) is gated against D(T).
+    """
+    a, d0 = build_drift(params), build_diffusion(params.replace(temperature=0.0))
+    dj = [_set_magnon_blocks(np.zeros((8, 8)), params, e) for e in ((2.0, 0.0), (0.0, 2.0))]
+    _check_finite(a, d0, *dj)
+    # Gated only within V(T): a lone Wj can miss the gate where a direct solve passes.
+    v0, w1, w2 = (solve_lyapunov(a, d, gate=False) for d in (d0, *dj))
+
+    def covariance(temperature: float) -> NDArray[np.float64]:
+        n1, n2 = (thermal_occupation(omega, temperature) for omega in params.omega_m)
+        d = _set_magnon_blocks(d0.copy(), params, (2.0 * n1 + 1.0, 2.0 * n2 + 1.0))
+        _check_finite(d)
+        v = v0 + n1 * w1 + n2 * w2
+        check_residual(a, v, d)
+        return v
+
+    return covariance
 
 
 # Quadratures of the four reported pairs in field order: the cavities,

@@ -20,7 +20,7 @@ from ._version import __version__
 from .cvgaussian import clamp_negativity, negativity_indicators
 from .errors import NoEntanglementError
 from .model import _PAIR_QUADRATURES, BASELINE, EntanglementReport, SystemParams
-from .model import entanglement_report, entanglement_reports, steady_state_cm
+from .model import entanglement_report, entanglement_reports, thermal_steady_state
 
 OUTPUT_COLUMNS = (
     "E_aa",
@@ -450,11 +450,11 @@ def find_temperature_threshold(
     if not (math.isfinite(tol) and 0 < tol < t_max):
         raise ValueError("tol must satisfy 0 < tol < t_max")
 
+    covariance = thermal_steady_state(params)
     magnons = np.ix_(_PAIR_QUADRATURES[1], _PAIR_QUADRATURES[1])
 
     def entangled(temperature: float) -> bool:
-        v = steady_state_cm(params.replace(temperature=temperature)).entries
-        return clamp_negativity(negativity_indicators(v[magnons])) > 0.0
+        return clamp_negativity(negativity_indicators(covariance(temperature)[magnons])) > 0.0
 
     if not entangled(0.0):
         raise NoEntanglementError(

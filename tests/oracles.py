@@ -1,8 +1,10 @@
 """Independent routes that the tests compare the library against.
 
 Closed-form steady-state covariance blocks in the resonant matched
-regime, and a direct quadrature of the Lyapunov integral. The library
-does not use them; each is a second way to the numbers it computes.
+regime, a direct quadrature of the Lyapunov integral, and a threshold
+bisection that solves the full Lyapunov equation at every step. The
+library does not use them; each is a second way to the numbers it
+computes.
 ``tmsv_cm`` is an exact known state (the two-mode squeezed vacuum) for
 the covariance-matrix algebra.
 
@@ -24,11 +26,14 @@ from scipy.linalg import expm
 
 from cavmag.cvgaussian import (
     CovarianceMatrix,
+    clamp_negativity,
+    negativity_indicators,
     partial_transpose,
     two_mode_symplectic_eigenvalues,
 )
-from cavmag.errors import UnstableSystemError
+from cavmag.errors import NoEntanglementError, UnstableSystemError
 from cavmag.linsys import _check_diffusion, _square_matrix, stability
+from cavmag.model import _PAIR_QUADRATURES, SystemParams, steady_state_cm
 
 
 @dataclass(frozen=True)
@@ -229,3 +234,31 @@ def integrate_lyapunov_oracle(a, d, horizon: float, step: float) -> np.ndarray:
             acc += 2.0 * f
     v = acc * (h / 3.0)
     return 0.5 * (v + v.T)
+
+
+def threshold_by_full_solves(params: SystemParams, t_max: float, tol: float) -> float | None:
+    """Magnon-pair survival temperature, one steady_state_cm solve per bisection step.
+
+    The same bisection as :func:`cavmag.sweep.find_temperature_threshold`
+    (probes at 0 and ``t_max``, then ceil(log2(t_max / tol)) halvings),
+    but each step builds D(T) and solves A V + V A^T + D(T) = 0 afresh
+    instead of superposing the magnon bath noise on one drift.
+    """
+    magnons = np.ix_(_PAIR_QUADRATURES[1], _PAIR_QUADRATURES[1])
+
+    def entangled(temperature: float) -> bool:
+        v = steady_state_cm(params.replace(temperature=temperature)).entries
+        return clamp_negativity(negativity_indicators(v[magnons])) > 0.0
+
+    if not entangled(0.0):
+        raise NoEntanglementError("magnon pair is not entangled at zero temperature")
+    if entangled(t_max):
+        return None
+    lo, hi = 0.0, t_max
+    for _ in range(int(math.ceil(math.log2(t_max / tol)))):
+        mid = 0.5 * (lo + hi)
+        if entangled(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

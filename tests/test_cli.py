@@ -339,6 +339,50 @@ class TestThreshold:
         assert "--r-range" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "entries, path",
+        [
+            (("--param", "r=1"), "r"),
+            (("--param", "temperature=0.5"), "temperature"),
+            (("--param", "r=1", "--param", "temperature=0.5"), "r"),
+            (("--param", "g=4", "--param", "temperature=0"), "temperature"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "which", [("--r", "0.4"), ("--r-range", "0.05", "2", "3", "--out-dir", "OUT")]
+    )
+    def test_entries_the_search_replaces_are_refused(self, capsys, tmp_path, entries, path, which):
+        out_dir = tmp_path / "out"
+        which = tuple(str(out_dir) if arg == "OUT" else arg for arg in which)
+        code, out, err = run(capsys, "threshold", *which, *entries)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: parameter '{path}' has no effect on threshold\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("path", ["r", "temperature"])
+    def test_config_entries_the_search_replaces_are_refused(self, capsys, tmp_path, path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"params.g = 4\nparams.{path} = 0.5\n")
+        code, out, err = run(capsys, "threshold", "--r", "0.4", "--config", str(cfg))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: parameter '{path}' has no effect on threshold\n"
+
+    def test_other_entries_still_reach_the_search(self, capsys):
+        _, plain, _ = run(capsys, "threshold", "--r", "0.4")
+        code, moved, _ = run(capsys, "threshold", "--r", "0.4", "--param", "kappa_m=0.3")
+        assert code == EXIT_OK
+        assert moved != plain
+
+    def test_far_ceiling_keeps_its_threshold(self, capsys):
+        code, out, err = run(capsys, "threshold", "--r", "0.4", "--tmax", "1e300")
+        assert (code, out, err) == (EXIT_OK, "0.847592935\n", "")
+
+    def test_overflowing_ceiling_exits_3(self, capsys):
+        code, out, err = run(capsys, "threshold", "--r", "0.4", "--tmax", "1.7e308")
+        assert (code, out) == (EXIT_NO_STEADY_STATE, "")
+        assert err == "error: drift or diffusion matrix overflows at these parameters\n"
+
     def test_r_and_r_range_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["threshold", "--r", "0.4", "--r-range", "0", "1", "2"])

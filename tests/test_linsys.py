@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_continuous_lyapunov
 
 from cavmag import linsys
 from cavmag.errors import NearSingularError, NumericalFailureError, UnstableSystemError
-from cavmag.linsys import StabilityReport, solve_lyapunov, stability
+from cavmag.linsys import StabilityReport, check_residual, solve_lyapunov, stability
 
 from conftest import random_stable_system
 from oracles import integrate_lyapunov_oracle
@@ -137,6 +138,40 @@ class TestSolveLyapunov:
         monkeypatch.setattr(linsys, "solve_continuous_lyapunov", unconverged)
         with pytest.raises(NumericalFailureError, match="residual"):
             solve_lyapunov(-np.eye(2), np.eye(2))
+
+
+    def test_ungated_solve_leaves_the_residual_to_the_caller(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        a, d = random_stable_system(rng)
+        assert np.array_equal(solve_lyapunov(a, d, gate=False), solve_lyapunov(a, d))
+
+        def off_by_a_millionth(a, q):
+            return solve_continuous_lyapunov(a, q) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(linsys, "solve_continuous_lyapunov", off_by_a_millionth)
+        v = solve_lyapunov(a, d, gate=False)
+        with pytest.raises(NumericalFailureError, match="residual"):
+            check_residual(a, v, d)
+        with pytest.raises(NumericalFailureError, match="residual"):
+            solve_lyapunov(a, d)
+
+
+class TestCheckResidual:
+    def test_passes_a_solution_at_any_power_of_two_scale(self):
+        # At 2^1000 the unscaled A V + V A^T and ||D||_F overflow.
+        rng = np.random.default_rng(62)
+        a, d = random_stable_system(rng)
+        v = solve_lyapunov(a, d)
+        for exponent in (-1000, 0, 1000):
+            check_residual(a, np.ldexp(v, exponent), np.ldexp(d, exponent))
+
+    def test_rejects_a_perturbed_solution_at_any_power_of_two_scale(self):
+        rng = np.random.default_rng(63)
+        a, d = random_stable_system(rng)
+        v = solve_lyapunov(a, d) * (1.0 + 1e-6)
+        for exponent in (-1000, 0, 1000):
+            with pytest.raises(NumericalFailureError, match="residual"):
+                check_residual(a, np.ldexp(v, exponent), np.ldexp(d, exponent))
 
 
 class TestIntegrationOracle:

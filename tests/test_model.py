@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavmag.cvgaussian import (
@@ -15,7 +15,8 @@ from cavmag.cvgaussian import (
     reduce,
     symplectic_eigenvalues,
 )
-from cavmag.errors import NumericalFailureError
+from cavmag import model
+from cavmag.errors import CavmagError, NumericalFailureError
 from cavmag.linsys import stability
 from cavmag.model import (
     BASELINE,
@@ -30,6 +31,7 @@ from cavmag.model import (
     noise_moments,
     steady_state_cm,
     thermal_occupation,
+    thermal_steady_state,
 )
 
 from oracles import ReducedParams, tmsv_cm, vmm_analytic
@@ -324,6 +326,118 @@ class TestSteadyStateCm:
             steady_state_cm(params)
         with pytest.raises(NumericalFailureError, match="overflows"):
             entanglement_report(params)
+
+
+def box_params(kappa_a2, kappa_m_exp, g, exceptional, detunings, drive_ghz, r, theta, temperature):
+    """A valid point; with ``exceptional`` each g_j sits on |kappa_aj - kappa_mj| / 2."""
+    unit = BASELINE.kappa_a[0]
+    kappa_a = (1.0, kappa_a2)
+    kappa_m = tuple(10.0**e for e in kappa_m_exp)
+    if exceptional:
+        g = tuple(abs(ka - km) / 2.0 for ka, km in zip(kappa_a, kappa_m))
+    drive = tuple(TWO_PI * 1e9 * f for f in drive_ghz)
+    da1, da2, dm1, dm2 = (d * unit for d in detunings)
+    return SystemParams(
+        omega_a=(drive[0] + da1, drive[1] + da2),
+        omega_m=(drive[0] + dm1, drive[1] + dm2),
+        omega_drive=drive,
+        kappa_a=tuple(k * unit for k in kappa_a),
+        kappa_m=tuple(k * unit for k in kappa_m),
+        g=tuple(x * unit for x in g),
+        r=r,
+        theta=theta,
+        temperature=temperature,
+    )
+
+
+def outcome(compute):
+    """What ``compute()`` returns, or the CavmagError it raises."""
+    try:
+        return compute()
+    except CavmagError as exc:
+        return exc
+
+
+def relative_residual(params: SystemParams, v) -> float:
+    """||A V + V A^T + D||_F / ||D||_F, with V and D scaled to unit largest |D| entry."""
+    a, d = build_drift(params), build_diffusion(params)
+    exponent = math.frexp(float(np.max(np.abs(d))))[1]
+    v, d = np.ldexp(v, -exponent), np.ldexp(d, -exponent)
+    return float(np.linalg.norm(a @ v + v @ a.T + d) / np.linalg.norm(d))
+
+
+class TestThermalSteadyState:
+    @given(
+        kappa_a2=st.floats(0.3, 3.0),
+        kappa_m_exp=st.tuples(st.floats(-9.0, 1.0), st.floats(-9.0, 1.0)),
+        g=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+        exceptional=st.booleans(),
+        detunings=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+        drive_ghz=st.tuples(st.floats(5.0, 15.0), st.floats(5.0, 15.0)),
+        r=st.floats(0.0, 3.0),
+        theta=st.floats(-math.pi, math.pi),
+        temperature=st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(0.0, 1e300)),
+    )
+    @settings(max_examples=150)
+    # A nearly decoupled, detuned second magnon with kappa_m2 = 1e-7: W2
+    # alone misses the residual gate by 4x, V(0) passes it like the direct solve.
+    @example(
+        kappa_a2=1.0,
+        kappa_m_exp=(0.0, -7.0),
+        g=(1e-172, 0.0),
+        exceptional=False,
+        detunings=(0.0, 0.0, 1.0, 1.0),
+        drive_ghz=(5.0, 5.0),
+        r=0.0,
+        theta=0.0,
+        temperature=0.0,
+    )
+    def test_superposition_matches_the_direct_solve(self, temperature, **box):
+        params = box_params(**box, temperature=temperature)
+        direct = outcome(lambda: steady_state_cm(params).entries)
+        superposed = outcome(lambda: thermal_steady_state(params)(temperature))
+        if isinstance(direct, np.ndarray) and isinstance(superposed, np.ndarray):
+            assert np.max(np.abs(superposed - direct)) <= 1e-12 * np.max(np.abs(direct))
+        elif isinstance(direct, CavmagError) and isinstance(superposed, CavmagError):
+            assert type(superposed) is type(direct)
+        else:
+            # Two routes may fall on either side of the residual gate only
+            # where the one that passes is within a factor 10 of it.
+            passed = direct if isinstance(direct, np.ndarray) else superposed
+            failed = superposed if passed is direct else direct
+            assert isinstance(failed, NumericalFailureError) and "residual" in str(failed)
+            assert relative_residual(params, passed) > 1e-10
+
+    def test_zero_temperature_is_the_direct_solve_exactly(self):
+        params = valid_params(r=0.7, g=(4.0 * BASELINE.kappa_a[0], 6.0 * BASELINE.kappa_a[0]))
+        assert np.array_equal(thermal_steady_state(params)(0.0), steady_state_cm(params).entries)
+
+    def test_each_temperature_is_gated_against_its_own_diffusion(self, monkeypatch):
+        gated = []
+
+        def record(a, v, d):
+            gated.append((a, v, d))
+
+        monkeypatch.setattr(model, "check_residual", record)
+        covariance = thermal_steady_state(BASELINE)
+        for temperature in (0.0, 0.3, 1e300):
+            v = covariance(temperature)
+            a, gated_v, d = gated[-1]
+            params = BASELINE.replace(temperature=temperature)
+            assert np.array_equal(a, build_drift(params))
+            assert np.array_equal(d, build_diffusion(params))
+            assert gated_v is v
+        assert len(gated) == 3
+
+    def test_overflowing_bath_raises_the_steady_state_error(self):
+        covariance = thermal_steady_state(BASELINE)
+        with pytest.raises(NumericalFailureError) as excinfo:
+            covariance(1.7e308)
+        assert str(excinfo.value) == "drift or diffusion matrix overflows at these parameters"
+
+    def test_overflowing_drift_raises_before_any_temperature(self):
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            thermal_steady_state(valid_params(kappa_a=(1e-301, 1e-301)))
 
 
 class TestEntanglementReport:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cavmag import linsys, model
 from cavmag.errors import CavmagError, NoEntanglementError, NumericalFailureError
 from cavmag.model import BASELINE
 from cavmag.sweep import (
@@ -34,6 +35,8 @@ from cavmag.sweep import (
     summarize_point,
 )
 from cavmag.model import entanglement_report
+
+from oracles import threshold_by_full_solves
 
 UNIT = BASELINE.kappa_a[0]
 
@@ -409,6 +412,58 @@ class TestTemperatureThreshold:
             find_temperature_threshold(BASELINE, t_max=0.0)
         with pytest.raises(ValueError):
             find_temperature_threshold(BASELINE, tol=0.0)
+
+    def test_equals_the_per_step_solve_bisection(self):
+        # The survival-curve setting: t_max 3 K, tol 1e-3 K.
+        rs = np.random.default_rng(2024).uniform(0.05, 2.0, 60)
+        for r in rs:
+            params = BASELINE.replace(r=float(r))
+            expected = threshold_by_full_solves(params, 3.0, 1e-3)
+            assert find_temperature_threshold(params, 3.0, 1e-3) == expected
+
+    def test_equals_the_per_step_solve_bisection_off_symmetry(self):
+        # Distinct magnon frequencies, linewidths and couplings, nonzero
+        # detunings, bisected to 1e-9 K.
+        rng = np.random.default_rng(7)
+        unit = BASELINE.kappa_a[0]
+        found = 0
+        for _ in range(24):
+            drive = 2.0 * math.pi * rng.uniform(8e9, 12e9, 2)
+            params = BASELINE.replace(
+                omega_drive=tuple(drive),
+                omega_a=tuple(drive + unit * rng.uniform(-0.1, 0.1, 2)),
+                omega_m=tuple(drive + unit * rng.uniform(-0.1, 0.1, 2)),
+                kappa_m=tuple(unit * rng.uniform(0.15, 0.25, 2)),
+                g=tuple(unit * rng.uniform(4.0, 6.0) * np.array([1.0, rng.uniform(0.85, 1.15)])),
+                r=rng.uniform(0.3, 1.2),
+            )
+            try:
+                expected = threshold_by_full_solves(params, 3.0, 1e-9)
+            except NoEntanglementError:
+                with pytest.raises(NoEntanglementError):
+                    find_temperature_threshold(params, 3.0, 1e-9)
+                continue
+            assert find_temperature_threshold(params, 3.0, 1e-9) == expected
+            found += expected is not None
+        assert found >= 20
+
+    def test_one_search_costs_three_solves(self, monkeypatch):
+        calls = {"solve_lyapunov": 0, "steady_state_cm": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(model, "solve_lyapunov")
+        counted(linsys, "solve_lyapunov")
+        counted(model, "steady_state_cm")
+        assert find_temperature_threshold(BASELINE.replace(r=0.4), 3.0, 1e-3) is not None
+        assert calls == {"solve_lyapunov": 3, "steady_state_cm": 0}
 
 
 class TestEmitCsv:
