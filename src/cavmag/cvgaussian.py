@@ -203,10 +203,7 @@ def two_mode_symplectic_eigenvalues(cm: CovarianceMatrix) -> NDArray[np.float64]
     hi_sq = 0.5 * (delta + root)
     if hi_sq <= 0.0:
         return np.array([0.0, 0.0])
-    lo_sq = max(2.0 * det_v / (delta + root), 0.0)
-    lo = float(np.sqrt(lo_sq))
-    hi = float(np.sqrt(hi_sq))
-    return np.array([lo, hi])
+    return np.sqrt([max(2.0 * det_v / (delta + root), 0.0), hi_sq])
 
 
 def symplectic_spectra(v) -> NDArray[np.float64]:

@@ -5,8 +5,8 @@ diffusion matrix D, solves the continuous-time Lyapunov equation
 
     A V + V A^T + D = 0.
 
-The solver uses the Schur-based Bartels-Stewart method (Bartels & Stewart,
-CACM 1972) of ``scipy.linalg.solve_continuous_lyapunov``.
+The solver is the Bartels-Stewart method (Bartels & Stewart, CACM 1972): one real Schur
+form A = U R U^T serves the stability test, the condition estimate and every D on A.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import schur
+from scipy.linalg.lapack import dtrsyl
 
 from .errors import NearSingularError, NumericalFailureError, UnstableSystemError
 
@@ -37,27 +38,29 @@ class StabilityReport:
         return max(abs(ev) for ev in self.eigenvalues)
 
 
-def _square_matrix(m, name: str) -> NDArray[np.float64]:
+def _square_matrix(m, name: str, ndim: int = 2) -> NDArray[np.float64]:
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise ValueError(f"{name} must be a nonempty square matrix")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must have finite entries")
     return a
 
 
-def _check_diffusion(d: NDArray[np.float64]) -> float:
-    """Reject an asymmetric or indefinite D; return its largest |entry|."""
-    peak = float(np.max(np.abs(d)))
-    scale = max(peak, 1.0)
-    if np.max(np.abs(d - d.T)) > 1e-12 * scale:
+def _scale_diffusions(d: NDArray[np.float64]):
+    """The stack ``d`` with each D scaled by a power of two to unit largest |entry|, and
+    the exponents. Rejects an asymmetric or indefinite D, relative to that entry."""
+    peak = np.max(np.abs(d), axis=(1, 2))
+    exponent = np.frexp(peak)[1]
+    d, unit = np.ldexp(d, -exponent[:, None, None]), np.ldexp(peak, -exponent)
+    if np.any(np.max(np.abs(d - d.swapaxes(1, 2)), axis=(1, 2)) > 1e-12 * unit):
         raise ValueError("diffusion matrix must be symmetric")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (d + d.T)).min())
-    if min_eig < -1e-10 * scale:
-        raise ValueError(
-            f"diffusion matrix must be positive semidefinite (min eigenvalue {min_eig:.3e})"
-        )
-    return peak
+    min_eig = np.linalg.eigvalsh(0.5 * (d + d.swapaxes(1, 2)))[:, 0]
+    indefinite = min_eig < -1e-10 * unit
+    if np.any(indefinite):
+        x = np.ldexp(min_eig, exponent)[indefinite][0]
+        raise ValueError(f"diffusion matrix must be positive semidefinite (min eigenvalue {x:.3e})")
+    return d, exponent
 
 
 def stability(a) -> StabilityReport:
@@ -86,13 +89,14 @@ def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
         Square real drift matrix, strictly stable (every eigenvalue real
         part below zero).
     d:
-        Symmetric positive semidefinite diffusion matrix of equal shape.
+        Symmetric positive semidefinite diffusion matrix of equal shape, or
+        a (k, n, n) stack of them, solved on the one Schur factorisation of A.
     gate:
         False leaves the residual check to the caller (:func:`check_residual`).
 
     Returns
     -------
-    V, symmetrized as (V + V^T)/2, with residual Frobenius norm
+    V (or the stack of V), symmetrized as (V + V^T)/2, with residual norm
     ``|| A V + V A^T + D ||_F <= 1e-9 * ||D||_F`` guaranteed, checked on D
     scaled by a power of two to unit largest entry, where it cannot overflow.
 
@@ -104,29 +108,44 @@ def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
         If the condition estimate ``||A||_1 / (2 |max Re lambda|)`` of
         the Lyapunov operator exceeds 1e12.
     NumericalFailureError
-        If the residual is above that bound or not finite.
+        If the back-substitution fails or a residual is above that bound or not finite.
     """
     a = _square_matrix(a, "drift matrix")
-    d = _square_matrix(d, "diffusion matrix")
-    if a.shape != d.shape:
+    single = np.ndim(d) == 2
+    d = _square_matrix(d, "diffusion matrix", 2 if single else 3)
+    if d.shape[-2:] != a.shape:
         raise ValueError("drift and diffusion matrices must have the same shape")
-    exponent = math.frexp(_check_diffusion(d))[1]
-    report = stability(a)
-    if report.max_real_part >= 0.0:
-        raise UnstableSystemError(report)
+    d, exponents = _scale_diffusions(d.reshape(-1, *a.shape))
+    r, u = schur(a, output="real")
+    # LAPACK gives each 2x2 block of R equal diagonal entries, the real part
+    # of its eigenvalue pair, so diag(R) holds every Re lambda.
+    max_real = float(np.max(np.diag(r)))
+    if max_real >= 0.0:
+        raise UnstableSystemError(stability(a))
     # The operator V -> A V + V A^T has the eigenvalue 2 max Re lambda
     # (an eigenvalue plus its conjugate) and a norm of order ||A||.
-    cond = float(np.linalg.norm(a, 1)) / (2.0 * abs(report.max_real_part))
+    cond = float(np.linalg.norm(a, 1)) / (2.0 * abs(max_real))
     if cond > CONDITION_LIMIT:
         raise NearSingularError(
             f"Lyapunov operator is near singular (condition estimate {cond:.3e})"
         )
-    d = np.ldexp(d, -exponent)
-    v = solve_continuous_lyapunov(a, -d)
-    v = 0.5 * (v + v.T)
+    v = np.stack([_back_substitute(r, u, -dk) for dk in d])
+    v = 0.5 * (v + v.swapaxes(1, 2))
     if gate:
-        _check_scaled_residual(a, v, d)
-    return np.ldexp(v, exponent)
+        for vk, dk in zip(v, d):
+            _check_scaled_residual(a, vk, dk)
+    v = np.ldexp(v, exponents[:, None, None])
+    return v[0] if single else v
+
+
+def _back_substitute(r, u, q) -> NDArray[np.float64]:
+    """X with A X + X A^T = Q for A = U R U^T, by the operations of scipy's
+    ``solve_continuous_lyapunov`` in its order, so X equals its result bitwise."""
+    y, scale, info = dtrsyl(r, r, u.T.dot(q.dot(u)), tranb="T")
+    if info != 0:
+        raise NumericalFailureError(f"Lyapunov back-substitution failed (trsyl info {info})")
+    y *= scale
+    return u.dot(y).dot(u.T)
 
 
 def check_residual(a, v, d) -> None:

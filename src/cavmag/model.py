@@ -107,17 +107,11 @@ class SystemParams:
 
     @property
     def delta_a(self) -> tuple[float, float]:
-        return (
-            self.omega_a[0] - self.omega_drive[0],
-            self.omega_a[1] - self.omega_drive[1],
-        )
+        return tuple(w - w_drive for w, w_drive in zip(self.omega_a, self.omega_drive))
 
     @property
     def delta_m(self) -> tuple[float, float]:
-        return (
-            self.omega_m[0] - self.omega_drive[0],
-            self.omega_m[1] - self.omega_drive[1],
-        )
+        return tuple(w - w_drive for w, w_drive in zip(self.omega_m, self.omega_drive))
 
     def replace(self, **changes) -> "SystemParams":
         return replace(self, **changes)
@@ -274,15 +268,26 @@ def _check_finite(*matrices) -> None:
         raise NumericalFailureError("drift or diffusion matrix overflows at these parameters")
 
 
+def _steady_states(points) -> NDArray[np.float64]:
+    """Steady-state covariances of ``points``: one solve per distinct drift, in first-point order."""
+    a, d = np.stack([build_drift(p) for p in points]), np.stack([build_diffusion(p) for p in points])
+    _check_finite(a, d)
+    groups: dict[bytes, list[int]] = {}
+    for i, drift in enumerate(a):
+        groups.setdefault(drift.tobytes(), []).append(i)
+    v = np.empty_like(d)
+    for members in groups.values():
+        v[members] = solve_lyapunov(a[members[0]], d[members])
+    return v
+
+
 def steady_state_cm(params: SystemParams) -> CovarianceMatrix:
     """Steady-state covariance matrix of the four-mode system.
 
     Mode order: cavity1, cavity2, magnon1, magnon2. Raises
     NumericalFailureError where the drift or diffusion overflows.
     """
-    a, d = build_drift(params), build_diffusion(params)
-    _check_finite(a, d)
-    return CovarianceMatrix(solve_lyapunov(a, d), MODE_LABELS)
+    return CovarianceMatrix(_steady_states([params])[0], MODE_LABELS)
 
 
 def thermal_steady_state(params: SystemParams):
@@ -295,7 +300,7 @@ def thermal_steady_state(params: SystemParams):
     dj = [_set_magnon_blocks(np.zeros((8, 8)), params, e) for e in ((2.0, 0.0), (0.0, 2.0))]
     _check_finite(a, d0, *dj)
     # Gated only within V(T): a lone Wj can miss the gate where a direct solve passes.
-    v0, w1, w2 = (solve_lyapunov(a, d, gate=False) for d in (d0, *dj))
+    v0, w1, w2 = solve_lyapunov(a, np.stack((d0, *dj)), gate=False)
 
     def covariance(temperature: float) -> NDArray[np.float64]:
         n1, n2 = (thermal_occupation(omega, temperature) for omega in params.omega_m)
@@ -344,7 +349,7 @@ def entanglement_reports(points) -> list[EntanglementReport]:
     """
     if not points:
         return []
-    v = np.stack([steady_state_cm(p).entries for p in points])
+    v = _steady_states(points)
     q = _PAIR_QUADRATURES
     indicators = negativity_indicators(v[:, q[:, :, None], q[:, None, :]]).tolist()
     reports = []

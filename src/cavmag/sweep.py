@@ -614,10 +614,7 @@ def emit_heatmap(grid: SweepGrid, column: str | None, destination) -> None:
     values = grid.value_array(column)
     n1, n2 = values.shape
     finite = values[np.isfinite(values)]
-    if finite.size:
-        vmin, vmax = float(np.min(finite)), float(np.max(finite))
-    else:
-        vmin, vmax = 0.0, 0.0
+    vmin, vmax = (float(np.min(finite)), float(np.max(finite))) if finite.size else (0.0, 0.0)
     span = vmax - vmin
 
     left, top = 70, 40
@@ -712,10 +709,7 @@ def render_lines(xs, series, title: str, x_label: str, destination) -> None:
     xs = np.asarray(xs, dtype=float)
     series = [(label, np.asarray(ys, dtype=float)) for label, ys in series]
     finite = np.concatenate([s[np.isfinite(s)] for _, s in series]) if series else np.array([])
-    if finite.size:
-        vmin, vmax = float(np.min(finite)), float(np.max(finite))
-    else:
-        vmin, vmax = 0.0, 1.0
+    vmin, vmax = (float(np.min(finite)), float(np.max(finite))) if finite.size else (0.0, 1.0)
     if vmax == vmin:
         vmax = vmin + 1.0
 

@@ -32,7 +32,7 @@ from cavmag.cvgaussian import (
     two_mode_symplectic_eigenvalues,
 )
 from cavmag.errors import NoEntanglementError, UnstableSystemError
-from cavmag.linsys import _check_diffusion, _square_matrix, stability
+from cavmag.linsys import _scale_diffusions, _square_matrix, stability
 from cavmag.model import _PAIR_QUADRATURES, SystemParams, steady_state_cm
 
 
@@ -196,7 +196,7 @@ def integrate_lyapunov_oracle(a, d, horizon: float, step: float) -> np.ndarray:
     d = _square_matrix(d, "diffusion matrix")
     if a.shape != d.shape:
         raise ValueError("drift and diffusion matrices must have the same shape")
-    _check_diffusion(d)
+    _scale_diffusions(d[None])
     report = stability(a)
     if report.max_real_part >= 0.0:
         raise UnstableSystemError(report)

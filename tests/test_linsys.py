@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import schur, solve_continuous_lyapunov
 
 from cavmag import linsys
 from cavmag.errors import NearSingularError, NumericalFailureError, UnstableSystemError
@@ -132,28 +135,125 @@ class TestSolveLyapunov:
         assert np.array_equal(solve_lyapunov(a, np.ldexp(d, 1000)), np.ldexp(v, 1000))
 
     def test_non_finite_residual_fails_the_gate(self, monkeypatch):
-        def unconverged(a, q):
+        def unconverged(r, u, q):
             return np.full_like(q, np.nan)
 
-        monkeypatch.setattr(linsys, "solve_continuous_lyapunov", unconverged)
+        monkeypatch.setattr(linsys, "_back_substitute", unconverged)
         with pytest.raises(NumericalFailureError, match="residual"):
             solve_lyapunov(-np.eye(2), np.eye(2))
-
 
     def test_ungated_solve_leaves_the_residual_to_the_caller(self, monkeypatch):
         rng = np.random.default_rng(64)
         a, d = random_stable_system(rng)
         assert np.array_equal(solve_lyapunov(a, d, gate=False), solve_lyapunov(a, d))
+        back_substitute = linsys._back_substitute
 
-        def off_by_a_millionth(a, q):
-            return solve_continuous_lyapunov(a, q) * (1.0 + 1e-6)
+        def off_by_a_millionth(r, u, q):
+            return back_substitute(r, u, q) * (1.0 + 1e-6)
 
-        monkeypatch.setattr(linsys, "solve_continuous_lyapunov", off_by_a_millionth)
+        monkeypatch.setattr(linsys, "_back_substitute", off_by_a_millionth)
         v = solve_lyapunov(a, d, gate=False)
         with pytest.raises(NumericalFailureError, match="residual"):
             check_residual(a, v, d)
         with pytest.raises(NumericalFailureError, match="residual"):
             solve_lyapunov(a, d)
+
+    def test_failed_back_substitution_is_a_typed_error(self, monkeypatch):
+        def perturbed(r, b, c, tranb):
+            return c, 1.0, 1  # LAPACK's "eigenvalue pair sums near zero"
+
+        monkeypatch.setattr(linsys, "dtrsyl", perturbed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="trsyl info 1"):
+                solve_lyapunov(-np.eye(2), np.eye(2), gate=False)
+
+    def test_equals_scipy_bartels_stewart_bitwise(self):
+        # The back-substitution repeats solve_continuous_lyapunov's
+        # operations on the power-of-two-scaled D, then symmetrizes.
+        rng = np.random.default_rng(65)
+        for dim in (2, 5, 8):
+            for _ in range(20):
+                a, d = random_stable_system(rng, dim=dim)
+                exponent = math.frexp(float(np.max(np.abs(d))))[1]
+                v = solve_continuous_lyapunov(a, -np.ldexp(d, -exponent))
+                expected = np.ldexp(0.5 * (v + v.T), exponent)
+                assert np.array_equal(solve_lyapunov(a, d), expected)
+
+
+class TestStackedSolve:
+    def stack(self, rng, a):
+        """Diffusions of random scale, including 2^1000 and 2^-1000 multiples."""
+        ds = [random_stable_system(rng)[1] * rng.uniform(0.1, 10.0) for _ in range(4)]
+        return np.stack(ds + [np.ldexp(ds[0], 1000), np.ldexp(ds[1], -1000), np.zeros_like(a)])
+
+    @pytest.mark.parametrize("gate", [True, False])
+    def test_stack_equals_the_single_solves_bitwise(self, gate):
+        rng = np.random.default_rng(66)
+        for _ in range(10):
+            a = random_stable_system(rng)[0]
+            ds = self.stack(rng, a)
+            stacked = solve_lyapunov(a, ds, gate=gate)
+            assert stacked.shape == ds.shape
+            for d, v in zip(ds, stacked):
+                assert np.array_equal(v, solve_lyapunov(a, d, gate=gate))
+
+    def test_a_stack_of_one_is_a_stack(self):
+        a, d = random_stable_system(np.random.default_rng(67))
+        assert np.array_equal(solve_lyapunov(a, d[None]), solve_lyapunov(a, d)[None])
+
+    def test_one_bad_member_rejects_the_stack(self, monkeypatch):
+        a, d = random_stable_system(np.random.default_rng(68))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            solve_lyapunov(a, np.stack([d, -d]))
+        back_substitute, calls = linsys._back_substitute, []
+
+        def second_off_by_a_millionth(r, u, q):
+            calls.append(q)
+            return back_substitute(r, u, q) * (1.0 + 1e-6 * (len(calls) == 2))
+
+        monkeypatch.setattr(linsys, "_back_substitute", second_off_by_a_millionth)
+        with pytest.raises(NumericalFailureError, match="residual"):
+            solve_lyapunov(a, np.stack([d, d, d]))
+
+    @pytest.mark.parametrize(
+        "d", [np.zeros((0, 2, 2)), np.eye(2)[None, None], np.ones((2, 2, 3)), np.ones((2, 3, 3))]
+    )
+    def test_malformed_stacks_rejected(self, d):
+        with pytest.raises(ValueError):
+            solve_lyapunov(-np.eye(2), d)
+
+    def test_schur_diagonal_reads_the_largest_real_part(self):
+        # Every 2x2 block of LAPACK's real Schur form has both diagonal
+        # entries equal to its eigenvalue pair's real part.
+        rng = np.random.default_rng(69)
+        for dim in (2, 3, 8):
+            for _ in range(100):
+                a = random_stable_system(rng, dim=dim, margin=rng.uniform(1e-3, 2.0))[0]
+                r, _ = schur(a, output="real")
+                gap = abs(float(np.max(np.diag(r))) - stability(a).max_real_part)
+                assert gap <= 8 * np.finfo(float).eps * np.linalg.norm(a, 2)
+
+
+class TestDiffusionChecksAreScaleRelative:
+    SCALES = pytest.mark.parametrize(
+        "scale", [1e-14, 2.0**-1000, 1.0, 2.0**1000], ids=["1e-14", "2^-1000", "1", "2^1000"]
+    )
+
+    @SCALES
+    def test_indefinite_rejected_at_every_scale(self, scale):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            solve_lyapunov(-np.eye(2), scale * np.diag([1.0, -0.5]))
+
+    @SCALES
+    def test_asymmetric_rejected_at_every_scale(self, scale):
+        with pytest.raises(ValueError, match="symmetric"):
+            solve_lyapunov(-np.eye(2), scale * np.array([[1.0, 0.3], [0.0, 1.0]]))
+
+    @SCALES
+    def test_psd_accepted_at_every_scale(self, scale):
+        v = solve_lyapunov(-np.eye(2), scale * np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert np.array_equal(v, scale * np.array([[1.0, 0.5], [0.5, 1.0]]))
 
 
 class TestCheckResidual:

@@ -16,8 +16,8 @@ from cavmag.cvgaussian import (
     symplectic_eigenvalues,
 )
 from cavmag import model
-from cavmag.errors import CavmagError, NumericalFailureError
-from cavmag.linsys import stability
+from cavmag.errors import CavmagError, NearSingularError, NumericalFailureError
+from cavmag.linsys import solve_lyapunov, stability
 from cavmag.model import (
     BASELINE,
     HBAR,
@@ -544,3 +544,56 @@ class TestEntanglementReports:
 
     def test_empty_input(self):
         assert entanglement_reports([]) == []
+
+    def test_each_drift_is_solved_once_and_bitwise_per_point(self, monkeypatch):
+        # Two drifts, nine cells each: r and T change only the diffusion.
+        points = [
+            p.replace(r=r, temperature=t)
+            for p in self.grid_points()[5:7]
+            for r in (0.0, 0.4, 1.3)
+            for t in (0.0, 0.05, 2.0)
+        ]
+        per_point = np.stack([steady_state_cm(p).entries for p in points])
+        drifts = []
+
+        def counted(a, d, gate=True):
+            drifts.append(a)
+            return solve_lyapunov(a, d, gate)
+
+        monkeypatch.setattr(model, "solve_lyapunov", counted)
+        assert np.array_equal(model._steady_states(points), per_point)
+        assert [a.tobytes() for a in drifts] == [build_drift(points[i]).tobytes() for i in (0, 9)]
+
+
+class TestBatchErrors:
+    """A failing batch raises the error of its first failing stage: an
+    overflowing drift or diffusion, then the Lyapunov solve (drifts in
+    the order of their first point), then the precision guard, then
+    physicality."""
+
+    OK = BASELINE.replace(r=0.5)
+    HOT = BASELINE.replace(temperature=1.7e308)  # diffusion overflows
+    # g = 0 leaves the magnons decaying at kappa_m alone: near singular.
+    SINGULAR = tuple(
+        BASELINE.replace(g=(0.0, 0.0), kappa_m=(k * BASELINE.kappa_a[0],) * 2) for k in (1e-13, 1e-14)
+    )
+    BLURRED = BASELINE.replace(r=4.6, g=(0.0, 0.0))  # below the eigen-solve's resolution
+
+    def test_overflow_comes_before_any_solve(self):
+        with pytest.raises(NumericalFailureError, match="overflows"):
+            entanglement_reports([self.OK, self.SINGULAR[0], self.HOT])
+
+    def test_solve_comes_before_the_precision_guard(self):
+        with pytest.raises(NearSingularError):
+            entanglement_reports([self.BLURRED, self.OK, self.SINGULAR[0]])
+
+    def test_drifts_fail_in_the_order_of_their_first_point(self):
+        ok, (first, second) = self.OK, self.SINGULAR
+        with pytest.raises(NearSingularError, match="5.000e\\+13"):
+            entanglement_reports([ok, second, ok.replace(r=1.0), first, second])
+        with pytest.raises(NearSingularError, match="5.000e\\+12"):
+            entanglement_reports([ok, first, second, ok.replace(r=1.0)])
+
+    def test_precision_guard_alone(self):
+        with pytest.raises(NumericalFailureError, match="resolution"):
+            entanglement_reports([self.OK, self.BLURRED])

@@ -53,6 +53,20 @@ def tiny_spec(**kwargs) -> SweepSpec:
     return SweepSpec(**defaults)
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls of ``solve_lyapunov`` and ``steady_state_cm``, through any binding."""
+    counts = {"solve_lyapunov": 0, "steady_state_cm": 0}
+    for module, name in ((model, "solve_lyapunov"), (linsys, "solve_lyapunov"), (model, "steady_state_cm")):
+
+        def wrapper(*args, _original=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
 class TestApplyParameter:
     def test_direct_fields(self):
         assert apply_parameter(BASELINE, "r", 0.4).r == 0.4
@@ -285,6 +299,16 @@ class TestRunSweep:
                 first.value_array(column), second.value_array(column), equal_nan=True
             )
 
+    def test_shared_drift_grid_costs_one_solve(self, calls):
+        axis1 = SweepAxis("r", tuple(np.linspace(0.0, 2.0, 5)))
+        run_sweep(tiny_spec(axis1=axis1, axis2=SweepAxis("temperature", tuple(np.linspace(0.0, 1.0, 5)))))
+        assert calls == {"solve_lyapunov": 1, "steady_state_cm": 0}
+
+    def test_varying_drift_grid_costs_one_solve_per_cell(self, calls):
+        axis1 = SweepAxis("kappa_m", tuple(np.linspace(0.01, 1.0, 5)))
+        run_sweep(tiny_spec(axis1=axis1, axis2=SweepAxis("g", tuple(np.linspace(0.0, 10.0, 5)))))
+        assert calls == {"solve_lyapunov": 25, "steady_state_cm": 0}
+
     def test_provenance_names_the_preset(self):
         grid = run_sweep(figure_preset("fig4", resolution=3))
         assert any("fig4" in line for line in grid.provenance)
@@ -447,23 +471,9 @@ class TestTemperatureThreshold:
             found += expected is not None
         assert found >= 20
 
-    def test_one_search_costs_three_solves(self, monkeypatch):
-        calls = {"solve_lyapunov": 0, "steady_state_cm": 0}
-
-        def counted(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(model, "solve_lyapunov")
-        counted(linsys, "solve_lyapunov")
-        counted(model, "steady_state_cm")
+    def test_one_search_costs_one_solve(self, calls):
         assert find_temperature_threshold(BASELINE.replace(r=0.4), 3.0, 1e-3) is not None
-        assert calls == {"solve_lyapunov": 3, "steady_state_cm": 0}
+        assert calls == {"solve_lyapunov": 1, "steady_state_cm": 0}
 
 
 class TestEmitCsv:
