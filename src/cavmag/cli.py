@@ -209,7 +209,10 @@ def _run_threshold(args) -> int:
     lo, hi, count = args.r_range
     if not (count >= 1 and count.is_integer()):
         raise ValueError(f"--r-range N must be a whole number of at least 1, got {_fmt(count)}")
-    r_values = np.linspace(lo, hi, int(count)).tolist()
+    try:
+        r_values = np.linspace(lo, hi, int(count)).tolist()
+    except MemoryError as exc:  # numpy cannot allocate that many points
+        raise ValueError(f"--r-range N = {_fmt(count)} is too many points: {exc}") from exc
     thresholds = []  # None above --tmax, or where the magnons are separable at 0 K
     for r in r_values:
         try:

@@ -6,23 +6,25 @@ diffusion matrix D, solves the continuous-time Lyapunov equation
     A V + V A^T + D = 0.
 
 The solver is the Bartels-Stewart method (Bartels & Stewart, CACM 1972): one real Schur
-form A = U R U^T serves the stability test, the condition estimate and every D on A.
+form A = U R U^T per distinct drift serves its stability and condition checks and its Ds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import schur
-from scipy.linalg.lapack import dtrsyl
+from scipy.linalg.lapack import dgees, dtrsyl
 
-from .errors import NearSingularError, NumericalFailureError, UnstableSystemError
+from .errors import CavmagError, NearSingularError, NumericalFailureError, UnstableSystemError
 
 RESIDUAL_RTOL = 1e-9
 CONDITION_LIMIT = 1e12
+_RESIDUAL = f"Lyapunov residual {{:.3e}} exceeds {RESIDUAL_RTOL:.1e} * ||D||"
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,11 @@ def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
     Parameters
     ----------
     a:
-        Square real drift matrix, strictly stable (every eigenvalue real
-        part below zero).
+        Square real drift matrix, strictly stable (every eigenvalue real part below
+        zero), shared by every D; or a (k, n, n) stack of them, one per D of ``d``.
     d:
         Symmetric positive semidefinite diffusion matrix of equal shape, or
-        a (k, n, n) stack of them, solved on the one Schur factorisation of A.
+        a (k, n, n) stack of them.
     gate:
         False leaves the residual check to the caller (:func:`check_residual`).
 
@@ -103,39 +105,69 @@ def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
     Raises
     ------
     UnstableSystemError
-        If ``a`` has an eigenvalue with real part >= 0.
+        If a drift has an eigenvalue with real part >= 0.
     NearSingularError
         If the condition estimate ``||A||_1 / (2 |max Re lambda|)`` of
         the Lyapunov operator exceeds 1e12.
     NumericalFailureError
-        If the back-substitution fails or a residual is above that bound or not finite.
+        If a factorisation or back-substitution fails or a residual is above that bound or
+        not finite. Each distinct drift (equal bytes) is factorised once; of a failing batch,
+        the first error in this order is raised: the distinct drifts in the order of their
+        first D, each drift's checks before the residual gates of its D.
     """
-    a = _square_matrix(a, "drift matrix")
+    paired = np.ndim(a) == 3
+    a = _square_matrix(a, "drift matrix", 3 if paired else 2)
     single = np.ndim(d) == 2
     d = _square_matrix(d, "diffusion matrix", 2 if single else 3)
-    if d.shape[-2:] != a.shape:
-        raise ValueError("drift and diffusion matrices must have the same shape")
-    d, exponents = _scale_diffusions(d.reshape(-1, *a.shape))
-    r, u = schur(a, output="real")
-    # LAPACK gives each 2x2 block of R equal diagonal entries, the real part
-    # of its eigenvalue pair, so diag(R) holds every Re lambda.
-    max_real = float(np.max(np.diag(r)))
-    if max_real >= 0.0:
-        raise UnstableSystemError(stability(a))
-    # The operator V -> A V + V A^T has the eigenvalue 2 max Re lambda
-    # (an eigenvalue plus its conjugate) and a norm of order ||A||.
-    cond = float(np.linalg.norm(a, 1)) / (2.0 * abs(max_real))
-    if cond > CONDITION_LIMIT:
-        raise NearSingularError(
-            f"Lyapunov operator is near singular (condition estimate {cond:.3e})"
-        )
-    v = np.stack([_back_substitute(r, u, -dk) for dk in d])
+    if d.shape[-2:] != a.shape[-2:] or (paired and d.shape != a.shape):
+        raise ValueError("drift and diffusion matrices must pair up with the same shape")
+    d, exponents = _scale_diffusions(d.reshape(-1, *a.shape[-2:]))
+    a, groups = a.reshape(-1, *d.shape[1:]), ({} if paired else {b"": range(len(d))})
+    for i, drift in enumerate(a if paired else ()):
+        groups.setdefault(drift.tobytes(), []).append(i)
+    norms = np.max(np.sum(np.abs(a), axis=1), axis=1)  # each ||A||_1, as np.linalg.norm sums it
+    v, errors = np.zeros_like(d), {}
+    for members in groups.values():
+        try:
+            r, u = _real_schur(a[members[0]])
+            # LAPACK gives each 2x2 block of R equal diagonal entries, the real part
+            # of its eigenvalue pair, so diag(R) holds every Re lambda.
+            max_real = float(r.diagonal().max())
+            if max_real >= 0.0:
+                raise UnstableSystemError(stability(a[members[0]]))
+            # The operator V -> A V + V A^T has the eigenvalue 2 max Re lambda
+            # (an eigenvalue plus its conjugate) and a norm of order ||A||.
+            cond = float(norms[members[0]]) / (2.0 * abs(max_real))
+            if cond > CONDITION_LIMIT:
+                raise NearSingularError(f"Lyapunov operator is near singular (condition estimate {cond:.3e})")
+            for k in members:
+                v[k] = _back_substitute(r, u, -d[k])
+        except CavmagError as exc:
+            errors[members[0]] = exc
     v = 0.5 * (v + v.swapaxes(1, 2))
-    if gate:
-        for vk, dk in zip(v, d):
-            _check_scaled_residual(a, vk, dk)
+    residual, passed = _residual_gate(a, v, d) if gate else (None, np.ones(len(d), bool))
+    for members in groups.values() if errors or not passed.all() else ():
+        if members[0] in errors:
+            raise errors[members[0]]
+        failing = np.flatnonzero(~passed[members])
+        if failing.size:
+            raise NumericalFailureError(_RESIDUAL.format(residual[members[failing[0]]]))
     v = np.ldexp(v, exponents[:, None, None])
     return v[0] if single else v
+
+
+@functools.cache
+def _gees_lwork(n: int) -> int:
+    """dgees's optimal workspace for an n x n matrix: its query depends on n alone."""
+    return int(dgees(lambda *_: None, np.zeros((n, n)), lwork=-1)[-2][0])
+
+
+def _real_schur(a):
+    """(R, U) with A = U R U^T: scipy.linalg.schur(a, output="real"), bitwise, in one LAPACK call."""
+    r, _, _, _, u, _, info = dgees(lambda *_: None, a, lwork=_gees_lwork(len(a)))
+    if info != 0:
+        raise NumericalFailureError(f"real Schur factorisation failed (gees info {info})")
+    return r, u
 
 
 def _back_substitute(r, u, q) -> NDArray[np.float64]:
@@ -154,15 +186,14 @@ def check_residual(a, v, d) -> None:
     Checked on V and D scaled by a power of two to unit largest |D| entry,
     where it cannot overflow; a residual that is not finite fails it.
     """
-    exponent = math.frexp(float(np.max(np.abs(d))))[1]
-    _check_scaled_residual(a, np.ldexp(v, -exponent), np.ldexp(d, -exponent))
+    exponent = math.frexp(float(np.abs(d).max()))[1]
+    residual, passed = _residual_gate(a, np.ldexp(v, -exponent)[None], np.ldexp(d, -exponent)[None])
+    if not passed[0]:
+        raise NumericalFailureError(_RESIDUAL.format(residual[0]))
 
 
-def _check_scaled_residual(a, v, d) -> None:
-    d_norm = float(np.linalg.norm(d, "fro"))
-    residual = float(np.linalg.norm(a @ v + v @ a.T + d, "fro"))
-    if not residual <= RESIDUAL_RTOL * max(d_norm, np.finfo(float).tiny):
-        raise NumericalFailureError(
-            f"Lyapunov residual {residual:.3e} exceeds {RESIDUAL_RTOL:.1e} * ||D||"
-        )
-
+def _residual_gate(a, v, d):
+    """||A V + V A^T + D||_F over the stacks ``v`` and ``d``, and where it passes the gate."""
+    r = a @ v + v @ a.swapaxes(-1, -2) + d
+    residual = np.sqrt((r * r).sum(axis=(1, 2)))
+    return residual, residual <= RESIDUAL_RTOL * np.maximum(np.sqrt((d * d).sum(axis=(1, 2))), _TINY)

@@ -269,16 +269,13 @@ def _check_finite(*matrices) -> None:
 
 
 def _steady_states(points) -> NDArray[np.float64]:
-    """Steady-state covariances of ``points``: one solve per distinct drift, in first-point order."""
-    a, d = np.stack([build_drift(p) for p in points]), np.stack([build_diffusion(p) for p in points])
+    """Steady-state covariances of ``points`` from one Lyapunov call, which factorises each
+    distinct drift once; one drift is built per distinct set of drift parameters."""
+    keys = [(p.kappa_a, p.kappa_m, p.omega_a, p.omega_m, p.omega_drive, p.g) for p in points]
+    drifts = {key: build_drift(p) for key, p in dict(zip(keys, points)).items()}
+    a, d = np.stack([drifts[key] for key in keys]), np.stack([build_diffusion(p) for p in points])
     _check_finite(a, d)
-    groups: dict[bytes, list[int]] = {}
-    for i, drift in enumerate(a):
-        groups.setdefault(drift.tobytes(), []).append(i)
-    v = np.empty_like(d)
-    for members in groups.values():
-        v[members] = solve_lyapunov(a[members[0]], d[members])
-    return v
+    return solve_lyapunov(a, d)
 
 
 def steady_state_cm(params: SystemParams) -> CovarianceMatrix:

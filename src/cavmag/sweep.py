@@ -639,19 +639,13 @@ def emit_heatmap(grid: SweepGrid, column: str | None, destination) -> None:
             parts.append(_rect(f"{x:.2f}", f"{y:.2f}", cell_w, cell_h, fill))
     parts.append(_rect(left, top, plot_w, plot_h))
 
-    a1, a2 = spec.axis1.values, spec.axis2.values
-    x_ticks = [a1[0], a1[len(a1) // 2], a1[-1]]
-    y_ticks = [a2[0], a2[len(a2) // 2], a2[-1]]
-    x_pos = [left + cw / 2, left + plot_w / 2, left + plot_w - cw / 2]
-    y_pos = [top + plot_h - ch / 2, top + plot_h / 2, top + ch / 2]
-    if len(a1) == 1:
-        x_ticks, x_pos = [a1[0]], [left + plot_w / 2]
-    if len(a2) == 1:
-        y_ticks, y_pos = [a2[0]], [top + plot_h / 2]
-    for value, x in zip(x_ticks, x_pos):
-        parts.append(_text(f"{x:.1f}", top + plot_h + 18, _tick_label(value), anchor="middle"))
-    for value, y in zip(y_ticks, y_pos):
-        parts.append(_text(left - 6, f"{y + 4:.1f}", _tick_label(value), anchor="end"))
+    # First, middle and last values, each labelled at the centre of its own cell.
+    for i in sorted({0, n1 // 2, n1 - 1}):
+        x = left + i * cw + cw / 2
+        parts.append(_text(f"{x:.1f}", top + plot_h + 18, _tick_label(spec.axis1.values[i]), anchor="middle"))
+    for j in sorted({0, n2 // 2, n2 - 1}):
+        y = top + (n2 - 1 - j) * ch + ch / 2
+        parts.append(_text(left - 6, f"{y + 4:.1f}", _tick_label(spec.axis2.values[j]), anchor="end"))
     parts.append(_text(f"{left + plot_w / 2:.1f}", height - 14, spec.axis1.path, 13, "middle"))
     mid = f"{top + plot_h / 2:.1f}"
     rotate = f' transform="rotate(-90 16 {mid})"'

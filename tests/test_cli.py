@@ -333,6 +333,15 @@ class TestThreshold:
         assert out == "" and "--r-range" in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    def test_r_range_count_too_large_to_allocate_exits_2(self, capsys, tmp_path):
+        # 1e15 points need 7.11 PiB: numpy refuses the allocation at once.
+        out_dir = tmp_path / "out"
+        argv = ("threshold", "--r-range", "0", "1", "1e15", "--out-dir", str(out_dir))
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: --r-range N = 1e+15") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_out_dir_needs_r_range(self, capsys, tmp_path):
         code, _, err = run(capsys, "threshold", "--r", "0.4", "--out-dir", str(tmp_path / "o"))
         assert code == EXIT_USAGE

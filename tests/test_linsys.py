@@ -235,6 +235,83 @@ class TestStackedSolve:
                 assert gap <= 8 * np.finfo(float).eps * np.linalg.norm(a, 2)
 
 
+class TestPairedDriftStack:
+    ORDER = (0, 1, 0, 2, 1, 0, 2)  # three drifts, the first repeated out of order
+
+    def mixed(self, rng):
+        """One drift per D, with members at 2^1000 and 2^-1000 and a zero D."""
+        drifts = [random_stable_system(rng)[0] for _ in range(3)]
+        ds = [random_stable_system(rng)[1] for _ in self.ORDER]
+        ds[2], ds[4], ds[6] = np.ldexp(ds[2], 1000), np.ldexp(ds[4], -1000), np.zeros_like(ds[6])
+        return np.stack([drifts[k] for k in self.ORDER]), np.stack(ds)
+
+    @pytest.mark.parametrize("gate", [True, False])
+    def test_paired_stack_equals_the_single_solves_bitwise(self, gate):
+        rng = np.random.default_rng(70)
+        for _ in range(10):
+            a, ds = self.mixed(rng)
+            stacked = solve_lyapunov(a, ds, gate=gate)
+            assert stacked.shape == ds.shape
+            for ak, dk, vk in zip(a, ds, stacked):
+                assert np.array_equal(vk, solve_lyapunov(ak, dk, gate=gate))
+
+    def test_each_distinct_drift_is_factorised_once_in_first_point_order(self, monkeypatch):
+        a, ds = self.mixed(np.random.default_rng(71))
+        factorised, real_schur = [], linsys._real_schur
+        monkeypatch.setattr(linsys, "_real_schur", lambda x: factorised.append(x.copy()) or real_schur(x))
+        solve_lyapunov(a, ds)
+        assert [x.tobytes() for x in factorised] == [a[k].tobytes() for k in (0, 1, 3)]
+
+    @pytest.mark.parametrize(
+        "a, d",
+        [
+            (np.stack([-np.eye(2)] * 2), np.eye(2)),  # a drift stack needs a D stack
+            (np.stack([-np.eye(2)] * 2), np.stack([np.eye(2)] * 3)),  # one D per drift
+            (np.stack([-np.eye(2)] * 2), np.stack([np.eye(3)] * 2)),
+            (np.zeros((0, 2, 2)), np.zeros((0, 2, 2))),
+            (-np.ones((2, 2, 3)), np.ones((2, 2, 3))),
+            (-np.eye(2)[None, None], np.eye(2)[None]),
+        ],
+        ids=["single-d", "count", "size", "empty", "non-square", "4-d"],
+    )
+    def test_malformed_pairings_rejected(self, a, d):
+        with pytest.raises(ValueError):
+            solve_lyapunov(a, d)
+
+    def test_drifts_raise_in_order_each_with_its_own_gates(self, monkeypatch):
+        a, d = random_stable_system(np.random.default_rng(72))
+        singular = np.diag([-1e3] + [-1.1e-12] * 7)  # condition estimate 4.5e14
+        back_substitute = linsys._back_substitute
+
+        def off_by_a_millionth(r, u, q):
+            return back_substitute(r, u, q) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(linsys, "_back_substitute", off_by_a_millionth)
+        with pytest.raises(NumericalFailureError, match="residual"):
+            solve_lyapunov(np.stack([a, singular, a]), np.stack([d, d, d]))
+        with pytest.raises(NearSingularError):
+            solve_lyapunov(np.stack([singular, a, a]), np.stack([d, d, d]))
+
+    def test_direct_schur_equals_scipy_bitwise(self):
+        rng = np.random.default_rng(73)
+        for dim in (1, 2, 3, 8):
+            for k in range(100):
+                a = random_stable_system(rng, dim=dim)[0] if k % 2 else rng.normal(size=(dim, dim))
+                r, u = linsys._real_schur(a)
+                expected_r, expected_u = schur(a, output="real")
+                assert np.array_equal(r, expected_r) and np.array_equal(u, expected_u)
+
+    def test_failed_schur_is_a_typed_error(self, monkeypatch):
+        dgees = linsys.dgees
+
+        def unconverged(select, a, lwork):
+            return (*dgees(select, a, lwork=lwork)[:-1], 0 if lwork == -1 else 3)
+
+        monkeypatch.setattr(linsys, "dgees", unconverged)
+        with pytest.raises(NumericalFailureError, match="gees info 3"):
+            solve_lyapunov(-np.eye(2), np.eye(2))
+
+
 class TestDiffusionChecksAreScaleRelative:
     SCALES = pytest.mark.parametrize(
         "scale", [1e-14, 2.0**-1000, 1.0, 2.0**1000], ids=["1e-14", "2^-1000", "1", "2^1000"]

@@ -15,7 +15,7 @@ from cavmag.cvgaussian import (
     reduce,
     symplectic_eigenvalues,
 )
-from cavmag import model
+from cavmag import linsys, model
 from cavmag.errors import CavmagError, NearSingularError, NumericalFailureError
 from cavmag.linsys import solve_lyapunov, stability
 from cavmag.model import (
@@ -554,14 +554,16 @@ class TestEntanglementReports:
             for t in (0.0, 0.05, 2.0)
         ]
         per_point = np.stack([steady_state_cm(p).entries for p in points])
-        drifts = []
+        solves, drifts, real_schur = [], [], linsys._real_schur
 
-        def counted(a, d, gate=True):
-            drifts.append(a)
-            return solve_lyapunov(a, d, gate)
+        def counted(a):
+            drifts.append(a.copy())
+            return real_schur(a)
 
-        monkeypatch.setattr(model, "solve_lyapunov", counted)
+        monkeypatch.setattr(linsys, "_real_schur", counted)
+        monkeypatch.setattr(model, "solve_lyapunov", lambda *args: solves.append(args) or solve_lyapunov(*args))
         assert np.array_equal(model._steady_states(points), per_point)
+        assert len(solves) == 1
         assert [a.tobytes() for a in drifts] == [build_drift(points[i]).tobytes() for i in (0, 9)]
 
 

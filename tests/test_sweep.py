@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cavmag import linsys, model
 from cavmag.errors import CavmagError, NoEntanglementError, NumericalFailureError
-from cavmag.model import BASELINE
+from cavmag.model import BASELINE, EntanglementReport
 from cavmag.sweep import (
     COLOR_ANCHORS,
     DEFAULT_RESOLUTION_1D,
@@ -22,6 +22,7 @@ from cavmag.sweep import (
     PARAMETER_PATHS,
     PRESET_NAMES,
     SweepAxis,
+    SweepGrid,
     SweepSpec,
     apply_parameter,
     color_for,
@@ -55,9 +56,16 @@ def tiny_spec(**kwargs) -> SweepSpec:
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Calls of ``solve_lyapunov`` and ``steady_state_cm``, through any binding."""
-    counts = {"solve_lyapunov": 0, "steady_state_cm": 0}
-    for module, name in ((model, "solve_lyapunov"), (linsys, "solve_lyapunov"), (model, "steady_state_cm")):
+    """Calls of ``solve_lyapunov``, ``steady_state_cm``, ``build_drift`` and the Schur
+    factorisation ``linsys._real_schur``, through any binding."""
+    counts = dict.fromkeys(("solve_lyapunov", "steady_state_cm", "build_drift", "_real_schur"), 0)
+    for module, name in (
+        (model, "solve_lyapunov"),
+        (linsys, "solve_lyapunov"),
+        (model, "steady_state_cm"),
+        (model, "build_drift"),
+        (linsys, "_real_schur"),
+    ):
 
         def wrapper(*args, _original=getattr(module, name), _name=name, **kwargs):
             counts[_name] += 1
@@ -302,12 +310,12 @@ class TestRunSweep:
     def test_shared_drift_grid_costs_one_solve(self, calls):
         axis1 = SweepAxis("r", tuple(np.linspace(0.0, 2.0, 5)))
         run_sweep(tiny_spec(axis1=axis1, axis2=SweepAxis("temperature", tuple(np.linspace(0.0, 1.0, 5)))))
-        assert calls == {"solve_lyapunov": 1, "steady_state_cm": 0}
+        assert calls == {"solve_lyapunov": 1, "steady_state_cm": 0, "build_drift": 1, "_real_schur": 1}
 
     def test_varying_drift_grid_costs_one_solve_per_cell(self, calls):
         axis1 = SweepAxis("kappa_m", tuple(np.linspace(0.01, 1.0, 5)))
         run_sweep(tiny_spec(axis1=axis1, axis2=SweepAxis("g", tuple(np.linspace(0.0, 10.0, 5)))))
-        assert calls == {"solve_lyapunov": 25, "steady_state_cm": 0}
+        assert calls == {"solve_lyapunov": 1, "steady_state_cm": 0, "build_drift": 25, "_real_schur": 25}
 
     def test_provenance_names_the_preset(self):
         grid = run_sweep(figure_preset("fig4", resolution=3))
@@ -473,7 +481,7 @@ class TestTemperatureThreshold:
 
     def test_one_search_costs_one_solve(self, calls):
         assert find_temperature_threshold(BASELINE.replace(r=0.4), 3.0, 1e-3) is not None
-        assert calls == {"solve_lyapunov": 1, "steady_state_cm": 0}
+        assert calls == {"solve_lyapunov": 1, "steady_state_cm": 0, "build_drift": 1, "_real_schur": 1}
 
 
 class TestEmitCsv:
@@ -575,6 +583,22 @@ class TestEmitHeatmap:
         emit_heatmap(run_sweep(spec), None, buf)
         cell_fills = re.findall(r'fill="(#\w{6})"', buf.getvalue())
         assert cell_fills.count(color_for(0.5)) >= 4
+
+    @pytest.mark.parametrize("n1, n2", [(4, 5), (5, 4), (8, 7), (6, 6), (3, 3)])
+    def test_middle_ticks_sit_at_their_cell_centres(self, n1, n2):
+        a1, a2 = tuple(10.0 + i for i in range(n1)), tuple(100.0 + j for j in range(n2))
+        spec = tiny_spec(axis1=SweepAxis("r", a1), axis2=SweepAxis("temperature", a2))
+        cells = tuple(EntanglementReport(*(0.01 * k,) * 7) for k in range(n1 * n2))
+        buf = io.StringIO()
+        emit_heatmap(SweepGrid(spec=spec, cells=cells, provenance=()), None, buf)
+        root = ET.fromstring(buf.getvalue())
+        rects = [el.attrib for el in root if el.tag.endswith("rect")][1 : 1 + n1 * n2]
+        labels = {el.text: el.attrib for el in root if el.tag.endswith("text")}
+        x_cell, y_cell = rects[(n1 // 2) * n2], rects[n2 // 2]  # cells (n1 // 2, 0) and (0, n2 // 2)
+        x_centre = float(x_cell["x"]) + (float(x_cell["width"]) - 0.05) / 2
+        y_centre = float(y_cell["y"]) + (float(y_cell["height"]) - 0.05) / 2
+        assert abs(float(labels[f"{a1[n1 // 2]:g}"]["x"]) - x_centre) <= 0.05
+        assert abs(float(labels[f"{a2[n2 // 2]:g}"]["y"]) - 4.0 - y_centre) <= 0.05
 
     def test_writes_to_path(self, tmp_path):
         target = tmp_path / "map.svg"
