@@ -181,7 +181,10 @@ def _run_point(args) -> int:
 def _run_sweep(args) -> int:
     names = args.preset or PRESET_NAMES
     base = _effective_params(args, names)
-    specs = [figure_preset(name, resolution=args.resolution, base=base) for name in names]
+    try:
+        specs = [figure_preset(name, resolution=args.resolution, base=base) for name in names]
+    except MemoryError as exc:  # numpy cannot allocate that many axis points
+        raise ValueError(f"--resolution {args.resolution} is too many points: {exc}") from exc
     for spec in specs:
         grid = run_sweep(spec)
         if args.out_dir is None:

@@ -22,6 +22,11 @@ class NumericalFailureError(CavmagError, RuntimeError):
     """
 
 
+class PairStructureError(NumericalFailureError):
+    """A pair block of a state leaves the form [[a I, C], [C^T, b I]], C anomalous or
+    normal, that the closed-form pair negativity needs."""
+
+
 class UnstableSystemError(CavmagError, RuntimeError):
     """Drift matrix admits no steady state (an eigenvalue real part >= 0).
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .cvgaussian import clamp_negativity, negativity_indicators
+from .cvgaussian import clamp_negativity, pair_indicators
 from .errors import NoEntanglementError
-from .model import _PAIR_QUADRATURES, BASELINE, EntanglementReport, SystemParams
+from .model import _PAIRS, BASELINE, EntanglementReport, SystemParams
 from .model import entanglement_report, entanglement_reports, thermal_steady_state
 
 OUTPUT_COLUMNS = (
@@ -451,10 +451,9 @@ def find_temperature_threshold(
         raise ValueError("tol must satisfy 0 < tol < t_max")
 
     covariance = thermal_steady_state(params)
-    magnons = np.ix_(_PAIR_QUADRATURES[1], _PAIR_QUADRATURES[1])
 
     def entangled(temperature: float) -> bool:
-        return clamp_negativity(negativity_indicators(covariance(temperature)[magnons])) > 0.0
+        return clamp_negativity(pair_indicators(covariance(temperature)[None], _PAIRS[1:2])[0, 0]) > 0.0
 
     if not entangled(0.0):
         raise NoEntanglementError(
@@ -463,7 +462,8 @@ def find_temperature_threshold(
     if entangled(t_max):
         return None
     lo, hi = 0.0, t_max
-    for _ in range(int(math.ceil(math.log2(t_max / tol)))):
+    # log2(t_max / tol) overflows for a subnormal tol; the difference does not.
+    for _ in range(math.ceil(math.log2(t_max) - math.log2(tol))):
         mid = 0.5 * (lo + hi)
         if entangled(mid):
             lo = mid

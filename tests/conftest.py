@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 
+from cavmag import cvgaussian, linsys, model, sweep
 from cavmag.cvgaussian import CovarianceMatrix
 
 settings.register_profile(
@@ -11,6 +13,36 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("cavmag")
+
+# Pipeline stages the ``calls`` fixture counts, each at zero calls.
+STAGES_UNCALLED = dict.fromkeys(
+    (
+        "solve_lyapunov",
+        "steady_state_cm",
+        "build_drift",
+        "_real_schur",
+        "pair_indicators",
+        "negativity_indicators",
+        "symplectic_spectra",
+    ),
+    0,
+)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls of each stage in ``STAGES_UNCALLED``, through every binding in the package's modules."""
+    counts = dict(STAGES_UNCALLED)
+    for module in (cvgaussian, linsys, model, sweep):
+        for name in counts:
+            if hasattr(module, name):
+
+                def wrapper(*args, _original=getattr(module, name), _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
 
 
 def local_rotation(phi1: float, phi2: float) -> np.ndarray:

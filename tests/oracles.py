@@ -29,11 +29,12 @@ from cavmag.cvgaussian import (
     clamp_negativity,
     negativity_indicators,
     partial_transpose,
+    reduce,
     two_mode_symplectic_eigenvalues,
 )
 from cavmag.errors import NoEntanglementError, UnstableSystemError
 from cavmag.linsys import _scale_diffusions, _square_matrix, stability
-from cavmag.model import _PAIR_QUADRATURES, SystemParams, steady_state_cm
+from cavmag.model import SystemParams, steady_state_cm
 
 
 @dataclass(frozen=True)
@@ -240,22 +241,22 @@ def threshold_by_full_solves(params: SystemParams, t_max: float, tol: float) -> 
     """Magnon-pair survival temperature, one steady_state_cm solve per bisection step.
 
     The same bisection as :func:`cavmag.sweep.find_temperature_threshold`
-    (probes at 0 and ``t_max``, then ceil(log2(t_max / tol)) halvings),
-    but each step builds D(T) and solves A V + V A^T + D(T) = 0 afresh
-    instead of superposing the magnon bath noise on one drift.
+    (probes at 0 and ``t_max``, then ceil(log2(t_max) - log2(tol))
+    halvings), but each step builds D(T) and solves A V + V A^T + D(T) = 0
+    afresh instead of superposing the magnon bath noise on one drift, and
+    takes the magnon pair's negativity from the eigen-solve route.
     """
-    magnons = np.ix_(_PAIR_QUADRATURES[1], _PAIR_QUADRATURES[1])
 
     def entangled(temperature: float) -> bool:
-        v = steady_state_cm(params.replace(temperature=temperature)).entries
-        return clamp_negativity(negativity_indicators(v[magnons])) > 0.0
+        magnons = reduce(steady_state_cm(params.replace(temperature=temperature)), (2, 3))
+        return clamp_negativity(negativity_indicators(magnons.entries)) > 0.0
 
     if not entangled(0.0):
         raise NoEntanglementError("magnon pair is not entangled at zero temperature")
     if entangled(t_max):
         return None
     lo, hi = 0.0, t_max
-    for _ in range(int(math.ceil(math.log2(t_max / tol)))):
+    for _ in range(math.ceil(math.log2(t_max) - math.log2(tol))):
         mid = 0.5 * (lo + hi)
         if entangled(mid):
             lo = mid

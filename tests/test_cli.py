@@ -269,6 +269,15 @@ class TestSweep:
         assert out == "" and err.startswith("error: ")
         assert not out_dir.exists()
 
+    def test_resolution_too_large_to_allocate_exits_2(self, capsys, tmp_path):
+        # 1e11 points need 745 GiB: numpy refuses the allocation at once.
+        out_dir = tmp_path / "out"
+        argv = ("sweep", "--preset", "fig4", "--resolution", "100000000000", "--out-dir", str(out_dir))
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: --resolution 100000000000 is too many points") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_repeated_sweeps_print_identical_csv(self, capsys):
         code1, out1, _ = run(capsys, "sweep", "--preset", "fig4", "--resolution", "5")
         code2, out2, _ = run(capsys, "sweep", "--preset", "fig4", "--resolution", "5")
@@ -341,6 +350,18 @@ class TestThreshold:
         assert code == EXIT_USAGE
         assert out == "" and err.startswith("error: --r-range N = 1e+15") and err.count("\n") == 1
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--r", "0.4", "--tol", "5e-324"), ("--r", "0.4", "--tol", "1e-320"), ("--r-range", "0.4", "0.5", "2", "--tol", "4e-324")],
+        ids=["r-5e-324", "r-1e-320", "r-range-4e-324"],
+    )
+    def test_subnormal_tol_bisects_like_a_tiny_one(self, capsys, argv):
+        code, out, err = run(capsys, "threshold", *argv)
+        assert code == EXIT_OK and err == ""
+        coarse = ("--tol", "1e-300")
+        assert out == run(capsys, "threshold", *argv[:-2], *coarse)[1]
+        assert "0.847884589" in out
 
     def test_out_dir_needs_r_range(self, capsys, tmp_path):
         code, _, err = run(capsys, "threshold", "--r", "0.4", "--out-dir", str(tmp_path / "o"))

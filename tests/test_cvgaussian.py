@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,15 +13,16 @@ from cavmag.cvgaussian import (
     _omega,
     log_negativity,
     negativity_indicators,
+    pair_indicators,
     partial_transpose,
     reduce,
     symplectic_eigenvalues,
     symplectic_spectra,
     two_mode_symplectic_eigenvalues,
 )
-from cavmag.errors import NumericalFailureError, UnphysicalStateError
+from cavmag.errors import NumericalFailureError, PairStructureError, UnphysicalStateError
 
-from conftest import local_rotation, random_physical_cm, random_separable_cm
+from conftest import local_rotation, random_physical_cm, random_separable_cm, two_mode_squeezer
 from oracles import tmsv_cm
 
 # Frozen reference values, independently evaluated with 40-digit
@@ -383,3 +387,116 @@ class TestTmsvCm:
     def test_invalid_squeezing_rejected(self, bad_r):
         with pytest.raises(ValueError):
             tmsv_cm(bad_r)
+
+
+def structured_state(r, mixing=(0.6, 1.1), occupations=(0.0, 0.3, 0.1, 0.7)) -> np.ndarray:
+    """A four-mode state of the model's form: thermal modes, a two-mode squeezer on
+    modes (0, 1), then beamsplitters of angles ``mixing`` on (0, 2) and (1, 3). Pairs
+    (0, 1), (2, 3), (0, 3) and (1, 2) carry anomalous correlations, (0, 2) and (1, 3)
+    normal ones."""
+    s = np.eye(8)
+    s[:4, :4] = two_mode_squeezer(r)
+    for (i, j), angle in zip(((0, 2), (1, 3)), mixing):
+        quad = [2 * i, 2 * i + 1, 2 * j, 2 * j + 1]
+        mix = np.eye(8)
+        mix[np.ix_(quad, quad)] = np.kron([[np.cos(angle), np.sin(angle)], [-np.sin(angle), np.cos(angle)]], np.eye(2))
+        s = mix @ s
+    v = s @ np.diag(np.repeat(np.add(occupations, 0.5), 2)) @ s.T
+    return 0.5 * (v + v.T)
+
+
+ALL_PAIRS = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+
+
+def single_mode_squeezed(v, mode, s, angle=0.0) -> np.ndarray:
+    """``v`` after squeezing ``mode`` by ``s`` along the quadrature at ``angle``."""
+    rot = local_rotation(angle, 0.0)[:2, :2]
+    sq = np.eye(8)
+    sq[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = rot.T @ np.diag([np.exp(-s), np.exp(s)]) @ rot
+    return sq @ v @ sq.T
+
+
+class TestPairIndicators:
+    """The closed form for pair blocks [[a I, C], [C^T, b I]] against the eigen-solve route."""
+
+    def test_equals_the_eigen_route_on_every_pair(self):
+        rng = np.random.default_rng(53)
+        for _ in range(60):
+            v = structured_state(rng.uniform(0.0, 2.0), rng.uniform(0.0, np.pi, 2), rng.uniform(0.0, 3.0, 4))
+            closed = pair_indicators(v[None], ALL_PAIRS)[0]
+            for k, pair in enumerate(ALL_PAIRS):
+                expected = float(negativity_indicators(reduce(CovarianceMatrix(v), pair).entries))
+                assert closed[k] == pytest.approx(expected, abs=1e-12)
+
+    def test_normal_pairs_are_separable(self):
+        rng = np.random.default_rng(59)
+        stack = np.stack([structured_state(rng.uniform(0.0, 2.0), rng.uniform(0.0, np.pi, 2)) for _ in range(40)])
+        assert np.all(pair_indicators(stack, ((0, 2), (1, 3))) <= 1e-12)
+
+    def test_stack_equals_the_one_state_calls(self):
+        rng = np.random.default_rng(61)
+        stack = np.stack([structured_state(rng.uniform(0.0, 2.0), rng.uniform(0.0, np.pi, 2)) for _ in range(30)])
+        batch = pair_indicators(stack, ALL_PAIRS)
+        for k in range(len(stack)):
+            assert np.array_equal(batch[k], pair_indicators(stack[k : k + 1], ALL_PAIRS)[0])
+
+    def test_scale_is_taken_out_exactly_and_without_warnings(self):
+        # 2^600 V: every product of two entries overflows unless the
+        # pairs are rescaled first; the indicators shift by 600 ln 2.
+        v = structured_state(1.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = pair_indicators(np.ldexp(v, 600)[None], ALL_PAIRS)[0]
+        assert np.allclose(scaled, pair_indicators(v[None], ALL_PAIRS)[0] - 600.0 * math.log(2.0), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("angle", [0.0, np.pi / 4.0], ids=["x-squeezed", "diagonal-squeezed"])
+    def test_single_mode_squeezing_leaves_the_form(self, angle):
+        v = single_mode_squeezed(structured_state(0.8), 0, 1e-2, angle)
+        with pytest.raises(PairStructureError, match="leaves the form"):
+            pair_indicators(v[None], ALL_PAIRS[:1])
+
+    def test_normal_part_on_an_anomalous_pair_leaves_the_form(self):
+        v = structured_state(0.8)
+        v[0:2, 2:4] += 1e-2 * np.eye(2)
+        v[2:4, 0:2] += 1e-2 * np.eye(2)
+        with pytest.raises(PairStructureError, match="leaves the form"):
+            pair_indicators(v[None], ALL_PAIRS[:1])
+        # The eigen-solve route still takes it.
+        assert np.isfinite(negativity_indicators(reduce(CovarianceMatrix(v), (0, 1)).entries))
+
+    def test_round_off_residues_pass(self):
+        # A solved V leaves residues near cond * eps; the projection onto
+        # the form changes nu_min at second order in them.
+        v = structured_state(0.8)
+        v[0, 0] *= 1.0 + 1e-7
+        closed = pair_indicators(v[None], ALL_PAIRS)[0]
+        assert closed[0] == pytest.approx(float(negativity_indicators(reduce(CovarianceMatrix(v), (0, 1)).entries)), abs=1e-12)
+
+    def test_precision_guard_is_scale_relative(self):
+        # The decoupled cavity pair: nu_min = exp(-2r) / 2 at ||V||_2 = exp(2r) / 2.
+        assert pair_indicators(structured_state(4.0, (0.0, 0.0), (0.0,) * 4)[None], ALL_PAIRS[:1])[0, 0] == (
+            pytest.approx(8.0, abs=1e-8)
+        )
+        with pytest.raises(NumericalFailureError, match="resolution"):
+            pair_indicators(structured_state(5.0, (0.0, 0.0), (0.0,) * 4)[None], ALL_PAIRS[:1])
+
+    def test_unphysical_blocks_are_typed_errors(self):
+        with pytest.raises(UnphysicalStateError):
+            pair_indicators((np.eye(8) / 4.0)[None], ALL_PAIRS)
+        # ab < |mu|^2: V is not even positive semidefinite.
+        v = np.eye(8) / 2.0
+        v[0, 2] = v[2, 0] = 0.8
+        v[1, 3] = v[3, 1] = -0.8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((NumericalFailureError, UnphysicalStateError)):
+                pair_indicators(v[None], ALL_PAIRS)
+
+    def test_checks_run_in_order_over_the_whole_stack(self):
+        bent = single_mode_squeezed(structured_state(0.8), 0, 1e-2)
+        blurred = structured_state(5.0, (0.0, 0.0), (0.0,) * 4)
+        unphysical = np.eye(8) / 4.0
+        with pytest.raises(PairStructureError):
+            pair_indicators(np.stack([blurred, unphysical, bent]), ALL_PAIRS[:1])
+        with pytest.raises(NumericalFailureError, match="resolution"):
+            pair_indicators(np.stack([unphysical, blurred]), ALL_PAIRS[:1])

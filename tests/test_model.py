@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,14 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavmag.cvgaussian import (
+    SEPARABLE_SLACK,
+    CovarianceMatrix,
     clamp_negativity,
     log_negativity,
     negativity_indicators,
+    pair_indicators,
     reduce,
     symplectic_eigenvalues,
 )
 from cavmag import linsys, model
-from cavmag.errors import CavmagError, NearSingularError, NumericalFailureError
+from cavmag.errors import CavmagError, NearSingularError, NumericalFailureError, PairStructureError
 from cavmag.linsys import solve_lyapunov, stability
 from cavmag.model import (
     BASELINE,
@@ -462,6 +466,13 @@ class TestEntanglementReport:
         assert (rep.E_aa, rep.E_mm, rep.E_a1m1, rep.E_a2m2) == (0.0, 0.0, 0.0, 0.0)
         assert math.isfinite(rep.min_symplectic_eigenvalue)
 
+    def test_extreme_temperature_raises_no_warning(self):
+        # Magnon entries near 1e300: the pair products overflow unless rescaled.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = entanglement_report(valid_params(temperature=1e300))
+        assert rep.N_am < 0.0 and math.isfinite(rep.N_am)
+
     def test_decoupled_limit(self):
         rep = entanglement_report(valid_params(r=0.4, g=(0.0, 0.0), temperature=0.0))
         assert rep.E_aa == pytest.approx(0.8, abs=1e-9)
@@ -492,7 +503,7 @@ class TestEntanglementReport:
 
 
 def scalar_report_fields(params: SystemParams) -> tuple[float, ...]:
-    """The report's fields composed from the one-matrix functions."""
+    """The report's fields composed from the one-matrix functions, by the eigen-solve route."""
     cm = steady_state_cm(params)
     n_aa, n_mm, n_am1, n_am2 = (
         float(negativity_indicators(reduce(cm, pair).entries))
@@ -526,11 +537,13 @@ class TestEntanglementReports:
         return points + [p.replace(r=0.0) for p in points[:4]]
 
     def test_fields_equal_the_scalar_composition(self):
+        # The closed-form pair negativities against the eigen-solve route.
         points = self.grid_points()
         reports = entanglement_reports(points)
         assert len(reports) == len(points)
         for params, rep in zip(points, reports):
-            assert same_floats(dataclasses.astuple(rep), scalar_report_fields(params))
+            expected = scalar_report_fields(params)
+            assert np.allclose(dataclasses.astuple(rep), expected, rtol=0.0, atol=1e-12, equal_nan=True)
         for rep in reports[-4:]:
             assert rep.E_aa == 0.0
             assert math.isnan(rep.E_mm_over_E_aa)
@@ -544,6 +557,10 @@ class TestEntanglementReports:
 
     def test_empty_input(self):
         assert entanglement_reports([]) == []
+
+    def test_one_batch_costs_one_pair_call_and_one_spectrum_call(self, calls):
+        entanglement_reports(self.grid_points())
+        assert (calls["pair_indicators"], calls["symplectic_spectra"], calls["negativity_indicators"]) == (1, 1, 0)
 
     def test_each_drift_is_solved_once_and_bitwise_per_point(self, monkeypatch):
         # Two drifts, nine cells each: r and T change only the diffusion.
@@ -565,6 +582,80 @@ class TestEntanglementReports:
         assert np.array_equal(model._steady_states(points), per_point)
         assert len(solves) == 1
         assert [a.tobytes() for a in drifts] == [build_drift(points[i]).tobytes() for i in (0, 9)]
+
+
+class TestClosedFormPairs:
+    """The model's pair negativities in closed form against the eigen-solve route."""
+
+    @given(
+        kappa_a2=st.floats(0.3, 3.0),
+        kappa_m_exp=st.tuples(st.floats(-9.0, 1.0), st.floats(-9.0, 1.0)),
+        g=st.tuples(st.floats(0.0, 20.0), st.floats(0.0, 20.0)),
+        exceptional=st.booleans(),
+        detunings=st.tuples(*[st.floats(-50.0, 50.0)] * 4),
+        drive_ghz=st.tuples(st.floats(5.0, 15.0), st.floats(5.0, 15.0)),
+        r=st.floats(0.0, 4.0),
+        theta=st.floats(-math.pi, math.pi),
+        temperature=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    )
+    @settings(max_examples=300)
+    # Decoupled cavities at r = 4: the routes differ by 2.9e-10, within the
+    # round-off bound 2e-9 of either.
+    @example(
+        kappa_a2=1.0,
+        kappa_m_exp=(-0.7, -0.7),
+        g=(0.0, 0.0),
+        exceptional=False,
+        detunings=(0.0,) * 4,
+        drive_ghz=(10.0, 10.0),
+        r=4.0,
+        theta=0.0,
+        temperature=0.0,
+    )
+    # No drive, a near-singular second subsystem: round-off leaves V 9e-13
+    # below the vacuum, which read as E_mm = E_a2m2 = 1.8e-12 before the
+    # pair indicators were measured from the pair state's own floor.
+    @example(
+        kappa_a2=1.875,
+        kappa_m_exp=(1.0, -4.25),
+        g=(0.0, 0.0),
+        exceptional=True,
+        detunings=(0.0, 2.0, 1.0, 25.0),
+        drive_ghz=(5.0, 5.0),
+        r=0.0,
+        theta=0.0,
+        temperature=0.0,
+    )
+    def test_equal_the_eigen_route_wherever_both_resolve(self, **box):
+        params = box_params(**box)
+        try:
+            v = model._steady_states([params])
+        except CavmagError:
+            return
+        closed = outcome(lambda: pair_indicators(v, model._PAIRS)[0])
+        assert not isinstance(closed, PairStructureError)
+        if isinstance(closed, CavmagError):
+            return
+        for k, pair in enumerate(model._PAIRS):
+            block = reduce(CovarianceMatrix(v[0]), pair)
+            eigen = outcome(lambda: float(negativity_indicators(block.entries)))
+            if isinstance(eigen, float):
+                # Either route loses eps * ||V||_2 / nu_min to round-off, the
+                # precision guard's measure; 1e-12 holds where that is small.
+                nu_min = 0.5 * math.exp(-eigen)
+                bound = 1e-12 + np.finfo(float).eps * np.linalg.eigvalsh(block.entries)[-1] / nu_min
+                floor = min(0.0, math.log(2.0 * symplectic_eigenvalues(block)[0]))
+                assert abs(closed[k] - (eigen + floor)) <= bound
+        # A cavity and its own magnon stay separable.
+        assert closed[2] <= SEPARABLE_SLACK and closed[3] <= SEPARABLE_SLACK
+        rep = entanglement_report(params)
+        assert rep.E_a1m1 == rep.E_a2m2 == 0.0 and rep.N_am == closed[2]
+
+    def test_round_off_below_the_vacuum_is_no_entanglement(self):
+        params = box_params(1.875, (1.0, -4.25), (0.0, 0.0), True, (0.0, 2.0, 1.0, 25.0), (5.0, 5.0), 0.0, 0.0, 0.0)
+        rep = entanglement_report(params)
+        assert rep.min_symplectic_eigenvalue < 0.5 - 1e-13
+        assert (rep.E_aa, rep.E_mm, rep.E_a1m1, rep.E_a2m2) == (0.0, 0.0, 0.0, 0.0)
 
 
 class TestBatchErrors:

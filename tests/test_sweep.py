@@ -37,7 +37,11 @@ from cavmag.sweep import (
 )
 from cavmag.model import entanglement_report
 
+from conftest import STAGES_UNCALLED
 from oracles import threshold_by_full_solves
+
+# One batch of reports: one closed-form call for its pairs, one spectrum for its states.
+ONE_BATCH = dict(pair_indicators=1, symplectic_spectra=1)
 
 UNIT = BASELINE.kappa_a[0]
 
@@ -52,27 +56,6 @@ def tiny_spec(**kwargs) -> SweepSpec:
     )
     defaults.update(kwargs)
     return SweepSpec(**defaults)
-
-
-@pytest.fixture
-def calls(monkeypatch):
-    """Calls of ``solve_lyapunov``, ``steady_state_cm``, ``build_drift`` and the Schur
-    factorisation ``linsys._real_schur``, through any binding."""
-    counts = dict.fromkeys(("solve_lyapunov", "steady_state_cm", "build_drift", "_real_schur"), 0)
-    for module, name in (
-        (model, "solve_lyapunov"),
-        (linsys, "solve_lyapunov"),
-        (model, "steady_state_cm"),
-        (model, "build_drift"),
-        (linsys, "_real_schur"),
-    ):
-
-        def wrapper(*args, _original=getattr(module, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-    return counts
 
 
 class TestApplyParameter:
@@ -310,12 +293,12 @@ class TestRunSweep:
     def test_shared_drift_grid_costs_one_solve(self, calls):
         axis1 = SweepAxis("r", tuple(np.linspace(0.0, 2.0, 5)))
         run_sweep(tiny_spec(axis1=axis1, axis2=SweepAxis("temperature", tuple(np.linspace(0.0, 1.0, 5)))))
-        assert calls == {"solve_lyapunov": 1, "steady_state_cm": 0, "build_drift": 1, "_real_schur": 1}
+        assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, build_drift=1, _real_schur=1, **ONE_BATCH)
 
     def test_varying_drift_grid_costs_one_solve_per_cell(self, calls):
         axis1 = SweepAxis("kappa_m", tuple(np.linspace(0.01, 1.0, 5)))
         run_sweep(tiny_spec(axis1=axis1, axis2=SweepAxis("g", tuple(np.linspace(0.0, 10.0, 5)))))
-        assert calls == {"solve_lyapunov": 1, "steady_state_cm": 0, "build_drift": 25, "_real_schur": 25}
+        assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, build_drift=25, _real_schur=25, **ONE_BATCH)
 
     def test_provenance_names_the_preset(self):
         grid = run_sweep(figure_preset("fig4", resolution=3))
@@ -439,6 +422,15 @@ class TestTemperatureThreshold:
         fine = find_temperature_threshold(BASELINE.replace(r=0.4), tol=1e-5)
         assert abs(coarse - fine) <= 1e-2 + 1e-5
 
+    @pytest.mark.parametrize("tol", [5e-324, 1e-320])
+    def test_subnormal_tolerance_bisects_to_the_last_float(self, tol):
+        # t_max / tol overflows; the step count does not need that quotient.
+        params = BASELINE.replace(r=0.4)
+        threshold = find_temperature_threshold(params, 2.0, tol)
+        assert threshold == find_temperature_threshold(params, 2.0, 1e-300)
+        assert threshold == threshold_by_full_solves(params, 2.0, tol)
+        assert threshold == pytest.approx(0.848, abs=5e-3)
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             find_temperature_threshold(BASELINE, t_max=0.0)
@@ -481,7 +473,8 @@ class TestTemperatureThreshold:
 
     def test_one_search_costs_one_solve(self, calls):
         assert find_temperature_threshold(BASELINE.replace(r=0.4), 3.0, 1e-3) is not None
-        assert calls == {"solve_lyapunov": 1, "steady_state_cm": 0, "build_drift": 1, "_real_schur": 1}
+        # Probes at 0 and t_max, then ceil(log2(3 / 1e-3)) = 12 steps, each one closed-form call.
+        assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, build_drift=1, _real_schur=1, pair_indicators=14)
 
 
 class TestEmitCsv:
