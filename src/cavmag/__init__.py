@@ -35,8 +35,8 @@ from .model import (
     SystemParams,
     build_diffusion,
     build_drift,
+    entanglement_columns,
     entanglement_report,
-    entanglement_reports,
     noise_moments,
     steady_state_cm,
     thermal_occupation,
@@ -77,8 +77,8 @@ __all__ = [
     "emit_csv",
     "emit_heatmap",
     "emit_lineplot",
+    "entanglement_columns",
     "entanglement_report",
-    "entanglement_reports",
     "figure_preset",
     "find_temperature_threshold",
     "log_negativity",

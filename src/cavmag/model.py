@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .cvgaussian import CovarianceMatrix, clamp_negativity, pair_indicators, symplectic_spectra
+from .cvgaussian import SEPARABLE_SLACK, CovarianceMatrix, pair_indicators
 from .errors import NumericalFailureError
 from .linsys import check_residual, solve_lyapunov
 
@@ -76,7 +76,10 @@ class SystemParams:
 
     def __post_init__(self):
         for name in ("omega_a", "omega_m", "omega_drive", "kappa_a", "kappa_m", "g"):
-            pair = tuple(float(x) for x in getattr(self, name))
+            value = getattr(self, name)
+            # A pair of floats, as replace() passes on, is kept rather than copied.
+            floats = type(value) is tuple and len(value) == 2 and type(value[0]) is type(value[1]) is float
+            pair = value if floats else tuple(float(x) for x in value)
             if len(pair) != 2:
                 raise ValueError(f"{name} must hold exactly two values")
             if not all(math.isfinite(x) for x in pair):
@@ -317,8 +320,7 @@ class EntanglementReport:
     Logarithmic negativities of the four physically interesting
     bipartitions; ``E_mm_over_E_aa`` is NaN where E_aa is zero. ``N_am``
     is the unclamped -ln(2 nu_min) of the (cavity1, magnon1) pair, from
-    which ``E_a1m1`` is clamped. ``min_symplectic_eigenvalue`` is that
-    of the full four-mode state.
+    which ``E_a1m1`` is clamped.
     """
 
     E_aa: float
@@ -327,32 +329,30 @@ class EntanglementReport:
     E_a2m2: float
     E_mm_over_E_aa: float
     N_am: float
-    min_symplectic_eigenvalue: float
 
 
-def entanglement_reports(points) -> list[EntanglementReport]:
+# The summary columns of a sweep: the report's fields, in order.
+OUTPUT_COLUMNS = tuple(field.name for field in fields(EntanglementReport))
+
+
+def entanglement_columns(points) -> dict[str, NDArray[np.float64]]:
     """Solve for each point's steady state and quantify its entanglement.
 
+    Returns one array per :data:`OUTPUT_COLUMNS` entry, a value per point.
     E_aa: the two cavity modes; E_mm: the two magnon modes;
     E_a1m1 / E_a2m2: each cavity with its own magnon. The four pairs of
-    all points go through one closed-form array call (`pair_indicators`),
-    the full states through one symplectic spectrum call.
+    all points go through one closed-form array call (`pair_indicators`).
     No stability test is needed: build_drift gives
     A + A^T = -2 diag(kappa) / kappa_a1.
     """
     if not points:
-        return []
-    v = _steady_states(points)
-    indicators = pair_indicators(v, _PAIRS).tolist()
-    reports = []
-    for (aa, mm, am1, am2), min_nu in zip(indicators, symplectic_spectra(v)[:, 0].tolist()):
-        e_aa, e_mm = clamp_negativity(aa), clamp_negativity(mm)
-        ratio = e_mm / e_aa if e_aa > 0.0 else math.nan
-        e_am = clamp_negativity(am1), clamp_negativity(am2)
-        reports.append(EntanglementReport(e_aa, e_mm, *e_am, ratio, am1, min_nu))
-    return reports
+        return {name: np.empty(0) for name in OUTPUT_COLUMNS}
+    indicators = pair_indicators(_steady_states(points), _PAIRS)
+    e = np.where(indicators > SEPARABLE_SLACK, indicators, 0.0)  # clamp_negativity, elementwise
+    ratio = np.divide(e[:, 1], e[:, 0], out=np.full(len(e), math.nan), where=e[:, 0] > 0.0)
+    return dict(zip(OUTPUT_COLUMNS, (*e.T, ratio, indicators[:, 2])))
 
 
 def entanglement_report(params: SystemParams) -> EntanglementReport:
-    """:func:`entanglement_reports` of one point."""
-    return entanglement_reports([params])[0]
+    """:func:`entanglement_columns` of one point, as a record."""
+    return EntanglementReport(*(column.item() for column in entanglement_columns([params]).values()))

@@ -11,7 +11,9 @@ temperatures in kelvin); see :data:`PARAMETER_PATHS`.
 from __future__ import annotations
 
 import io
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,17 +21,8 @@ import numpy as np
 from ._version import __version__
 from .cvgaussian import clamp_negativity, pair_indicators
 from .errors import NoEntanglementError
-from .model import _PAIRS, BASELINE, EntanglementReport, SystemParams
-from .model import entanglement_report, entanglement_reports, thermal_steady_state
-
-OUTPUT_COLUMNS = (
-    "E_aa",
-    "E_mm",
-    "E_a1m1",
-    "E_a2m2",
-    "E_mm_over_E_aa",
-    "N_am",
-)
+from .model import _PAIRS, BASELINE, OUTPUT_COLUMNS, EntanglementReport, SystemParams
+from .model import entanglement_columns, entanglement_report, thermal_steady_state
 
 DEFAULT_RESOLUTION_2D = 61
 DEFAULT_RESOLUTION_1D = 121
@@ -223,25 +216,29 @@ class SweepSpec:
         return (len(self.axis1.values), len(self.axis2.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepGrid:
-    """Dense sweep results in row-major axis order (axis1 outer)."""
+    """Dense sweep results: ``columns`` maps each of :data:`OUTPUT_COLUMNS` to its
+    values in row-major axis order (axis1 outer), held as a read-only copy shaped like the grid."""
 
     spec: SweepSpec
-    cells: tuple[EntanglementReport, ...]
+    columns: dict[str, np.ndarray]
     provenance: tuple[str, ...]
 
     def __post_init__(self):
-        expected = int(np.prod(self.spec.shape))
-        if len(self.cells) != expected:
-            raise ValueError(f"expected {expected} cells, got {len(self.cells)}")
+        if set(self.columns) != set(OUTPUT_COLUMNS):
+            raise ValueError(f"expected one array per column of {', '.join(OUTPUT_COLUMNS)}")
+        shape = self.spec.shape
+        columns = {name: np.array(self.columns[name], dtype=float).reshape(shape) for name in OUTPUT_COLUMNS}
+        for data in columns.values():
+            data.flags.writeable = False
+        object.__setattr__(self, "columns", columns)
 
     def value_array(self, column: str) -> np.ndarray:
-        """Values of one summary column, shaped like the grid."""
-        if column not in OUTPUT_COLUMNS and column != "min_symplectic_eigenvalue":
+        """Values of one summary column, shaped like the grid (read-only)."""
+        if column not in OUTPUT_COLUMNS:
             raise ValueError(f"unknown column {column!r}")
-        data = np.array([getattr(c, column) for c in self.cells], dtype=float)
-        return data.reshape(self.spec.shape)
+        return self.columns[column]
 
 
 def summarize_point(params: SystemParams) -> EntanglementReport:
@@ -287,8 +284,8 @@ def _grid_points(spec: SweepSpec) -> list[SystemParams]:
 
 def run_sweep(spec: SweepSpec) -> SweepGrid:
     """Evaluate the sweep lattice and return the assembled grid."""
-    cells = tuple(entanglement_reports(_grid_points(spec)))
-    return SweepGrid(spec=spec, cells=cells, provenance=_provenance_lines(spec))
+    columns = entanglement_columns(_grid_points(spec))
+    return SweepGrid(spec=spec, columns=columns, provenance=_provenance_lines(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +407,8 @@ def figure_preset(
     """
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    if resolution is not None and (not isinstance(resolution, int) or resolution < 1):
+    integral = isinstance(resolution, numbers.Integral) and not isinstance(resolution, bool)
+    if resolution is not None and (not integral or resolution < 1):
         raise ValueError("resolution must be a positive integer")
     preset = PRESETS[name]
     n = resolution or (DEFAULT_RESOLUTION_1D if preset.lines else DEFAULT_RESOLUTION_2D)
@@ -465,6 +463,8 @@ def find_temperature_threshold(
     # log2(t_max / tol) overflows for a subnormal tol; the difference does not.
     for _ in range(math.ceil(math.log2(t_max) - math.log2(tol))):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: no step can move the bracket
+            break
         if entangled(mid):
             lo = mid
         else:
@@ -491,15 +491,10 @@ def emit_csv(grid: SweepGrid, destination) -> None:
     spec = grid.spec
     columns = ["axis1"] + (["axis2"] if spec.axis2 else []) + list(spec.outputs) + ["stable"]
     buf.write(",".join(columns) + "\n")
-    n2 = len(spec.axis2.values) if spec.axis2 else 1
-    for idx, cell in enumerate(grid.cells):
-        i, j = divmod(idx, n2)
-        row = [_fmt(spec.axis1.values[i])]
-        if spec.axis2:
-            row.append(_fmt(spec.axis2.values[j]))
-        row.extend(_fmt(getattr(cell, column)) for column in spec.outputs)
-        row.append("true")
-        buf.write(",".join(row) + "\n")
+    keys = itertools.product(*(axis.values for axis in (spec.axis1, spec.axis2) if axis))
+    values = zip(*(grid.value_array(column).ravel().tolist() for column in spec.outputs))
+    for key, value in zip(keys, values):
+        buf.write(",".join(map(_fmt, key + value)) + ",true\n")
     _write_text(destination, buf.getvalue())
 
 

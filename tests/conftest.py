@@ -45,6 +45,11 @@ def calls(monkeypatch):
     return counts
 
 
+def state_nu_min(points) -> np.ndarray:
+    """Smallest symplectic eigenvalue of each point's solved steady state, from its full spectrum."""
+    return cvgaussian.symplectic_spectra(model._steady_states(points))[:, 0]
+
+
 def local_rotation(phi1: float, phi2: float) -> np.ndarray:
     """Symplectic and orthogonal: independent phase-space rotations."""
     out = np.zeros((4, 4))

@@ -242,9 +242,10 @@ def threshold_by_full_solves(params: SystemParams, t_max: float, tol: float) -> 
 
     The same bisection as :func:`cavmag.sweep.find_temperature_threshold`
     (probes at 0 and ``t_max``, then ceil(log2(t_max) - log2(tol))
-    halvings), but each step builds D(T) and solves A V + V A^T + D(T) = 0
-    afresh instead of superposing the magnon bath noise on one drift, and
-    takes the magnon pair's negativity from the eigen-solve route.
+    halvings, ending early once lo and hi are adjacent floats), but each
+    step builds D(T) and solves A V + V A^T + D(T) = 0 afresh instead of
+    superposing the magnon bath noise on one drift, and takes the magnon
+    pair's negativity from the eigen-solve route.
     """
 
     def entangled(temperature: float) -> bool:
@@ -258,6 +259,8 @@ def threshold_by_full_solves(params: SystemParams, t_max: float, tol: float) -> 
     lo, hi = 0.0, t_max
     for _ in range(math.ceil(math.log2(t_max) - math.log2(tol))):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if entangled(mid):
             lo = mid
         else:

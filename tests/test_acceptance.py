@@ -12,13 +12,14 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_stable_system
+from conftest import random_stable_system, state_nu_min
 
 from cavmag.cvgaussian import log_negativity, reduce
 from cavmag.linsys import solve_lyapunov
 from cavmag.model import BASELINE, entanglement_report, steady_state_cm
 from cavmag.sweep import (
     PRESET_NAMES,
+    _grid_points,
     emit_csv,
     figure_preset,
     find_temperature_threshold,
@@ -224,11 +225,10 @@ def test_criterion_10_physicality_and_determinism(preset_grids):
     total_cells = 0
     for name in PRESET_NAMES:
         grid = preset_grids[name]
-        for cell in grid.cells:
-            values = (cell.E_aa, cell.E_mm, cell.E_a1m1, cell.E_a2m2, cell.N_am)
-            assert np.all(np.isfinite(values))
-            worst = min(worst, cell.min_symplectic_eigenvalue)
-        total_cells += len(grid.cells)
+        for column in ("E_aa", "E_mm", "E_a1m1", "E_a2m2", "N_am"):
+            assert np.all(np.isfinite(grid.value_array(column)))
+        worst = min(worst, float(state_nu_min(_grid_points(grid.spec)).min()))
+        total_cells += grid.value_array("E_aa").size
         first, second = io.StringIO(), io.StringIO()
         emit_csv(grid, first)
         emit_csv(grid, second)

@@ -1,7 +1,6 @@
 """Golden-byte tests of the CSV and SVG emitters.
 
-Every grid here is synthetic: fixed ``EntanglementReport`` values and no
-solver, so the emitted bytes depend on the emitters alone and not on
+Every grid here is synthetic: fixed column values and no solver, so the emitted bytes depend on the emitters alone and not on
 the platform's linear algebra. The expected files live in
 ``tests/golden/``. Regenerate them with ``python tests/test_golden.py``
 only when an output change is intended, and record that change.
@@ -13,9 +12,10 @@ import io
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
-from cavmag.model import BASELINE, EntanglementReport
+from cavmag.model import BASELINE
 from cavmag.sweep import (
     SweepAxis,
     SweepGrid,
@@ -29,22 +29,11 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 NAN = float("nan")
 
 
-def cell(value: float, ratio: float | None = None) -> EntanglementReport:
-    return EntanglementReport(
-        E_aa=2.0 * value,
-        E_mm=value,
-        E_a1m1=0.0,
-        E_a2m2=0.0,
-        E_mm_over_E_aa=0.5 if ratio is None else ratio,
-        N_am=-value,
-        min_symplectic_eigenvalue=0.5,
-    )
+def grid(axis1, axis2, values, outputs=("E_mm",), name="golden", ratios=None) -> SweepGrid:
+    """Grid over ``axis1`` (and ``axis2``) with E_mm = ``values``, a flat row-major sequence.
 
-
-def grid(axis1, axis2, values, outputs=("E_mm",), name="golden") -> SweepGrid:
-    """Grid over ``axis1`` (and ``axis2``) whose cells carry ``values``.
-
-    ``values`` is a flat row-major sequence of floats or of ready cells.
+    E_aa is 2 E_mm, N_am is -E_mm, the cavity-magnon pairs are 0 and
+    E_mm_over_E_aa is ``ratios``, or 0.5 everywhere when None.
     """
     spec = SweepSpec(
         base=BASELINE,
@@ -53,8 +42,16 @@ def grid(axis1, axis2, values, outputs=("E_mm",), name="golden") -> SweepGrid:
         outputs=outputs,
         name=name,
     )
-    cells = tuple(v if isinstance(v, EntanglementReport) else cell(v) for v in values)
-    return SweepGrid(spec=spec, cells=cells, provenance=("synthetic grid", f"name: {name}"))
+    e_mm = np.array(values, dtype=float)
+    columns = dict(
+        E_aa=2.0 * e_mm,
+        E_mm=e_mm,
+        E_a1m1=np.zeros_like(e_mm),
+        E_a2m2=np.zeros_like(e_mm),
+        E_mm_over_E_aa=np.full_like(e_mm, 0.5) if ratios is None else ratios,
+        N_am=-e_mm,
+    )
+    return SweepGrid(spec=spec, columns=columns, provenance=("synthetic grid", f"name: {name}"))
 
 
 def nan_grid() -> SweepGrid:
@@ -66,18 +63,19 @@ def nan_grid() -> SweepGrid:
 def family_grid() -> SweepGrid:
     """fig3b-shaped: a line per second-axis value, ratio undefined in places."""
     rs = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
-    cells = []
+    values, ratios = [], []
     for i, r in enumerate(rs):
         for j, g in enumerate((0.5, 1.0, 2.0)):
             e_mm = r * (0.3 + 0.2 * j)
-            ratio = NAN if i == 0 or (j == 1 and i == 3) else e_mm / (2.0 * r)
-            cells.append(cell(e_mm, ratio))
+            values.append(e_mm)
+            ratios.append(NAN if i == 0 or (j == 1 and i == 3) else e_mm / (2.0 * r))
     return grid(
         ("r", rs),
         ("g", (0.5, 1.0, 2.0)),
-        cells,
+        values,
         outputs=("E_aa", "E_mm", "E_mm_over_E_aa"),
         name="family",
+        ratios=ratios,
     )
 
 

@@ -27,17 +27,19 @@ from cavmag.model import (
     HBAR,
     KBOLTZ,
     MODE_LABELS,
+    OUTPUT_COLUMNS,
     SystemParams,
     build_diffusion,
     build_drift,
+    entanglement_columns,
     entanglement_report,
-    entanglement_reports,
     noise_moments,
     steady_state_cm,
     thermal_occupation,
     thermal_steady_state,
 )
 
+from conftest import state_nu_min
 from oracles import ReducedParams, tmsv_cm, vmm_analytic
 
 TWO_PI = 2.0 * math.pi
@@ -76,6 +78,11 @@ class TestSystemParams:
         assert p.r == 0.7
         assert BASELINE.r != 0.7 or True
         assert p.kappa_a == BASELINE.kappa_a
+
+    def test_pairs_are_float_tuples_and_replace_shares_them(self):
+        p = valid_params(g=[np.float64(1.0), 2])
+        assert p.g == (1.0, 2.0) and all(type(x) is float for x in p.g)
+        assert p.replace(r=0.3).g is p.g
 
     @pytest.mark.parametrize(
         "field,value",
@@ -462,9 +469,10 @@ class TestEntanglementReport:
     def test_extreme_temperature_is_finite_and_separable(self):
         # ||D||_F overflows at 1e300 K; the solve's residual gate must
         # still hold, and the hot magnon baths leave no entanglement.
-        rep = entanglement_report(valid_params(temperature=1e300))
+        params = valid_params(temperature=1e300)
+        rep = entanglement_report(params)
         assert (rep.E_aa, rep.E_mm, rep.E_a1m1, rep.E_a2m2) == (0.0, 0.0, 0.0, 0.0)
-        assert math.isfinite(rep.min_symplectic_eigenvalue)
+        assert math.isfinite(state_nu_min([params])[0])
 
     def test_extreme_temperature_raises_no_warning(self):
         # Magnon entries near 1e300: the pair products overflow unless rescaled.
@@ -512,7 +520,7 @@ def scalar_report_fields(params: SystemParams) -> tuple[float, ...]:
     e_aa, e_mm = clamp_negativity(n_aa), clamp_negativity(n_mm)
     ratio = e_mm / e_aa if e_aa > 0.0 else math.nan
     e_am = clamp_negativity(n_am1), clamp_negativity(n_am2)
-    return (e_aa, e_mm, *e_am, ratio, n_am1, float(symplectic_eigenvalues(cm)[0]))
+    return (e_aa, e_mm, *e_am, ratio, n_am1)
 
 
 def same_floats(a, b) -> bool:
@@ -539,28 +547,34 @@ class TestEntanglementReports:
     def test_fields_equal_the_scalar_composition(self):
         # The closed-form pair negativities against the eigen-solve route.
         points = self.grid_points()
-        reports = entanglement_reports(points)
-        assert len(reports) == len(points)
-        for params, rep in zip(points, reports):
+        columns = entanglement_columns(points)
+        assert tuple(columns) == OUTPUT_COLUMNS
+        rows = np.stack(list(columns.values()), axis=1)
+        assert rows.shape == (len(points), len(OUTPUT_COLUMNS))
+        for params, row in zip(points, rows):
             expected = scalar_report_fields(params)
-            assert np.allclose(dataclasses.astuple(rep), expected, rtol=0.0, atol=1e-12, equal_nan=True)
-        for rep in reports[-4:]:
-            assert rep.E_aa == 0.0
-            assert math.isnan(rep.E_mm_over_E_aa)
+            assert np.allclose(row, expected, rtol=0.0, atol=1e-12, equal_nan=True)
+        assert np.all(columns["E_aa"][-4:] == 0.0)
+        assert np.all(np.isnan(columns["E_mm_over_E_aa"][-4:]))
 
     def test_single_report_is_a_batch_of_one(self):
         points = self.grid_points()
-        batch = entanglement_reports(points)
-        for params, rep in zip(points, batch):
+        rows = zip(*entanglement_columns(points).values())
+        for params, row in zip(points, rows):
             single = dataclasses.astuple(entanglement_report(params))
-            assert same_floats(single, dataclasses.astuple(rep))
+            assert same_floats(single, row)
 
     def test_empty_input(self):
-        assert entanglement_reports([]) == []
+        columns = entanglement_columns([])
+        assert tuple(columns) == OUTPUT_COLUMNS
+        assert all(column.shape == (0,) for column in columns.values())
 
-    def test_one_batch_costs_one_pair_call_and_one_spectrum_call(self, calls):
-        entanglement_reports(self.grid_points())
-        assert (calls["pair_indicators"], calls["symplectic_spectra"], calls["negativity_indicators"]) == (1, 1, 0)
+    def test_one_batch_costs_one_pair_call_and_no_spectrum_call(self, calls):
+        stages = ("solve_lyapunov", "pair_indicators", "symplectic_spectra", "negativity_indicators")
+        entanglement_columns(self.grid_points())
+        assert [calls[name] for name in stages] == [1, 1, 0, 0]
+        entanglement_report(BASELINE)
+        assert [calls[name] for name in stages] == [2, 2, 0, 0]
 
     def test_each_drift_is_solved_once_and_bitwise_per_point(self, monkeypatch):
         # Two drifts, nine cells each: r and T change only the diffusion.
@@ -654,7 +668,7 @@ class TestClosedFormPairs:
     def test_round_off_below_the_vacuum_is_no_entanglement(self):
         params = box_params(1.875, (1.0, -4.25), (0.0, 0.0), True, (0.0, 2.0, 1.0, 25.0), (5.0, 5.0), 0.0, 0.0, 0.0)
         rep = entanglement_report(params)
-        assert rep.min_symplectic_eigenvalue < 0.5 - 1e-13
+        assert state_nu_min([params])[0] < 0.5 - 1e-13
         assert (rep.E_aa, rep.E_mm, rep.E_a1m1, rep.E_a2m2) == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -674,19 +688,19 @@ class TestBatchErrors:
 
     def test_overflow_comes_before_any_solve(self):
         with pytest.raises(NumericalFailureError, match="overflows"):
-            entanglement_reports([self.OK, self.SINGULAR[0], self.HOT])
+            entanglement_columns([self.OK, self.SINGULAR[0], self.HOT])
 
     def test_solve_comes_before_the_precision_guard(self):
         with pytest.raises(NearSingularError):
-            entanglement_reports([self.BLURRED, self.OK, self.SINGULAR[0]])
+            entanglement_columns([self.BLURRED, self.OK, self.SINGULAR[0]])
 
     def test_drifts_fail_in_the_order_of_their_first_point(self):
         ok, (first, second) = self.OK, self.SINGULAR
         with pytest.raises(NearSingularError, match="5.000e\\+13"):
-            entanglement_reports([ok, second, ok.replace(r=1.0), first, second])
+            entanglement_columns([ok, second, ok.replace(r=1.0), first, second])
         with pytest.raises(NearSingularError, match="5.000e\\+12"):
-            entanglement_reports([ok, first, second, ok.replace(r=1.0)])
+            entanglement_columns([ok, first, second, ok.replace(r=1.0)])
 
     def test_precision_guard_alone(self):
         with pytest.raises(NumericalFailureError, match="resolution"):
-            entanglement_reports([self.OK, self.BLURRED])
+            entanglement_columns([self.OK, self.BLURRED])

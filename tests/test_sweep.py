@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import re
@@ -11,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavmag import linsys, model
+from cavmag.cvgaussian import STATE_CHECK_SLACK
 from cavmag.errors import CavmagError, NoEntanglementError, NumericalFailureError
-from cavmag.model import BASELINE, EntanglementReport
+from cavmag.model import BASELINE
 from cavmag.sweep import (
     COLOR_ANCHORS,
     DEFAULT_RESOLUTION_1D,
@@ -37,11 +39,11 @@ from cavmag.sweep import (
 )
 from cavmag.model import entanglement_report
 
-from conftest import STAGES_UNCALLED
+from conftest import STAGES_UNCALLED, state_nu_min
 from oracles import threshold_by_full_solves
 
-# One batch of reports: one closed-form call for its pairs, one spectrum for its states.
-ONE_BATCH = dict(pair_indicators=1, symplectic_spectra=1)
+# One batch of points: one closed-form call for its pairs, and no spectrum of its states.
+ONE_BATCH = dict(pair_indicators=1, symplectic_spectra=0)
 
 UNIT = BASELINE.kappa_a[0]
 
@@ -194,8 +196,8 @@ class TestSummarizePoint:
         assert math.isnan(cell.E_mm_over_E_aa)
 
     def test_state_is_reported_physical(self):
-        cell = summarize_point(BASELINE)
-        assert cell.min_symplectic_eigenvalue >= 0.5 - 1e-9
+        summarize_point(BASELINE)
+        assert state_nu_min([BASELINE])[0] >= 0.5 - 1e-9
 
     def test_cavity_magnon_indicator_negative_on_resonance(self):
         cell = summarize_point(BASELINE)
@@ -232,8 +234,10 @@ class TestSummarizePoint:
         except CavmagError:
             return
         values = [cell.E_aa, cell.E_mm, cell.E_a1m1, cell.E_a2m2, cell.N_am]
-        assert all(math.isfinite(v) for v in values + [cell.min_symplectic_eigenvalue])
+        assert all(math.isfinite(v) for v in values)
         assert math.isfinite(cell.E_mm_over_E_aa) or cell.E_aa == 0.0
+        # Where the pairs resolve, so does the state's own spectrum, and it is physical.
+        assert state_nu_min([params])[0] >= 0.5 - STATE_CHECK_SLACK
 
     @given(r=st.floats(0.0, 8.0), theta=st.floats(-math.pi, math.pi))
     @example(r=4.4, theta=0.0)
@@ -255,9 +259,9 @@ class TestRunSweep:
     def test_single_cell_equals_direct_summary(self):
         spec = tiny_spec(axis1=SweepAxis("r", (0.7,)))
         grid = run_sweep(spec)
-        assert len(grid.cells) == 1
+        assert all(grid.value_array(column).shape == (1,) for column in OUTPUT_COLUMNS)
         direct = summarize_point(BASELINE.replace(r=0.7))
-        assert grid.cells[0] == direct
+        assert [grid.value_array(column)[0] for column in OUTPUT_COLUMNS] == list(dataclasses.astuple(direct))
 
     def test_row_major_ordering(self):
         spec = tiny_spec(
@@ -265,11 +269,11 @@ class TestRunSweep:
             axis2=SweepAxis("temperature", (0.0, 0.1, 0.2)),
         )
         grid = run_sweep(spec)
-        assert len(grid.cells) == 6
+        assert grid.value_array("E_mm").shape == (2, 3)
         for i, r in enumerate(spec.axis1.values):
             for j, t in enumerate(spec.axis2.values):
                 direct = summarize_point(BASELINE.replace(r=r, temperature=t))
-                assert grid.cells[i * 3 + j].E_mm == direct.E_mm
+                assert grid.value_array("E_mm")[i, j] == direct.E_mm
 
     def test_value_array_shapes(self):
         grid1 = run_sweep(tiny_spec(axis1=SweepAxis("r", (0.0, 0.5, 1.0))))
@@ -280,6 +284,19 @@ class TestRunSweep:
         assert grid2.value_array("E_mm").shape == (2, 2)
         with pytest.raises(ValueError):
             grid2.value_array("bogus")
+
+    def test_grid_holds_a_read_only_copy_of_each_column(self):
+        spec = tiny_spec(axis1=SweepAxis("r", (0.0, 1.0)), axis2=SweepAxis("g", (2.0, 5.0, 7.0)))
+        source = np.arange(6.0)
+        grid = SweepGrid(spec=spec, columns=dict.fromkeys(OUTPUT_COLUMNS, source), provenance=())
+        source[0] = -1.0
+        assert grid.value_array("E_aa")[0, 0] == 0.0 and grid.value_array("N_am").shape == (2, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.value_array("E_mm")[0, 0] = 1.0
+        with pytest.raises(ValueError, match="one array per column"):
+            SweepGrid(spec=spec, columns=dict.fromkeys(OUTPUT_COLUMNS[1:], source), provenance=())
+        with pytest.raises(ValueError):
+            SweepGrid(spec=spec, columns=dict.fromkeys(OUTPUT_COLUMNS, source[:5]), provenance=())
 
     def test_repeated_runs_give_identical_results(self):
         spec = figure_preset("fig2c", resolution=5)
@@ -381,6 +398,10 @@ class TestFigurePresets:
         assert len(spec.axis2.values) == 7
         line = figure_preset("fig4", resolution=11)
         assert len(line.axis1.values) == 11
+        # Any integral type but bool, which would silently build a one-point grid.
+        assert figure_preset("fig2a", np.int64(7)) == spec
+        with pytest.raises(ValueError, match="positive integer"):
+            figure_preset("fig2a", True)
 
     def test_base_override_propagates(self):
         custom = BASELINE.replace(kappa_a=(UNIT, 2.0 * UNIT))
@@ -423,10 +444,13 @@ class TestTemperatureThreshold:
         assert abs(coarse - fine) <= 1e-2 + 1e-5
 
     @pytest.mark.parametrize("tol", [5e-324, 1e-320])
-    def test_subnormal_tolerance_bisects_to_the_last_float(self, tol):
+    def test_subnormal_tolerance_bisects_to_the_last_float(self, tol, calls):
         # t_max / tol overflows; the step count does not need that quotient.
         params = BASELINE.replace(r=0.4)
         threshold = find_temperature_threshold(params, 2.0, tol)
+        # The search ends once lo and hi are adjacent floats: 56 calls, where
+        # the step count from tol alone is over a thousand.
+        assert calls["pair_indicators"] < 60
         assert threshold == find_temperature_threshold(params, 2.0, 1e-300)
         assert threshold == threshold_by_full_solves(params, 2.0, tol)
         assert threshold == pytest.approx(0.848, abs=5e-3)
@@ -581,9 +605,9 @@ class TestEmitHeatmap:
     def test_middle_ticks_sit_at_their_cell_centres(self, n1, n2):
         a1, a2 = tuple(10.0 + i for i in range(n1)), tuple(100.0 + j for j in range(n2))
         spec = tiny_spec(axis1=SweepAxis("r", a1), axis2=SweepAxis("temperature", a2))
-        cells = tuple(EntanglementReport(*(0.01 * k,) * 7) for k in range(n1 * n2))
+        columns = dict.fromkeys(OUTPUT_COLUMNS, 0.01 * np.arange(n1 * n2))
         buf = io.StringIO()
-        emit_heatmap(SweepGrid(spec=spec, cells=cells, provenance=()), None, buf)
+        emit_heatmap(SweepGrid(spec=spec, columns=columns, provenance=()), None, buf)
         root = ET.fromstring(buf.getvalue())
         rects = [el.attrib for el in root if el.tag.endswith("rect")][1 : 1 + n1 * n2]
         labels = {el.text: el.attrib for el in root if el.tag.endswith("text")}
