@@ -17,7 +17,6 @@ from .cvgaussian import (
     partial_transpose,
     reduce,
     symplectic_eigenvalues,
-    two_mode_symplectic_eigenvalues,
 )
 from .errors import (
     CavmagError,
@@ -27,19 +26,14 @@ from .errors import (
     UnphysicalStateError,
     UnstableSystemError,
 )
-from .linsys import StabilityReport, solve_lyapunov, stability
+from .linsys import solve_lyapunov
 from .model import (
     BASELINE,
     EntanglementReport,
-    NoiseMoments,
     SystemParams,
-    build_diffusion,
-    build_drift,
     entanglement_columns,
     entanglement_report,
-    noise_moments,
     steady_state_cm,
-    thermal_occupation,
 )
 from .sweep import (
     PRESET_NAMES,
@@ -62,18 +56,14 @@ __all__ = [
     "EntanglementReport",
     "NearSingularError",
     "NoEntanglementError",
-    "NoiseMoments",
     "NumericalFailureError",
     "PRESET_NAMES",
-    "StabilityReport",
     "SweepAxis",
     "SweepGrid",
     "SweepSpec",
     "SystemParams",
     "UnphysicalStateError",
     "UnstableSystemError",
-    "build_diffusion",
-    "build_drift",
     "emit_csv",
     "emit_heatmap",
     "emit_lineplot",
@@ -82,14 +72,10 @@ __all__ = [
     "figure_preset",
     "find_temperature_threshold",
     "log_negativity",
-    "noise_moments",
     "partial_transpose",
     "reduce",
     "run_sweep",
     "solve_lyapunov",
-    "stability",
     "steady_state_cm",
     "symplectic_eigenvalues",
-    "thermal_occupation",
-    "two_mode_symplectic_eigenvalues",
 ]

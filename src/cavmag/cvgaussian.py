@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NumericalFailureError, PairStructureError, UnphysicalStateError
+from .errors import NumericalFailureError, PairStructureError, UnphysicalStateError, raise_first
 
 # Tolerances used by this module. Symmetry and eigen-solve checks are
 # relative to the matrix scale, the physicality slack absolute in
@@ -237,7 +237,7 @@ def symplectic_spectra(v) -> NDArray[np.float64]:
     evals = np.linalg.eigvals(_omega(v.shape[-1] // 2) @ v)
     mods = np.sort(np.abs(evals), axis=-1)
     residue = np.max(np.abs(evals.real), axis=-1)
-    _raise_first(residue > COMPLEX_RESIDUE_RTOL * mods[..., -1], NumericalFailureError, _COMPLEX, residue)
+    raise_first(residue > COMPLEX_RESIDUE_RTOL * mods[..., -1], NumericalFailureError, _COMPLEX, residue)
     return 0.5 * (mods[..., 0::2] + mods[..., 1::2])
 
 
@@ -272,9 +272,9 @@ def negativity_indicators(v) -> NDArray[np.float64]:
         # V_pt = P V P with P orthogonal, so ||V_pt||_2 = ||V||_2.
         nu, scale = nu_min[entangled], np.linalg.eigvalsh(v[entangled])[:, -1]
         coarse = np.finfo(float).eps * scale > NEGATIVITY_PRECISION_LIMIT * nu
-        _raise_first(coarse, NumericalFailureError, _UNRESOLVED, nu, scale)
+        raise_first(coarse, NumericalFailureError, _UNRESOLVED, nu, scale)
     nu_state = symplectic_spectra(v)[..., 0]
-    _raise_first(nu_state < 0.5 - STATE_CHECK_SLACK, UnphysicalStateError, _UNPHYSICAL, nu_state)
+    raise_first(nu_state < 0.5 - STATE_CHECK_SLACK, UnphysicalStateError, _UNPHYSICAL, nu_state)
     return -np.log(2.0 * nu_min)
 
 
@@ -313,7 +313,7 @@ def pair_indicators(v, pairs) -> NDArray[np.float64]:
     sq = q[:, 2:] ** 2
     c2, squeezing = sq[:, 0:2] + sq[:, 4:6], sq[:, 2:4] + sq[:, 6:8]  # |mu|^2, |beta|^2 and |<a a>|^2
     residue = np.sqrt(np.maximum(np.minimum(c2[:, 0], c2[:, 1]), squeezing.max(axis=1)))
-    _raise_first(residue > PAIR_STRUCTURE_RTOL, PairStructureError, _BENT, residue)
+    raise_first(residue > PAIR_STRUCTURE_RTOL, PairStructureError, _BENT, residue)
     a, b = q[:, 0], q[:, 1]
     p, inner = a * b - c2[:, 0] - c2[:, 1], (a - b)[:, None] ** 2 + 4.0 * c2
     with np.errstate(divide="ignore", invalid="ignore"):  # p <= 0 only in unphysical blocks
@@ -322,17 +322,11 @@ def pair_indicators(v, pairs) -> NDArray[np.float64]:
     nu_pt, nu_state = np.ldexp(scaled, e[:, None]).transpose(1, 0, 2)
     norm = 0.5 * np.maximum(den[:, 0], den[:, 1])  # ||V||_2 at the scale of ``scaled``
     coarse = (2.0 * nu_pt < 1.0) & (np.finfo(float).eps * norm > NEGATIVITY_PRECISION_LIMIT * scaled[:, 0])
-    _raise_first(coarse, NumericalFailureError, _UNRESOLVED, nu_pt, np.ldexp(norm, e))
-    _raise_first(~(nu_state >= 0.5 - STATE_CHECK_SLACK), UnphysicalStateError, _UNPHYSICAL, nu_state)
+    raise_first(coarse, NumericalFailureError, _UNRESOLVED, nu_pt, np.ldexp(norm, e))
+    raise_first(~(nu_state >= 0.5 - STATE_CHECK_SLACK), UnphysicalStateError, _UNPHYSICAL, nu_state)
     # Measured from the pair state's own floor: where round-off leaves its nu_min below 1/2,
     # a partial transpose no further below is no entanglement.
     return np.log(np.minimum(1.0, 2.0 * nu_state)) - np.log(2.0 * nu_pt)
-
-
-def _raise_first(failed, error, message: str, *values) -> None:
-    """Raise ``error(message)``, formatted with ``values`` at the first entry of ``failed``."""
-    if failed.any():
-        raise error(message.format(*(x[failed][0] for x in values)))
 
 
 def log_negativity(cm: CovarianceMatrix) -> float:

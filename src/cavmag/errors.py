@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class CavmagError(Exception):
     """Base class for domain errors raised by this package."""
@@ -28,17 +30,7 @@ class PairStructureError(NumericalFailureError):
 
 
 class UnstableSystemError(CavmagError, RuntimeError):
-    """Drift matrix admits no steady state (an eigenvalue real part >= 0).
-
-    Carries the offending stability report in ``report``.
-    """
-
-    def __init__(self, report):
-        self.report = report
-        super().__init__(
-            "drift matrix is not strictly stable "
-            f"(max eigenvalue real part {report.max_real_part:.6g})"
-        )
+    """Drift matrix admits no steady state (an eigenvalue real part >= 0)."""
 
 
 class NearSingularError(CavmagError, RuntimeError):
@@ -47,3 +39,9 @@ class NearSingularError(CavmagError, RuntimeError):
 
 class NoEntanglementError(CavmagError, RuntimeError):
     """A threshold search was started from a point with no entanglement."""
+
+
+def raise_first(failed, error, message: str, *values) -> None:
+    """Raise ``error(message)``, formatted with ``values`` at the first entry of ``failed``."""
+    if np.count_nonzero(failed):  # a quarter of failed.any()'s cost on the small masks of one point
+        raise error(message.format(*(x[failed][0] for x in values)))

@@ -13,31 +13,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg.lapack import dgees, dtrsyl
 
-from .errors import CavmagError, NearSingularError, NumericalFailureError, UnstableSystemError
+from .errors import NearSingularError, NumericalFailureError, UnstableSystemError, raise_first
 
 RESIDUAL_RTOL = 1e-9
 CONDITION_LIMIT = 1e12
 _RESIDUAL = f"Lyapunov residual {{:.3e}} exceeds {RESIDUAL_RTOL:.1e} * ||D||"
+_UNSTABLE = "drift matrix is not strictly stable (max eigenvalue real part {:.6g})"
+_SINGULAR = "Lyapunov operator is near singular (condition estimate {:.3e})"
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Spectral stability summary of a drift matrix."""
-
-    stable: bool
-    max_real_part: float
-    eigenvalues: tuple[complex, ...]
-
-    @property
-    def spectral_radius(self) -> float:
-        return max(abs(ev) for ev in self.eigenvalues)
 
 
 def _square_matrix(m, name: str, ndim: int = 2) -> NDArray[np.float64]:
@@ -65,21 +53,10 @@ def _scale_diffusions(d: NDArray[np.float64]):
     return d, exponent
 
 
-def stability(a) -> StabilityReport:
-    """Eigenvalue stability report for a drift matrix.
-
-    ``stable`` is True iff every eigenvalue has a strictly negative real
-    part. Eigenvalues are sorted by (real, imag) for reproducibility.
-    """
-    a = _square_matrix(a, "drift matrix")
-    evals = np.linalg.eigvals(a)
-    evals = evals[np.lexsort((evals.imag, evals.real))]
-    max_real = float(np.max(evals.real))
-    return StabilityReport(
-        stable=max_real < 0.0,
-        max_real_part=max_real,
-        eigenvalues=tuple(complex(ev) for ev in evals),
-    )
+def stability(a) -> float:
+    """Largest eigenvalue real part of a drift matrix, read off the diagonal of its real
+    Schur form; the drift is strictly stable iff it is negative."""
+    return float(_real_schur(_square_matrix(a, "drift matrix"))[0].diagonal().max())
 
 
 def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
@@ -110,10 +87,10 @@ def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
         If the condition estimate ``||A||_1 / (2 |max Re lambda|)`` of
         the Lyapunov operator exceeds 1e12.
     NumericalFailureError
-        If a factorisation or back-substitution fails or a residual is above that bound or
-        not finite. Each distinct drift (equal bytes) is factorised once; of a failing batch,
-        the first error in this order is raised: the distinct drifts in the order of their
-        first D, each drift's checks before the residual gates of its D.
+        If a factorisation or back-substitution fails, at once, or a residual is above
+        that bound or not finite. Each distinct drift (equal bytes) is factorised once. A
+        failing batch raises stage by stage, each at its first failure in batch order:
+        the stability of every drift, then every condition estimate, then the residuals.
     """
     paired = np.ndim(a) == 3
     a = _square_matrix(a, "drift matrix", 3 if paired else 2)
@@ -122,36 +99,31 @@ def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
     if d.shape[-2:] != a.shape[-2:] or (paired and d.shape != a.shape):
         raise ValueError("drift and diffusion matrices must pair up with the same shape")
     d, exponents = _scale_diffusions(d.reshape(-1, *a.shape[-2:]))
-    a, groups = a.reshape(-1, *d.shape[1:]), ({} if paired else {b"": range(len(d))})
-    for i, drift in enumerate(a if paired else ()):
+    a, groups = a if paired else np.broadcast_to(a, d.shape), {}
+    for i, drift in enumerate(a):
         groups.setdefault(drift.tobytes(), []).append(i)
     norms = np.max(np.sum(np.abs(a), axis=1), axis=1)  # each ||A||_1, as np.linalg.norm sums it
-    v, errors = np.zeros_like(d), {}
+    v, tops, conds = np.zeros_like(d), [], []
     for members in groups.values():
-        try:
-            r, u = _real_schur(a[members[0]])
-            # LAPACK gives each 2x2 block of R equal diagonal entries, the real part
-            # of its eigenvalue pair, so diag(R) holds every Re lambda.
-            max_real = float(r.diagonal().max())
-            if max_real >= 0.0:
-                raise UnstableSystemError(stability(a[members[0]]))
-            # The operator V -> A V + V A^T has the eigenvalue 2 max Re lambda
-            # (an eigenvalue plus its conjugate) and a norm of order ||A||.
-            cond = float(norms[members[0]]) / (2.0 * abs(max_real))
-            if cond > CONDITION_LIMIT:
-                raise NearSingularError(f"Lyapunov operator is near singular (condition estimate {cond:.3e})")
+        r, u = _real_schur(a[members[0]])
+        # LAPACK gives each 2x2 block of R equal diagonal entries, the real part
+        # of its eigenvalue pair, so diag(R) holds every Re lambda.
+        top = float(r.diagonal().max())
+        tops.append(top)
+        # The operator V -> A V + V A^T has the eigenvalue 2 max Re lambda
+        # (an eigenvalue plus its conjugate) and a norm of order ||A||.
+        conds.append(float(norms[members[0]]) / (2.0 * abs(top)) if top < 0.0 else math.inf)
+        if conds[-1] <= CONDITION_LIMIT:
             for k in members:
                 v[k] = _back_substitute(r, u, -d[k])
-        except CavmagError as exc:
-            errors[members[0]] = exc
+    if max(conds) > CONDITION_LIMIT:  # an unstable drift's estimate is infinite
+        tops, conds = np.array(tops), np.array(conds)
+        raise_first(tops >= 0.0, UnstableSystemError, _UNSTABLE, tops)
+        raise_first(conds > CONDITION_LIMIT, NearSingularError, _SINGULAR, conds)
     v = 0.5 * (v + v.swapaxes(1, 2))
-    residual, passed = _residual_gate(a, v, d) if gate else (None, np.ones(len(d), bool))
-    for members in groups.values() if errors or not passed.all() else ():
-        if members[0] in errors:
-            raise errors[members[0]]
-        failing = np.flatnonzero(~passed[members])
-        if failing.size:
-            raise NumericalFailureError(_RESIDUAL.format(residual[members[failing[0]]]))
+    if gate:
+        residual, passed = _residual_gate(a, v, d)
+        raise_first(~passed, NumericalFailureError, _RESIDUAL, residual)
     v = np.ldexp(v, exponents[:, None, None])
     return v[0] if single else v
 
@@ -188,8 +160,7 @@ def check_residual(a, v, d) -> None:
     """
     exponent = math.frexp(float(np.abs(d).max()))[1]
     residual, passed = _residual_gate(a, np.ldexp(v, -exponent)[None], np.ldexp(d, -exponent)[None])
-    if not passed[0]:
-        raise NumericalFailureError(_RESIDUAL.format(residual[0]))
+    raise_first(~passed, NumericalFailureError, _RESIDUAL, residual)
 
 
 def _residual_gate(a, v, d):

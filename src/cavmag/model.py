@@ -79,6 +79,8 @@ class SystemParams:
             value = getattr(self, name)
             # A pair of floats, as replace() passes on, is kept rather than copied.
             floats = type(value) is tuple and len(value) == 2 and type(value[0]) is type(value[1]) is float
+            if not floats and isinstance(value, (str, bytes)):
+                raise ValueError(f"{name} must hold two numbers, not a string")
             pair = value if floats else tuple(float(x) for x in value)
             if len(pair) != 2:
                 raise ValueError(f"{name} must hold exactly two values")

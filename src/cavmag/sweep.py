@@ -168,6 +168,8 @@ class SweepAxis:
 
     def __post_init__(self):
         _known_path(self.path)
+        if isinstance(self.values, (str, bytes)):
+            raise ValueError("axis values must be numbers, not a string")
         values = tuple(float(v) for v in self.values)
         if len(values) == 0:
             raise ValueError("axis must hold at least one value")

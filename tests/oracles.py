@@ -33,7 +33,7 @@ from cavmag.cvgaussian import (
     two_mode_symplectic_eigenvalues,
 )
 from cavmag.errors import NoEntanglementError, UnstableSystemError
-from cavmag.linsys import _scale_diffusions, _square_matrix, stability
+from cavmag.linsys import _UNSTABLE, _scale_diffusions, _square_matrix
 from cavmag.model import SystemParams, steady_state_cm
 
 
@@ -198,20 +198,22 @@ def integrate_lyapunov_oracle(a, d, horizon: float, step: float) -> np.ndarray:
     if a.shape != d.shape:
         raise ValueError("drift and diffusion matrices must have the same shape")
     _scale_diffusions(d[None])
-    report = stability(a)
-    if report.max_real_part >= 0.0:
-        raise UnstableSystemError(report)
+    # Its own eigen-solve, independent of the solver's Schur form.
+    evals = np.linalg.eigvals(a)
+    max_real = float(evals.real.max())
+    if max_real >= 0.0:
+        raise UnstableSystemError(_UNSTABLE.format(max_real))
     if not (horizon > 0 and np.isfinite(horizon)):
         raise ValueError("horizon must be positive and finite")
     if not (step > 0 and np.isfinite(step)):
         raise ValueError("step must be positive and finite")
-    decay = abs(report.max_real_part)
+    decay = abs(max_real)
     if horizon < 10.0 / decay:
         raise ValueError(
             f"horizon {horizon:.6g} too short for decay rate {decay:.6g}; "
             f"need at least {10.0 / decay:.6g}"
         )
-    radius = report.spectral_radius
+    radius = float(np.abs(evals).max())
     if radius > 0 and step > 0.01 / radius:
         raise ValueError(
             f"step {step:.6g} too coarse for spectral radius {radius:.6g}; "

@@ -94,6 +94,8 @@ class TestSystemParams:
             ("r", -0.2),
             ("temperature", -0.1),
             ("r", math.nan),
+            ("g", "55"),  # not (5.0, 5.0)
+            ("kappa_m", b"55"),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
@@ -230,7 +232,7 @@ class TestBuildDrift:
             omega_a=(TWO_PI * 1e10 + da * unit, TWO_PI * 1e10),
             omega_m=(TWO_PI * 1e10 + dm * unit, TWO_PI * 1e10),
         )
-        assert stability(build_drift(p)).stable
+        assert stability(build_drift(p)) < 0.0
 
     @given(
         kappa_a2=st.floats(0.1, 10.0),

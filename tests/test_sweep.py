@@ -151,6 +151,9 @@ class TestAxisAndSpecValidation:
             SweepAxis("r", ())
         with pytest.raises(ValueError):
             SweepAxis("r", (0.0, math.inf))
+        for values in ("12", b"12"):
+            with pytest.raises(ValueError, match="not a string"):
+                SweepAxis("r", values)
 
     def test_axis_requires_strict_monotonicity(self):
         with pytest.raises(ValueError, match="monotone"):
