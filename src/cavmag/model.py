@@ -19,6 +19,7 @@ invariant under that common rescaling.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -38,7 +39,14 @@ R_MAX = 0.5 * math.acosh(0.25 * sys.float_info.max)
 MODE_LABELS = ("cavity1", "cavity2", "magnon1", "magnon2")
 
 
-@dataclass(frozen=True)
+def _real(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is a real number other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {type(value).__name__}")
+    return float(value)
+
+
+@dataclass(frozen=True, slots=True)
 class SystemParams:
     """Physical parameters of the driven two-cavity, two-magnon system.
 
@@ -76,27 +84,25 @@ class SystemParams:
 
     def __post_init__(self):
         for name in ("omega_a", "omega_m", "omega_drive", "kappa_a", "kappa_m", "g"):
-            value = getattr(self, name)
+            pair = getattr(self, name)
             # A pair of floats, as replace() passes on, is kept rather than copied.
-            floats = type(value) is tuple and len(value) == 2 and type(value[0]) is type(value[1]) is float
-            if not floats and isinstance(value, (str, bytes)):
-                raise ValueError(f"{name} must hold two numbers, not a string")
-            pair = value if floats else tuple(float(x) for x in value)
+            if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is float):
+                if isinstance(pair, (str, bytes)) or not hasattr(pair, "__iter__"):
+                    raise ValueError(f"{name} must hold two numbers, not {type(pair).__name__}")
+                pair = tuple(_real(name, x) for x in pair)
             if len(pair) != 2:
                 raise ValueError(f"{name} must hold exactly two values")
             if not all(math.isfinite(x) for x in pair):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, pair)
-        for name in ("omega_a", "omega_m"):
-            if any(x <= 0 for x in getattr(self, name)):
-                raise ValueError(f"{name} must be strictly positive")
-        for name in ("kappa_a", "kappa_m"):
+        for name in ("omega_a", "omega_m", "kappa_a", "kappa_m"):
             if any(x <= 0 for x in getattr(self, name)):
                 raise ValueError(f"{name} must be strictly positive")
         if any(x < 0 for x in self.g):
             raise ValueError("coupling rates must be nonnegative")
         for name in ("r", "theta", "temperature"):
-            value = float(getattr(self, name))
+            value = getattr(self, name)
+            value = value if type(value) is float else _real(name, value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
@@ -141,13 +147,8 @@ BASELINE = _resonant_baseline()
 
 @dataclass(frozen=True)
 class NoiseMoments:
-    """Second moments of the input noise operators.
-
-    ``mean_occupation`` (N) and ``correlation`` (M, complex) describe the
-    two-mode squeezed drive hitting the cavity ports;
-    ``magnon_occupation`` holds the thermal occupation of each magnon
-    bath.
-    """
+    """Second moments of the input noise: N and M (complex) of the two-mode squeezed drive
+    hitting the cavity ports, and the thermal occupation of each magnon bath."""
 
     mean_occupation: float
     correlation: complex
@@ -155,10 +156,7 @@ class NoiseMoments:
 
 
 def thermal_occupation(omega: float, temperature: float) -> float:
-    """Bose-Einstein occupation of a mode at angular frequency ``omega``.
-
-    Returns 0.0 at zero temperature. ``omega`` must be positive.
-    """
+    """Bose-Einstein occupation of a mode at angular frequency ``omega`` > 0; 0.0 at T = 0."""
     omega, temperature = float(omega), float(temperature)
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError("omega must be positive and finite")
@@ -166,8 +164,7 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise ValueError("temperature must be nonnegative and finite")
     if temperature == 0.0:
         return 0.0
-    # divide by temperature last: KBOLTZ * temperature underflows to zero
-    # for subnormal temperatures
+    # divide by temperature last: KBOLTZ * temperature underflows for subnormal temperatures
     x = (HBAR * omega / KBOLTZ) / temperature
     if x > 700.0:
         # exp would overflow; the occupation is far below double precision
@@ -175,84 +172,90 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def noise_moments(params: SystemParams) -> NoiseMoments:
-    """Input-noise moments implied by the drive squeezing and temperature.
+def _drive_moments(r: float, theta: float) -> tuple[float, complex]:
+    """N = sinh(r)^2 and M = e^{i theta} sinh(r) cosh(r) of the squeezed drive, which
+    saturate |M|^2 = N (N + 1). Raises NumericalFailureError for r above :data:`R_MAX`."""
+    if r > R_MAX:
+        raise NumericalFailureError(f"drive moments overflow at squeezing r = {r:.6g}")
+    sh, ch = math.sinh(r), math.cosh(r)
+    return sh * sh, complex(math.cos(theta), math.sin(theta)) * sh * ch
 
-    N = sinh(r)^2, M = e^{i theta} sinh(r) cosh(r), which saturate
-    |M|^2 = N (N + 1) for the pure squeezed drive. Magnon occupations are
-    evaluated at each magnon frequency. Raises NumericalFailureError for
-    r above :data:`R_MAX`.
+
+def noise_moments(params: SystemParams) -> NoiseMoments:
+    """The drive's moments (:func:`_drive_moments`) and each magnon bath's occupation."""
+    occupations = tuple(thermal_occupation(omega, params.temperature) for omega in params.omega_m)
+    return NoiseMoments(*_drive_moments(params.r, params.theta), occupations)
+
+
+def _layouts() -> tuple[NDArray[np.intp], NDArray[np.intp]]:
+    """Flat 8x8 drift and diffusion layouts: the column of each entry in its value matrix.
+
+    Drift columns: 0, v = (ka, km, g, da, dm)_j / kappa_a1 for j = 1, 2, then -v. Each 2x2
+    diagonal block is -kappa + detuning rotation; the beamsplitter coupling enters as +g
+    on the X-row/y-column, -g on the Y-row/x-column and back.
+    Diffusion columns: 0, ka_j (2N + 1), km_j (2 N_mj + 1), c_xx, -c_xx, c_xy, with
+    (c_xx, c_xy) = sqrt(ka1 ka2) (2 Re M, 2 Im M): at theta = 0 the cavities' X-X
+    correlation is +sinh(2r) and Y-Y -sinh(2r). The vacuum fixed point is V = I/2.
     """
-    if params.r > R_MAX:
-        raise NumericalFailureError(f"drive moments overflow at squeezing r = {params.r:.6g}")
-    sh = math.sinh(params.r)
-    ch = math.cosh(params.r)
-    n_drive = sh * sh
-    m_drive = complex(math.cos(params.theta), math.sin(params.theta)) * sh * ch
-    n_magnon = tuple(
-        thermal_occupation(params.omega_m[j], params.temperature) for j in range(2)
-    )
-    return NoiseMoments(
-        mean_occupation=n_drive,
-        correlation=m_drive,
-        magnon_occupation=n_magnon,
-    )
+    a, d = np.zeros((2, 8, 8), dtype=np.intp)
+    for j in range(2):
+        ka, km, g, da, dm = range(1 + j, 11, 2)
+        ca, mg = 2 * j, 4 + 2 * j  # cavity and magnon block offsets
+        a[ca, ca] = a[ca + 1, ca + 1] = ka + 10
+        a[ca, ca + 1], a[ca + 1, ca] = da, da + 10
+        a[mg, mg] = a[mg + 1, mg + 1] = km + 10
+        a[mg, mg + 1], a[mg + 1, mg] = dm, dm + 10
+        a[ca, mg + 1] = a[mg, ca + 1] = g
+        a[ca + 1, mg] = a[mg + 1, ca] = g + 10
+        d[ca, ca] = d[ca + 1, ca + 1] = 1 + j
+        d[mg, mg] = d[mg + 1, mg + 1] = 3 + j
+    d[0, 2] = d[2, 0] = 5
+    d[1, 3] = d[3, 1] = 6
+    d[0, 3] = d[3, 0] = d[1, 2] = d[2, 1] = 7
+    return a.ravel(), d.ravel()
+
+
+_DRIFT_LAYOUT, _DIFFUSION_LAYOUT = _layouts()
+_NO_DRIVE = (0.0,) * 6
+
+
+def _stacks(points) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Drift and diffusion stacks of ``points``, (k, 8, 8) each, normalized by each kappa_a1.
+
+    Each stack is one ``take`` from a value matrix with a column per distinct entry (see
+    :func:`_layouts`), every value in the one-point order of operations. sinh, cosh and
+    expm1 stay in ``math`` (numpy's differ in the last bit), once per distinct (r, theta)
+    and (omega_m, T); the first r above :data:`R_MAX` raises. Keys carry the signs: 0.0 and
+    -0.0 are one dict key, yet r = -0.0 gives Re M = -0.0. Overflows become inf or nan.
+    """
+    drive_keys = [(p.r, p.theta, math.copysign(1.0, p.r), math.copysign(1.0, p.theta)) for p in points]
+    drive = {key: _drive_moments(*key[:2]) for key in dict.fromkeys(drive_keys)}
+    bath_keys = [(omega, p.temperature) for p in points for omega in p.omega_m]
+    bath = {key: thermal_occupation(*key) for key in dict.fromkeys(bath_keys)}
+    noise = np.array([drive[key] for key in drive_keys])  # complex (k, 2): N, M
+    n_bath = np.array([bath[key] for key in bath_keys]).reshape(-1, 2)
+    # (kappa_a, kappa_m, g, omega_a, omega_m) less (0, 0, 0, omega_drive, omega_drive), as one
+    # subtraction: x - 0.0 is x bit for bit, so the rates keep their one-point values.
+    f = np.array([p.kappa_a + p.kappa_m + p.g + p.omega_a + p.omega_m + _NO_DRIVE + p.omega_drive * 2
+                  for p in points])
+    zero = np.zeros((len(points), 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = (f[:, :10] - f[:, 10:]) / f[:, :1]  # (ka, km, g, da, dm)
+        c = np.sqrt(v[:, :1] * v[:, 1:2]) * 2.0 * noise[:, 1:].view(float)  # (c_xx, c_xy)
+        cavity, magnon = v[:, :2] * (2.0 * noise[:, :1].real + 1.0), v[:, 2:4] * (2.0 * n_bath + 1.0)
+        d = np.concatenate((zero, cavity, magnon, c[:, :1], -c[:, :1], c[:, 1:]), 1)
+    a = np.concatenate((zero, v, -v), 1)
+    return a.take(_DRIFT_LAYOUT, 1).reshape(-1, 8, 8), d.take(_DIFFUSION_LAYOUT, 1).reshape(-1, 8, 8)
 
 
 def build_drift(params: SystemParams) -> NDArray[np.float64]:
-    """Drift matrix of the linearized dynamics, normalized by kappa_a1.
-
-    Each 2x2 diagonal block is -kappa + detuning rotation; the
-    cavity-magnon coupling enters as the transpose-asymmetric pattern
-    (+g on the X-row/y-column, -g on the Y-row/x-column and back),
-    reflecting the beamsplitter form of the interaction.
-    """
-    unit = params.kappa_a[0]
-    ka = [k / unit for k in params.kappa_a]
-    km = [k / unit for k in params.kappa_m]
-    da = [d / unit for d in params.delta_a]
-    dm = [d / unit for d in params.delta_m]
-    g = [x / unit for x in params.g]
-    a = np.zeros((8, 8))
-    for j in range(2):
-        ca = 2 * j  # cavity block offset
-        mg = 4 + 2 * j  # magnon block offset
-        a[ca, ca] = a[ca + 1, ca + 1] = -ka[j]
-        a[ca, ca + 1], a[ca + 1, ca] = da[j], -da[j]
-        a[mg, mg] = a[mg + 1, mg + 1] = -km[j]
-        a[mg, mg + 1], a[mg + 1, mg] = dm[j], -dm[j]
-        a[ca, mg + 1] = a[mg, ca + 1] = g[j]
-        a[ca + 1, mg] = a[mg + 1, ca] = -g[j]
-    return a
+    """Drift matrix of the linearized dynamics, normalized by kappa_a1 (see :func:`_layouts`)."""
+    return _stacks([params])[0][0]
 
 
 def build_diffusion(params: SystemParams) -> NDArray[np.float64]:
-    """Diffusion matrix of the input noise, normalized by kappa_a1.
-
-    The cavity block carries the squeezed-drive moments: diagonal entries
-    kappa_aj (2N + 1) and cross-port correlations
-    sqrt(kappa_a1 kappa_a2) * (2 Re M, 2 Im M) arranged so that at
-    theta = 0 the X-X correlation is +sinh(2r) and Y-Y is -sinh(2r) (in
-    kappa units). Magnon blocks are thermal: kappa_mj (2 N_mj + 1) * I.
-    The normalization leaves the vacuum fixed point at V = I/2.
-    """
-    unit = params.kappa_a[0]
-    moments = noise_moments(params)
-    n, m = moments.mean_occupation, moments.correlation
-    ka = [k / unit for k in params.kappa_a]
-    cross = math.sqrt(ka[0] * ka[1])
-    # 2 Re M = M + M*, 2 Im M = i (M* - M) as real numbers
-    c_xx = cross * 2.0 * m.real
-    c_xy = cross * 2.0 * m.imag
-    d = np.zeros((8, 8))
-    for j in range(2):
-        ca = 2 * j
-        d[ca, ca] = d[ca + 1, ca + 1] = ka[j] * (2.0 * n + 1.0)
-    d[0, 2] = d[2, 0] = c_xx
-    d[1, 3] = d[3, 1] = -c_xx
-    d[0, 3] = d[3, 0] = c_xy
-    d[1, 2] = d[2, 1] = c_xy
-    return _set_magnon_blocks(d, params, [2.0 * occ + 1.0 for occ in moments.magnon_occupation])
+    """Diffusion matrix of the input noise, normalized by kappa_a1 (see :func:`_layouts`)."""
+    return _stacks([params])[1][0]
 
 
 def _set_magnon_blocks(d, params: SystemParams, weights) -> NDArray[np.float64]:
@@ -269,21 +272,16 @@ def _check_finite(*matrices) -> None:
 
 
 def _steady_states(points) -> NDArray[np.float64]:
-    """Steady-state covariances of ``points`` from one Lyapunov call, which factorises each
-    distinct drift once; one drift is built per distinct set of drift parameters."""
-    keys = [(p.kappa_a, p.kappa_m, p.omega_a, p.omega_m, p.omega_drive, p.g) for p in points]
-    drifts = {key: build_drift(p) for key, p in dict(zip(keys, points)).items()}
-    a, d = np.stack([drifts[key] for key in keys]), np.stack([build_diffusion(p) for p in points])
+    """Steady-state covariances of ``points`` from one stacked build and one Lyapunov call,
+    which factorises each byte-distinct drift once."""
+    a, d = _stacks(points)
     _check_finite(a, d)
     return solve_lyapunov(a, d)
 
 
 def steady_state_cm(params: SystemParams) -> CovarianceMatrix:
-    """Steady-state covariance matrix of the four-mode system.
-
-    Mode order: cavity1, cavity2, magnon1, magnon2. Raises
-    NumericalFailureError where the drift or diffusion overflows.
-    """
+    """Steady-state covariance matrix of the four modes cavity1, cavity2, magnon1, magnon2.
+    Raises NumericalFailureError where the drift or diffusion overflows."""
     return CovarianceMatrix(_steady_states([params])[0], MODE_LABELS)
 
 
@@ -293,7 +291,7 @@ def thermal_steady_state(params: SystemParams):
     V(T) = V0 + n1(T) W1 + n2(T) W2 on the fixed drift: V0 solves T = 0, Wj the
     diffusion 2 kappa_mj / kappa_a1 on magnon j's block. Each V(T) is gated against D(T).
     """
-    a, d0 = build_drift(params), build_diffusion(params.replace(temperature=0.0))
+    (a,), (d0,) = _stacks([params.replace(temperature=0.0)])  # the drift does not depend on T
     dj = [_set_magnon_blocks(np.zeros((8, 8)), params, e) for e in ((2.0, 0.0), (0.0, 2.0))]
     _check_finite(a, d0, *dj)
     # Gated only within V(T): a lone Wj can miss the gate where a direct solve passes.
@@ -344,8 +342,7 @@ def entanglement_columns(points) -> dict[str, NDArray[np.float64]]:
     E_aa: the two cavity modes; E_mm: the two magnon modes;
     E_a1m1 / E_a2m2: each cavity with its own magnon. The four pairs of
     all points go through one closed-form array call (`pair_indicators`).
-    No stability test is needed: build_drift gives
-    A + A^T = -2 diag(kappa) / kappa_a1.
+    No stability test is needed: every drift has A + A^T = -2 diag(kappa) / kappa_a1.
     """
     if not points:
         return {name: np.empty(0) for name in OUTPUT_COLUMNS}

@@ -22,7 +22,7 @@ from ._version import __version__
 from .cvgaussian import clamp_negativity, pair_indicators
 from .errors import NoEntanglementError
 from .model import _PAIRS, BASELINE, OUTPUT_COLUMNS, EntanglementReport, SystemParams
-from .model import entanglement_columns, entanglement_report, thermal_steady_state
+from .model import _real, entanglement_columns, entanglement_report, thermal_steady_state
 
 DEFAULT_RESOLUTION_2D = 61
 DEFAULT_RESOLUTION_1D = 121
@@ -170,7 +170,9 @@ class SweepAxis:
         _known_path(self.path)
         if isinstance(self.values, (str, bytes)):
             raise ValueError("axis values must be numbers, not a string")
-        values = tuple(float(v) for v in self.values)
+        if not hasattr(self.values, "__iter__"):
+            raise ValueError(f"axis values must be a sequence of numbers, not {type(self.values).__name__}")
+        values = tuple(_real("axis value", v) for v in self.values)
         if len(values) == 0:
             raise ValueError("axis must hold at least one value")
         if not all(math.isfinite(v) for v in values):

@@ -20,6 +20,7 @@ STAGES_UNCALLED = dict.fromkeys(
         "solve_lyapunov",
         "steady_state_cm",
         "build_drift",
+        "_stacks",
         "_real_schur",
         "pair_indicators",
         "negativity_indicators",

@@ -1,7 +1,8 @@
 """Independent routes that the tests compare the library against.
 
-Closed-form steady-state covariance blocks in the resonant matched
-regime, a direct quadrature of the Lyapunov integral, and a threshold
+The per-point drift and diffusion builds that the stacked builder
+replaced, closed-form steady-state covariance blocks in the resonant
+matched regime, a direct quadrature of the Lyapunov integral, and a threshold
 bisection that solves the full Lyapunov equation at every step. The
 library does not use them; each is a second way to the numbers it
 computes.
@@ -32,9 +33,58 @@ from cavmag.cvgaussian import (
     reduce,
     two_mode_symplectic_eigenvalues,
 )
-from cavmag.errors import NoEntanglementError, UnstableSystemError
+from cavmag.errors import NoEntanglementError, NumericalFailureError, UnstableSystemError
 from cavmag.linsys import _UNSTABLE, _scale_diffusions, _square_matrix
-from cavmag.model import SystemParams, steady_state_cm
+from cavmag.model import R_MAX, SystemParams, steady_state_cm, thermal_occupation
+
+
+def drift_by_point(params: SystemParams) -> np.ndarray:
+    """Drift matrix of one point, entry by entry, normalized by kappa_a1."""
+    unit = params.kappa_a[0]
+    ka = [k / unit for k in params.kappa_a]
+    km = [k / unit for k in params.kappa_m]
+    da = [d / unit for d in params.delta_a]
+    dm = [d / unit for d in params.delta_m]
+    g = [x / unit for x in params.g]
+    a = np.zeros((8, 8))
+    for j in range(2):
+        ca = 2 * j  # cavity block offset
+        mg = 4 + 2 * j  # magnon block offset
+        a[ca, ca] = a[ca + 1, ca + 1] = -ka[j]
+        a[ca, ca + 1], a[ca + 1, ca] = da[j], -da[j]
+        a[mg, mg] = a[mg + 1, mg + 1] = -km[j]
+        a[mg, mg + 1], a[mg + 1, mg] = dm[j], -dm[j]
+        a[ca, mg + 1] = a[mg, ca + 1] = g[j]
+        a[ca + 1, mg] = a[mg + 1, ca] = -g[j]
+    return a
+
+
+def diffusion_by_point(params: SystemParams) -> np.ndarray:
+    """Diffusion matrix of one point, entry by entry, normalized by kappa_a1."""
+    if params.r > R_MAX:
+        raise NumericalFailureError(f"drive moments overflow at squeezing r = {params.r:.6g}")
+    sh = math.sinh(params.r)
+    ch = math.cosh(params.r)
+    n = sh * sh
+    m = complex(math.cos(params.theta), math.sin(params.theta)) * sh * ch
+    unit = params.kappa_a[0]
+    ka = [k / unit for k in params.kappa_a]
+    cross = math.sqrt(ka[0] * ka[1])
+    # 2 Re M = M + M*, 2 Im M = i (M* - M) as real numbers
+    c_xx = cross * 2.0 * m.real
+    c_xy = cross * 2.0 * m.imag
+    d = np.zeros((8, 8))
+    for j in range(2):
+        ca = 2 * j
+        d[ca, ca] = d[ca + 1, ca + 1] = ka[j] * (2.0 * n + 1.0)
+        mg = 4 + 2 * j
+        w = 2.0 * thermal_occupation(params.omega_m[j], params.temperature) + 1.0
+        d[mg, mg] = d[mg + 1, mg + 1] = params.kappa_m[j] / params.kappa_a[0] * w
+    d[0, 2] = d[2, 0] = c_xx
+    d[1, 3] = d[3, 1] = -c_xx
+    d[0, 3] = d[3, 0] = c_xy
+    d[1, 2] = d[2, 1] = c_xy
+    return d
 
 
 @dataclass(frozen=True)

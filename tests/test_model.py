@@ -28,6 +28,7 @@ from cavmag.model import (
     KBOLTZ,
     MODE_LABELS,
     OUTPUT_COLUMNS,
+    R_MAX,
     SystemParams,
     build_diffusion,
     build_drift,
@@ -38,9 +39,10 @@ from cavmag.model import (
     thermal_occupation,
     thermal_steady_state,
 )
+from cavmag.sweep import PRESET_NAMES, _grid_points, apply_parameter, figure_preset
 
 from conftest import state_nu_min
-from oracles import ReducedParams, tmsv_cm, vmm_analytic
+from oracles import ReducedParams, diffusion_by_point, drift_by_point, tmsv_cm, vmm_analytic
 
 TWO_PI = 2.0 * math.pi
 
@@ -96,11 +98,31 @@ class TestSystemParams:
             ("r", math.nan),
             ("g", "55"),  # not (5.0, 5.0)
             ("kappa_m", b"55"),
+            ("r", "0.5"),
+            ("r", True),
+            ("theta", None),
+            ("temperature", np.True_),
+            ("g", (True, 1.0)),
+            ("g", 5.0),
+            ("g", None),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
             valid_params(**{field: value})
+
+    def test_numbers_of_other_types_are_accepted_as_floats(self):
+        p = valid_params(r=np.float32(0.5), theta=1, temperature=np.int64(2), g=np.array([1, 2.5]))
+        assert (p.r, p.theta, p.temperature, p.g) == (0.5, 1.0, 2.0, (1.0, 2.5))
+        assert all(type(x) is float for x in (p.r, p.theta, p.temperature, *p.g))
+
+    def test_instances_have_no_dict_and_replace_shares_pairs(self):
+        p = valid_params(r=0.3)
+        assert not hasattr(p, "__dict__")
+        with pytest.raises((AttributeError, TypeError)):
+            p.extra = 1.0
+        pairs = ("omega_a", "omega_m", "omega_drive", "kappa_a", "kappa_m", "g")
+        assert all(getattr(p, name) is getattr(BASELINE, name) for name in pairs)
 
     def test_scalar_rate_is_rejected(self):
         with pytest.raises((ValueError, TypeError)):
@@ -377,6 +399,65 @@ def relative_residual(params: SystemParams, v) -> float:
     exponent = math.frexp(float(np.max(np.abs(d))))[1]
     v, d = np.ldexp(v, -exponent), np.ldexp(d, -exponent)
     return float(np.linalg.norm(a @ v + v @ a.T + d) / np.linalg.norm(d))
+
+
+def assert_stacks_match_the_per_point_builds(points):
+    """model._stacks of ``points`` equals the per-point builds byte for byte, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, d = model._stacks(points)
+    assert a.shape == d.shape == (len(points), 8, 8)
+    assert [x.tobytes() for x in a] == [drift_by_point(p).tobytes() for p in points]
+    assert [x.tobytes() for x in d] == [diffusion_by_point(p).tobytes() for p in points]
+
+
+# The wide box, out to r = R_MAX, T = 1e300 K and a cavity linewidth of 2 pi 1e-305 Hz,
+# with signed zeros: 0.0 and -0.0 share a dict key but not every matrix byte.
+WIDE_POINT = st.builds(
+    lambda hz, **box: box_params(**box) if hz is None else apply_parameter(box_params(**box), "kappa_a_hz", hz),
+    hz=st.one_of(st.none(), st.floats(1e-305, 1e-280)),
+    kappa_a2=st.floats(0.1, 10.0),
+    kappa_m_exp=st.tuples(st.floats(-12.0, 2.0), st.floats(-12.0, 2.0)),
+    g=st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 50.0)),
+    exceptional=st.booleans(),
+    detunings=st.tuples(*[st.floats(-50.0, 50.0)] * 4),
+    drive_ghz=st.tuples(st.floats(1.0, 20.0), st.floats(1.0, 20.0)),
+    r=st.one_of(st.sampled_from((0.0, -0.0, 1.0)), st.floats(0.0, R_MAX)),
+    theta=st.one_of(st.sampled_from((0.0, -0.0, math.pi)), st.floats(-math.pi, math.pi)),
+    temperature=st.one_of(st.sampled_from((0.0, -0.0, 0.1)), st.floats(0.0, 1e300)),
+)
+
+
+class TestStackedBuild:
+    """The one stacked builder against the per-point builds of ``tests/oracles.py``."""
+
+    @given(batch=st.lists(WIDE_POINT, min_size=1, max_size=5))
+    @settings(max_examples=200)
+    def test_equals_the_per_point_build_bitwise(self, batch):
+        # Each added point repeats one point's (omega_m, T) and another's (r, theta).
+        batch += [p.replace(r=q.r, theta=q.theta) for p, q in zip(batch, batch[::-1])]
+        assert_stacks_match_the_per_point_builds(batch)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_preset_grid_is_bitwise_the_per_point_build(self, name):
+        assert_stacks_match_the_per_point_builds(_grid_points(figure_preset(name, resolution=5)))
+
+    def test_an_overflowing_member_raises_the_typed_error_without_a_warning(self):
+        tiny = apply_parameter(BASELINE, "kappa_a_hz", 1e-302)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="drift or diffusion matrix overflows"):
+                entanglement_columns([BASELINE, tiny, valid_params(r=0.3)])
+
+    def test_the_first_squeezing_above_r_max_raises_the_one_point_message(self):
+        tiny = apply_parameter(BASELINE, "kappa_a_hz", 1e-302)
+        points = [tiny, BASELINE, valid_params(r=2.0 * R_MAX), valid_params(r=R_MAX), valid_params(r=3.0 * R_MAX)]
+        with pytest.raises(NumericalFailureError) as one_point:
+            noise_moments(points[2])
+        for build in (model._stacks, entanglement_columns):
+            with pytest.raises(NumericalFailureError) as batch:
+                build(points)
+            assert str(batch.value) == str(one_point.value)
 
 
 class TestThermalSteadyState:

@@ -154,6 +154,9 @@ class TestAxisAndSpecValidation:
         for values in ("12", b"12"):
             with pytest.raises(ValueError, match="not a string"):
                 SweepAxis("r", values)
+        for values in (5, 0.5, None, (True, False), ("0.5", "1")):
+            with pytest.raises(ValueError):
+                SweepAxis("r", values)
 
     def test_axis_requires_strict_monotonicity(self):
         with pytest.raises(ValueError, match="monotone"):
@@ -313,12 +316,12 @@ class TestRunSweep:
     def test_shared_drift_grid_costs_one_solve(self, calls):
         axis1 = SweepAxis("r", tuple(np.linspace(0.0, 2.0, 5)))
         run_sweep(tiny_spec(axis1=axis1, axis2=SweepAxis("temperature", tuple(np.linspace(0.0, 1.0, 5)))))
-        assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, build_drift=1, _real_schur=1, **ONE_BATCH)
+        assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, _stacks=1, _real_schur=1, **ONE_BATCH)
 
     def test_varying_drift_grid_costs_one_solve_per_cell(self, calls):
         axis1 = SweepAxis("kappa_m", tuple(np.linspace(0.01, 1.0, 5)))
         run_sweep(tiny_spec(axis1=axis1, axis2=SweepAxis("g", tuple(np.linspace(0.0, 10.0, 5)))))
-        assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, build_drift=25, _real_schur=25, **ONE_BATCH)
+        assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, _stacks=1, _real_schur=25, **ONE_BATCH)
 
     def test_provenance_names_the_preset(self):
         grid = run_sweep(figure_preset("fig4", resolution=3))
@@ -501,7 +504,7 @@ class TestTemperatureThreshold:
     def test_one_search_costs_one_solve(self, calls):
         assert find_temperature_threshold(BASELINE.replace(r=0.4), 3.0, 1e-3) is not None
         # Probes at 0 and t_max, then ceil(log2(3 / 1e-3)) = 12 steps, each one closed-form call.
-        assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, build_drift=1, _real_schur=1, pair_indicators=14)
+        assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, _stacks=1, _real_schur=1, pair_indicators=14)
 
 
 class TestEmitCsv:
