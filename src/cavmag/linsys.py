@@ -153,13 +153,15 @@ def _back_substitute(r, u, q) -> NDArray[np.float64]:
 
 
 def check_residual(a, v, d) -> None:
-    """Raise NumericalFailureError unless ||A V + V A^T + D||_F <= 1e-9 ||D||_F.
+    """Raise NumericalFailureError unless ||A V + V A^T + D||_F <= 1e-9 ||D||_F, for one V
+    and D or for each member of (k, n, n) stacks of them, the first failure in stack order.
 
-    Checked on V and D scaled by a power of two to unit largest |D| entry,
+    Checked on each V and D scaled by a power of two to unit largest |D| entry,
     where it cannot overflow; a residual that is not finite fails it.
     """
-    exponent = math.frexp(float(np.abs(d).max()))[1]
-    residual, passed = _residual_gate(a, np.ldexp(v, -exponent)[None], np.ldexp(d, -exponent)[None])
+    d = np.reshape(d, (-1, *np.shape(d)[-2:]))
+    exponent = np.frexp(np.abs(d).max(axis=(1, 2)))[1][:, None, None]
+    residual, passed = _residual_gate(a, np.ldexp(np.reshape(v, d.shape), -exponent), np.ldexp(d, -exponent))
     raise_first(~passed, NumericalFailureError, _RESIDUAL, residual)
 
 

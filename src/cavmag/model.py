@@ -259,10 +259,10 @@ def build_diffusion(params: SystemParams) -> NDArray[np.float64]:
 
 
 def _set_magnon_blocks(d, params: SystemParams, weights) -> NDArray[np.float64]:
-    """Write kappa_mj / kappa_a1 * weights[j] on the diagonal of magnon j's block of ``d``."""
+    """Write kappa_mj / kappa_a1 * weights[j] on the diagonal of magnon j's block of ``d`` (a stack's too)."""
     for j, w in enumerate(weights):
         mg = 4 + 2 * j
-        d[mg, mg] = d[mg + 1, mg + 1] = params.kappa_m[j] / params.kappa_a[0] * w
+        d[..., mg, mg] = d[..., mg + 1, mg + 1] = params.kappa_m[j] / params.kappa_a[0] * w
     return d
 
 
@@ -286,10 +286,12 @@ def steady_state_cm(params: SystemParams) -> CovarianceMatrix:
 
 
 def thermal_steady_state(params: SystemParams):
-    """Steady-state covariance entries of ``params`` as a function of temperature.
+    """Steady-state covariance entries of ``params`` as a function of temperature: a
+    sequence of temperatures gives the (k, 8, 8) stack of their V(T).
 
     V(T) = V0 + n1(T) W1 + n2(T) W2 on the fixed drift: V0 solves T = 0, Wj the
-    diffusion 2 kappa_mj / kappa_a1 on magnon j's block. Each V(T) is gated against D(T).
+    diffusion 2 kappa_mj / kappa_a1 on magnon j's block. Each V(T) is gated against D(T),
+    every entry in the one-point order of operations.
     """
     (a,), (d0,) = _stacks([params.replace(temperature=0.0)])  # the drift does not depend on T
     dj = [_set_magnon_blocks(np.zeros((8, 8)), params, e) for e in ((2.0, 0.0), (0.0, 2.0))]
@@ -297,11 +299,12 @@ def thermal_steady_state(params: SystemParams):
     # Gated only within V(T): a lone Wj can miss the gate where a direct solve passes.
     v0, w1, w2 = solve_lyapunov(a, np.stack((d0, *dj)), gate=False)
 
-    def covariance(temperature: float) -> NDArray[np.float64]:
-        n1, n2 = (thermal_occupation(omega, temperature) for omega in params.omega_m)
-        d = _set_magnon_blocks(d0.copy(), params, (2.0 * n1 + 1.0, 2.0 * n2 + 1.0))
+    def covariance(temperatures) -> NDArray[np.float64]:
+        n = np.array([[thermal_occupation(omega, t) for omega in params.omega_m] for t in temperatures])
+        with np.errstate(over="ignore", invalid="ignore"):  # as the one-point Python floats
+            d = _set_magnon_blocks(np.repeat(d0[None], len(n), 0), params, (2.0 * n + 1.0).T)
         _check_finite(d)
-        v = v0 + n1 * w1 + n2 * w2
+        v = v0 + n[:, :1, None] * w1 + n[:, 1:, None] * w2
         check_residual(a, v, d)
         return v
 

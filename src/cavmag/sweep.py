@@ -20,7 +20,7 @@ import numpy as np
 
 from ._version import __version__
 from .cvgaussian import clamp_negativity, pair_indicators
-from .errors import NoEntanglementError
+from .errors import CavmagError, NoEntanglementError
 from .model import _PAIRS, BASELINE, OUTPUT_COLUMNS, EntanglementReport, SystemParams
 from .model import _real, entanglement_columns, entanglement_report, thermal_steady_state
 
@@ -115,7 +115,7 @@ def _known_path(path: str) -> str:
 def apply_parameter(params: SystemParams, path: str, value: float) -> SystemParams:
     """Return a copy of ``params`` with one named knob set to ``value``."""
     setter = PARAMETER_PATHS[_known_path(path)]
-    value = float(value)
+    value = value if type(value) is float else _real(path, value)
     if not math.isfinite(value):
         raise ValueError(f"value for {path!r} must be finite")
     return setter(params, value)
@@ -433,6 +433,18 @@ def figure_preset(
 # temperature threshold
 
 
+_TREE_DEPTH = 3  # bisection levels per closed-form call: up to 7 midpoints a round
+
+
+def _bisection_tree(lo: float, hi: float, depth: int) -> list[float]:
+    """The midpoints that the next ``depth`` halvings of (lo, hi) can visit, by the search's
+    own arithmetic; a branch ends where its midpoint equals an end."""
+    mid = 0.5 * (lo + hi)
+    if depth == 0 or mid in (lo, hi):
+        return []
+    return [mid, *_bisection_tree(lo, mid, depth - 1), *_bisection_tree(mid, hi, depth - 1)]
+
+
 def find_temperature_threshold(
     params: SystemParams, t_max: float = 2.0, tol: float = 1e-3
 ) -> float | None:
@@ -440,7 +452,11 @@ def find_temperature_threshold(
 
     Bisects E_mm(T) = 0 over [0, t_max] to an accuracy of ``tol`` kelvin
     (E_mm is non-increasing in temperature). Returns None when
-    entanglement still survives at ``t_max``.
+    entanglement still survives at ``t_max``. Costs one Schur factorisation
+    (:func:`thermal_steady_state`) and one ``pair_indicators`` call per round:
+    3 levels of the bisection tree (the first round also 0 and ``t_max``),
+    then walked step by step, bit for bit the one-step bisection. A round that
+    raises is walked again one temperature per call, raising as that bisection.
 
     Raises
     ------
@@ -454,22 +470,31 @@ def find_temperature_threshold(
 
     covariance = thermal_steady_state(params)
 
-    def entangled(temperature: float) -> bool:
-        return clamp_negativity(pair_indicators(covariance(temperature)[None], _PAIRS[1:2])[0, 0]) > 0.0
+    def entangled(temperatures) -> list[bool]:
+        indicators = pair_indicators(covariance(temperatures), _PAIRS[1:2])[:, 0]
+        return [clamp_negativity(x) > 0.0 for x in indicators]
 
-    if not entangled(0.0):
-        raise NoEntanglementError(
-            "magnon pair is not entangled at zero temperature; nothing to bisect"
-        )
-    if entangled(t_max):
-        return None
+    def round_of(temperatures):
+        try:
+            return dict(zip(temperatures, entangled(temperatures))).__getitem__
+        except (CavmagError, ValueError):  # then only the walk's steps may raise: one call each
+            return lambda temperature: entangled([temperature])[0]
+
     lo, hi = 0.0, t_max
     # log2(t_max / tol) overflows for a subnormal tol; the difference does not.
-    for _ in range(math.ceil(math.log2(t_max) - math.log2(tol))):
+    steps = math.ceil(math.log2(t_max) - math.log2(tol))
+    step = round_of([lo, hi, *_bisection_tree(lo, hi, min(steps, _TREE_DEPTH))])
+    if not step(lo):
+        raise NoEntanglementError("magnon pair is not entangled at zero temperature; nothing to bisect")
+    if step(hi):
+        return None
+    for n in range(steps):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # adjacent floats: no step can move the bracket
             break
-        if entangled(mid):
+        if n and n % _TREE_DEPTH == 0:  # the last round's tree is walked
+            step = round_of(_bisection_tree(lo, hi, min(steps - n, _TREE_DEPTH)))
+        if step(mid):
             lo = mid
         else:
             hi = mid

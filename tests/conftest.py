@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, settings
 
 from cavmag import cvgaussian, linsys, model, sweep
 from cavmag.cvgaussian import CovarianceMatrix
+from cavmag.errors import CavmagError
 
 settings.register_profile(
     "cavmag",
@@ -44,6 +45,14 @@ def calls(monkeypatch):
 
                 monkeypatch.setattr(module, name, wrapper)
     return counts
+
+
+def outcome(compute):
+    """What ``compute()`` returns, or the CavmagError it raises."""
+    try:
+        return compute()
+    except CavmagError as exc:
+        return exc
 
 
 def state_nu_min(points) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 The per-point drift and diffusion builds that the stacked builder
 replaced, closed-form steady-state covariance blocks in the resonant
-matched regime, a direct quadrature of the Lyapunov integral, and a threshold
-bisection that solves the full Lyapunov equation at every step. The
-library does not use them; each is a second way to the numbers it
-computes.
+matched regime, a direct quadrature of the Lyapunov integral, and the
+threshold bisection one step at a time: with the full Lyapunov equation
+solved at every step, or with one call of the library's closed form per
+step (the reference for its search by tree rounds). The library does not
+use them; each is a second way to the numbers it computes.
 ``tmsv_cm`` is an exact known state (the two-mode squeezed vacuum) for
 the covariance-matrix algebra.
 
@@ -29,13 +30,14 @@ from cavmag.cvgaussian import (
     CovarianceMatrix,
     clamp_negativity,
     negativity_indicators,
+    pair_indicators,
     partial_transpose,
     reduce,
     two_mode_symplectic_eigenvalues,
 )
 from cavmag.errors import NoEntanglementError, NumericalFailureError, UnstableSystemError
 from cavmag.linsys import _UNSTABLE, _scale_diffusions, _square_matrix
-from cavmag.model import R_MAX, SystemParams, steady_state_cm, thermal_occupation
+from cavmag.model import R_MAX, SystemParams, steady_state_cm, thermal_occupation, thermal_steady_state
 
 
 def drift_by_point(params: SystemParams) -> np.ndarray:
@@ -289,23 +291,12 @@ def integrate_lyapunov_oracle(a, d, horizon: float, step: float) -> np.ndarray:
     return 0.5 * (v + v.T)
 
 
-def threshold_by_full_solves(params: SystemParams, t_max: float, tol: float) -> float | None:
-    """Magnon-pair survival temperature, one steady_state_cm solve per bisection step.
-
-    The same bisection as :func:`cavmag.sweep.find_temperature_threshold`
-    (probes at 0 and ``t_max``, then ceil(log2(t_max) - log2(tol))
-    halvings, ending early once lo and hi are adjacent floats), but each
-    step builds D(T) and solves A V + V A^T + D(T) = 0 afresh instead of
-    superposing the magnon bath noise on one drift, and takes the magnon
-    pair's negativity from the eigen-solve route.
-    """
-
-    def entangled(temperature: float) -> bool:
-        magnons = reduce(steady_state_cm(params.replace(temperature=temperature)), (2, 3))
-        return clamp_negativity(negativity_indicators(magnons.entries)) > 0.0
-
+def _bisect(entangled, t_max: float, tol: float) -> float | None:
+    """The threshold bisection of :func:`cavmag.sweep.find_temperature_threshold`, one
+    ``entangled(T)`` call per step: probes at 0 and ``t_max``, then
+    ceil(log2(t_max) - log2(tol)) halvings, ending early once lo and hi are adjacent floats."""
     if not entangled(0.0):
-        raise NoEntanglementError("magnon pair is not entangled at zero temperature")
+        raise NoEntanglementError("magnon pair is not entangled at zero temperature; nothing to bisect")
     if entangled(t_max):
         return None
     lo, hi = 0.0, t_max
@@ -318,3 +309,33 @@ def threshold_by_full_solves(params: SystemParams, t_max: float, tol: float) -> 
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def threshold_by_full_solves(params: SystemParams, t_max: float, tol: float) -> float | None:
+    """Magnon-pair survival temperature, one steady_state_cm solve per bisection step.
+
+    The same bisection (:func:`_bisect`), but each step builds D(T) and solves
+    A V + V A^T + D(T) = 0 afresh instead of superposing the magnon bath noise on
+    one drift, and takes the magnon pair's negativity from the eigen-solve route.
+    """
+
+    def entangled(temperature: float) -> bool:
+        magnons = reduce(steady_state_cm(params.replace(temperature=temperature)), (2, 3))
+        return clamp_negativity(negativity_indicators(magnons.entries)) > 0.0
+
+    return _bisect(entangled, t_max, tol)
+
+
+def threshold_by_steps(params: SystemParams, t_max: float, tol: float) -> float | None:
+    """Magnon-pair survival temperature, one temperature per closed-form call.
+
+    The library's own route (the superposed V(T) of ``thermal_steady_state`` and
+    ``pair_indicators``) walked one step at a time, with no tree rounds: what the
+    library's search returns or raises, bit for bit and message for message.
+    """
+    covariance = thermal_steady_state(params)
+
+    def entangled(temperature: float) -> bool:
+        return clamp_negativity(pair_indicators(covariance([temperature]), ((2, 3),))[0, 0]) > 0.0
+
+    return _bisect(entangled, t_max, tol)

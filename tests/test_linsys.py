@@ -351,6 +351,19 @@ class TestCheckResidual:
             with pytest.raises(NumericalFailureError, match="residual"):
                 check_residual(a, np.ldexp(v, exponent), np.ldexp(d, exponent))
 
+    def test_checks_each_member_of_a_stack_at_its_own_scale(self):
+        rng = np.random.default_rng(65)
+        a, d = random_stable_system(rng)
+        v = solve_lyapunov(a, d)
+        exponents = np.array([-1000, 0, 1000])[:, None, None]
+        check_residual(a, np.ldexp(v, exponents), np.ldexp(d, exponents))
+        perturbed = np.ldexp(v * (1.0 + 1e-6), exponents)
+        for k in range(3):
+            vs = np.ldexp(v, exponents)
+            vs[k] = perturbed[k]
+            with pytest.raises(NumericalFailureError, match="residual"):
+                check_residual(a, vs, np.ldexp(d, exponents))
+
 
 class TestIntegrationOracle:
     def test_isotropic_decay(self):

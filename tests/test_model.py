@@ -41,7 +41,7 @@ from cavmag.model import (
 )
 from cavmag.sweep import PRESET_NAMES, _grid_points, apply_parameter, figure_preset
 
-from conftest import state_nu_min
+from conftest import outcome, state_nu_min
 from oracles import ReducedParams, diffusion_by_point, drift_by_point, tmsv_cm, vmm_analytic
 
 TWO_PI = 2.0 * math.pi
@@ -385,14 +385,6 @@ def box_params(kappa_a2, kappa_m_exp, g, exceptional, detunings, drive_ghz, r, t
     )
 
 
-def outcome(compute):
-    """What ``compute()`` returns, or the CavmagError it raises."""
-    try:
-        return compute()
-    except CavmagError as exc:
-        return exc
-
-
 def relative_residual(params: SystemParams, v) -> float:
     """||A V + V A^T + D||_F / ||D||_F, with V and D scaled to unit largest |D| entry."""
     a, d = build_drift(params), build_diffusion(params)
@@ -489,7 +481,7 @@ class TestThermalSteadyState:
     def test_superposition_matches_the_direct_solve(self, temperature, **box):
         params = box_params(**box, temperature=temperature)
         direct = outcome(lambda: steady_state_cm(params).entries)
-        superposed = outcome(lambda: thermal_steady_state(params)(temperature))
+        superposed = outcome(lambda: thermal_steady_state(params)([temperature])[0])
         if isinstance(direct, np.ndarray) and isinstance(superposed, np.ndarray):
             assert np.max(np.abs(superposed - direct)) <= 1e-12 * np.max(np.abs(direct))
         elif isinstance(direct, CavmagError) and isinstance(superposed, CavmagError):
@@ -504,7 +496,12 @@ class TestThermalSteadyState:
 
     def test_zero_temperature_is_the_direct_solve_exactly(self):
         params = valid_params(r=0.7, g=(4.0 * BASELINE.kappa_a[0], 6.0 * BASELINE.kappa_a[0]))
-        assert np.array_equal(thermal_steady_state(params)(0.0), steady_state_cm(params).entries)
+        assert np.array_equal(thermal_steady_state(params)([0.0])[0], steady_state_cm(params).entries)
+
+    def test_a_stack_is_its_temperatures_one_by_one(self):
+        covariance = thermal_steady_state(valid_params(r=0.7))
+        temperatures = [0.0, 0.05, 0.3, 2.0, 1e300]
+        assert np.array_equal(covariance(temperatures), np.stack([covariance([t])[0] for t in temperatures]))
 
     def test_each_temperature_is_gated_against_its_own_diffusion(self, monkeypatch):
         gated = []
@@ -515,8 +512,8 @@ class TestThermalSteadyState:
         monkeypatch.setattr(model, "check_residual", record)
         covariance = thermal_steady_state(BASELINE)
         for temperature in (0.0, 0.3, 1e300):
-            v = covariance(temperature)
-            a, gated_v, d = gated[-1]
+            v = covariance([temperature])
+            a, gated_v, (d,) = gated[-1]
             params = BASELINE.replace(temperature=temperature)
             assert np.array_equal(a, build_drift(params))
             assert np.array_equal(d, build_diffusion(params))
@@ -526,7 +523,7 @@ class TestThermalSteadyState:
     def test_overflowing_bath_raises_the_steady_state_error(self):
         covariance = thermal_steady_state(BASELINE)
         with pytest.raises(NumericalFailureError) as excinfo:
-            covariance(1.7e308)
+            covariance([1.7e308])
         assert str(excinfo.value) == "drift or diffusion matrix overflows at these parameters"
 
     def test_overflowing_drift_raises_before_any_temperature(self):

@@ -39,8 +39,8 @@ from cavmag.sweep import (
 )
 from cavmag.model import entanglement_report
 
-from conftest import STAGES_UNCALLED, state_nu_min
-from oracles import threshold_by_full_solves
+from conftest import STAGES_UNCALLED, outcome, state_nu_min
+from oracles import threshold_by_full_solves, threshold_by_steps
 
 # One batch of points: one closed-form call for its pairs, and no spectrum of its states.
 ONE_BATCH = dict(pair_indicators=1, symplectic_spectra=0)
@@ -103,6 +103,11 @@ class TestApplyParameter:
     def test_nonfinite_value_rejected(self):
         with pytest.raises(ValueError):
             apply_parameter(BASELINE, "r", math.nan)
+
+    @pytest.mark.parametrize(("path", "value"), [("r", "0.5"), ("r", True), ("g", b"2")])
+    def test_non_number_value_rejected(self, path, value):
+        with pytest.raises(ValueError, match="must be a real number"):
+            apply_parameter(BASELINE, path, value)
 
     def test_original_untouched(self):
         apply_parameter(BASELINE, "r", 0.123)
@@ -501,10 +506,68 @@ class TestTemperatureThreshold:
             found += expected is not None
         assert found >= 20
 
+    @staticmethod
+    def failing_at(monkeypatch, failures):
+        """Make the bath occupation at each temperature of ``failures`` return or raise its value."""
+        occupation = model.thermal_occupation
+
+        def patched(omega, temperature):
+            outcome = failures.get(temperature)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return occupation(omega, temperature) if outcome is None else outcome
+
+        monkeypatch.setattr(model, "thermal_occupation", patched)
+
+    def test_failure_off_the_visited_path_leaves_the_threshold(self, monkeypatch):
+        # At r = 0.4 the threshold is 0.848 K: the walk turns left at 1.5 K and never
+        # visits 2.25 K, which the first round evaluates with the rest of its tree.
+        params = BASELINE.replace(r=0.4)
+        expected = threshold_by_full_solves(params, 3.0, 1e-3)
+        self.failing_at(monkeypatch, {2.25: NumericalFailureError("off the path")})
+        assert find_temperature_threshold(params, 3.0, 1e-3) == expected
+        with pytest.raises(NumericalFailureError, match="off the path"):
+            model.thermal_steady_state(params)([2.25])
+
+    def test_visited_failure_raises_as_the_one_step_search(self, monkeypatch):
+        # The round's call raises at 2.25 K (unvisited) before any matrix check; the one-step
+        # search fails at 1.125 K, its third step, where an infinite occupation fails the
+        # finite-matrix check.
+        params = BASELINE.replace(r=0.4)
+        self.failing_at(monkeypatch, {2.25: ValueError("off the path"), 1.125: math.inf})
+        with pytest.raises(NumericalFailureError) as expected:
+            threshold_by_steps(params, 3.0, 1e-3)
+        with pytest.raises(NumericalFailureError) as raised:
+            find_temperature_threshold(params, 3.0, 1e-3)
+        assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value) == "drift or diffusion matrix overflows at these parameters"
+
+    @given(
+        r=st.floats(0.05, 2.0),
+        t_max=st.sampled_from((0.3, 0.7, 3.0, 1e300)),
+        tol=st.one_of(st.sampled_from((1e-2, 1e-3, 1e-9, 1e-300, 5e-324)), st.floats(5e-324, 1e-2)),
+    )
+    @settings(max_examples=40)
+    def test_rounds_equal_the_one_step_search(self, r, t_max, tol):
+        params = BASELINE.replace(r=r)
+        expected = outcome(lambda: threshold_by_steps(params, t_max, tol))
+        found = outcome(lambda: find_temperature_threshold(params, t_max, tol))
+        if isinstance(expected, CavmagError):
+            assert type(found) is type(expected) and str(found) == str(expected)
+            return
+        assert found == expected
+        if t_max > 3.0:
+            return  # the eigen-solve route of the full solves fails to converge near 2.6e10 K
+        # Full solves decide each step on their own round-off: tens of ulps from the closed
+        # form where the bracket closes to adjacent floats.
+        full = threshold_by_full_solves(params, t_max, tol)
+        assert found is full is None or found == pytest.approx(full, rel=1e-12)
+
     def test_one_search_costs_one_solve(self, calls):
         assert find_temperature_threshold(BASELINE.replace(r=0.4), 3.0, 1e-3) is not None
-        # Probes at 0 and t_max, then ceil(log2(3 / 1e-3)) = 12 steps, each one closed-form call.
-        assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, _stacks=1, _real_schur=1, pair_indicators=14)
+        # Probes at 0 and t_max, then ceil(log2(3 / 1e-3)) = 12 steps, 3 tree levels per
+        # closed-form call: the probes ride with the first round, so 4 calls.
+        assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, _stacks=1, _real_schur=1, pair_indicators=4)
 
 
 class TestEmitCsv:
