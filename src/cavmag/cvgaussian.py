@@ -10,20 +10,21 @@ matrix, with natural logarithms throughout.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import NumericalFailureError, PairStructureError, UnphysicalStateError, raise_first
 
-# Tolerances used by this module. Symmetry and eigen-solve checks are
-# relative to the matrix scale, the physicality slack absolute in
-# quadrature units. The eigen-solve's error on nu_min is of order
-# eps * ||V||, so eps * ||V|| / nu_min bounds the error of -ln(2 nu_min).
+# Tolerances used by this module. V is taken as known to SYMMETRY_RTOL of
+# its scale: it must be symmetric to that, and no eigenvalue may lie
+# further below zero than that fraction of the largest. The physicality
+# slack is absolute in quadrature units. The symplectic spectrum's error is
+# of order eps * ||V||_2, so eps * ||V||_2 / nu_min bounds the error of
+# -ln(2 nu_min).
 SYMMETRY_RTOL = 1e-12
-COMPLEX_RESIDUE_RTOL = 1e-8
 NEGATIVITY_PRECISION_LIMIT = 1e-8
 STATE_CHECK_SLACK = 1e-6
 # Largest departure of a pair block from the form pair_indicators needs,
@@ -32,8 +33,7 @@ STATE_CHECK_SLACK = 1e-6
 # the Lyapunov solve's condition limit of 1e12.
 PAIR_STRUCTURE_RTOL = 1e-4
 # Messages of the checks, formatted with the values at the first failing matrix or pair.
-_COMPLEX = ("eigen-solve of i*Omega*V left a complex residue of {:.3e}; "
-            "input is not a valid covariance matrix or numerics failed")
+_INDEFINITE = "covariance matrix is not positive semidefinite (eigenvalue {:.9g} at largest {:.9g})"
 _BENT = "pair block leaves the form [[a I, C], [C^T, b I]] by {:.3e} of its scale"
 _UNRESOLVED = ("smallest partially transposed symplectic eigenvalue {:.3e} "
                "is below the resolution at matrix scale {:.3e}")
@@ -93,20 +93,28 @@ class CovarianceMatrix:
         return self.entries.shape[0] // 2
 
 
+def _mode_index(k, n_modes: int) -> int:
+    """``k`` as an int; ValueError unless it is an integer other than a bool in [0, n_modes)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"mode index must be an integer, not {type(k).__name__}")
+    if not 0 <= k < n_modes:
+        raise ValueError(f"mode index {k} out of range for {n_modes} modes")
+    return int(k)
+
+
 def reduce(cm: CovarianceMatrix, modes) -> CovarianceMatrix:
     """Covariance matrix of a subset of modes (Gaussian partial trace).
 
     Keeps the rows and columns of the requested modes, in the order given,
     preserving the (X, Y) quadrature pair of each kept mode.
     """
-    kept = [int(k) for k in modes]
+    if isinstance(modes, (str, bytes)):
+        raise ValueError(f"modes must be a sequence of mode indices, not {type(modes).__name__}")
+    kept = [_mode_index(k, cm.n_modes) for k in modes]
     if len(kept) == 0:
         raise ValueError("at least one mode must be kept")
     if len(set(kept)) != len(kept):
         raise ValueError("duplicate mode indices")
-    for k in kept:
-        if not 0 <= k < cm.n_modes:
-            raise ValueError(f"mode index {k} out of range for {cm.n_modes} modes")
     idx = np.array([q for k in kept for q in (2 * k, 2 * k + 1)])
     sub = cm.entries[np.ix_(idx, idx)]
     labels = tuple(cm.mode_labels[k] for k in kept)
@@ -122,123 +130,49 @@ def partial_transpose(cm: CovarianceMatrix, transposed_mode: int) -> CovarianceM
     """
     if cm.n_modes != 2:
         raise ValueError("partial transposition is defined here for two-mode states")
-    if transposed_mode not in (0, 1):
-        raise ValueError("transposed_mode must be 0 or 1")
     p = np.ones(4)
-    p[2 * transposed_mode + 1] = -1.0
+    p[2 * _mode_index(transposed_mode, 2) + 1] = -1.0
     flipped = cm.entries * np.outer(p, p)
     return CovarianceMatrix(flipped, cm.mode_labels)
 
 
-def _exact_det(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _exact_det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
-def _scaled_integer_entries(v: NDArray[np.float64]) -> tuple[list[list[int]], int]:
-    # Doubles are binary rationals n / 2^k; putting all entries over the
-    # largest power-of-two denominator turns determinants into exact
-    # integer arithmetic without per-operation gcd cost.
-    ratios = [[float(x).as_integer_ratio() for x in row] for row in v]
-    denom = 1
-    for row in ratios:
-        for _, d in row:
-            if d > denom:
-                denom = d
-    ints = [[n * (denom // d) for n, d in row] for row in ratios]
-    return ints, denom
-
-
 def two_mode_symplectic_eigenvalues(cm: CovarianceMatrix) -> NDArray[np.float64]:
-    """Closed-form symplectic spectrum of a two-mode covariance matrix.
-
-    For V = [[A, C], [C^T, B]] in 2x2 blocks the two symplectic
-    eigenvalues satisfy
-
-        nu_{+-}^2 = (delta +- sqrt(delta^2 - 4 det V)) / 2,
-        delta = det A + det B + 2 det C,
-
-    where the invariants are those of the input matrix itself. The small
-    root is evaluated subtraction-free as 2 det V / (delta + sqrt(...)) so
-    it stays accurate when det V is many orders below delta^2. Near a
-    degenerate spectrum the discriminant cancels catastrophically in
-    floating point (absolute round-off of order eps*delta^2 turns into a
-    ~1e-8 eigenvalue split after the square root); since the stored
-    entries are exact binary rationals, the invariants are then recomputed
-    in exact rational arithmetic, which keeps this route accurate to
-    machine precision even at exact degeneracy.
-    """
+    """Symplectic eigenvalues of a two-mode covariance matrix, ascending:
+    :func:`symplectic_eigenvalues` for two modes only."""
     if cm.n_modes != 2:
-        raise ValueError("closed form requires a two-mode covariance matrix")
-    v = cm.entries
-    m = v.tolist()
-    s0 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    s1 = m[0][0] * m[1][2] - m[0][2] * m[1][0]
-    s2 = m[0][0] * m[1][3] - m[0][3] * m[1][0]
-    s3 = m[0][1] * m[1][2] - m[0][2] * m[1][1]
-    s4 = m[0][1] * m[1][3] - m[0][3] * m[1][1]
-    s5 = m[0][2] * m[1][3] - m[0][3] * m[1][2]
-    c5 = m[2][2] * m[3][3] - m[2][3] * m[3][2]
-    c4 = m[2][1] * m[3][3] - m[2][3] * m[3][1]
-    c3 = m[2][1] * m[3][2] - m[2][2] * m[3][1]
-    c2 = m[2][0] * m[3][3] - m[2][3] * m[3][0]
-    c1 = m[2][0] * m[3][2] - m[2][2] * m[3][0]
-    c0 = m[2][0] * m[3][1] - m[2][1] * m[3][0]
-    det_a = s0
-    det_b = c5
-    det_c = s5
-    delta = det_a + det_b + 2.0 * det_c
-    det_v = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
-    disc = delta * delta - 4.0 * det_v
-    scale = max(delta * delta, abs(4.0 * det_v), 1e-300)
-    if disc < 1e-6 * scale:
-        ints, denom = _scaled_integer_entries(v)
-        det_a_i = _exact_det([r[:2] for r in ints[:2]])
-        det_b_i = _exact_det([r[2:] for r in ints[2:]])
-        det_c_i = _exact_det([r[2:] for r in ints[:2]])
-        det_v_i = _exact_det(ints)
-        delta_i = det_a_i + det_b_i + 2 * det_c_i
-        sq = denom * denom
-        delta = float(Fraction(delta_i, sq))
-        det_v = float(Fraction(det_v_i, sq * sq))
-        disc = float(Fraction(delta_i * delta_i - 4 * det_v_i, sq * sq))
-    root = float(np.sqrt(max(disc, 0.0)))
-    hi_sq = 0.5 * (delta + root)
-    if hi_sq <= 0.0:
-        return np.array([0.0, 0.0])
-    return np.sqrt([max(2.0 * det_v / (delta + root), 0.0), hi_sq])
+        raise ValueError("two_mode_symplectic_eigenvalues requires a two-mode covariance matrix")
+    return symplectic_eigenvalues(cm)
+
+
+def _williamson_factor(v) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """(S, ||V||_2) of a stack of covariance matrices V = S S^T: S = Q sqrt(Lambda) from
+    V = Q Lambda Q^T. The first V with an eigenvalue below -SYMMETRY_RTOL of its largest
+    raises UnphysicalStateError; a negative eigenvalue above that counts as zero."""
+    lam, q = np.linalg.eigh(np.asarray(v, dtype=float))
+    low, top = lam[..., 0], lam[..., -1]
+    raise_first(low < -SYMMETRY_RTOL * top, UnphysicalStateError, _INDEFINITE, low, top)
+    return q * np.sqrt(np.maximum(lam, 0.0))[..., None, :], top
+
+
+def _spectra_of_factor(s) -> NDArray[np.float64]:
+    """Symplectic spectra, ascending, of the V = S S^T of a stack of factors S.
+
+    i*Omega*V and the Hermitian i*S^T*Omega*S share their spectrum, +-nu per mode."""
+    n = s.shape[-1] // 2
+    return np.linalg.eigvalsh(1j * (s.swapaxes(-1, -2) @ _omega(n) @ s))[..., n:]
 
 
 def symplectic_spectra(v) -> NDArray[np.float64]:
     """Symplectic eigenvalues, ascending, of a stack (..., 2n, 2n) of
     covariance matrices, as an array (..., n).
 
-    The n moduli of the eigenvalues of i*Omega*V per matrix. Those come
-    in +-nu pairs; each pair is reported once (partners are averaged to
-    damp round-off). :func:`two_mode_symplectic_eigenvalues` is an
-    independent closed-form route, kept as an oracle for tests. The
-    first matrix whose complex residue exceeds 1e-8 of its largest
-    modulus raises NumericalFailureError.
+    From the Williamson normal form (Serafini, Quantum Continuous
+    Variables, CRC 2017): one symmetric eigen-solve V = Q Lambda Q^T gives
+    V = S S^T with S = Q sqrt(Lambda), and the spectrum is the positive
+    half of the Hermitian i*S^T*Omega*S's. The first matrix with an
+    eigenvalue below -1e-12 of its largest raises UnphysicalStateError.
     """
-    v = np.asarray(v, dtype=float)
-    # Eigenvalues of i*Omega*V are i times those of the real matrix
-    # Omega @ V, so the real solve carries the same information at lower
-    # cost; the residue measured here equals the imaginary residue of the
-    # i*Omega*V spectrum.
-    evals = np.linalg.eigvals(_omega(v.shape[-1] // 2) @ v)
-    mods = np.sort(np.abs(evals), axis=-1)
-    residue = np.max(np.abs(evals.real), axis=-1)
-    raise_first(residue > COMPLEX_RESIDUE_RTOL * mods[..., -1], NumericalFailureError, _COMPLEX, residue)
-    return 0.5 * (mods[..., 0::2] + mods[..., 1::2])
+    return _spectra_of_factor(_williamson_factor(v)[0])
 
 
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> NDArray[np.float64]:
@@ -246,8 +180,8 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> NDArray[np.float64]:
     return symplectic_spectra(cm.entries)
 
 
-# partial_transpose(cm, 0) as an entrywise sign pattern.
-_PT_SIGNS = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
+# partial_transpose(cm, 0) as a row sign pattern: V_pt = P V P, so S_pt = P S.
+_PT_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])[:, None]
 
 
 def negativity_indicators(v) -> NDArray[np.float64]:
@@ -255,25 +189,23 @@ def negativity_indicators(v) -> NDArray[np.float64]:
 
     nu_min is the smallest symplectic eigenvalue of the partially
     transposed matrix and ln the natural logarithm; the value is
-    positive exactly for entangled states. Each check runs over the
-    whole stack before the next, and the first matrix that fails raises:
+    positive exactly for entangled states. Both spectra come from one
+    factor of V (see :func:`symplectic_spectra`). Each check runs over
+    the whole stack before the next, and the first matrix that fails
+    raises: UnphysicalStateError if V is not positive semidefinite, then
     NumericalFailureError if a state is entangled and
     eps * ||V||_2 / nu_min > 1e-8, then UnphysicalStateError if a state
-    itself has a symplectic eigenvalue below 1/2 - 1e-6.
+    has a symplectic eigenvalue below 1/2 - 1e-6.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-2:] != (4, 4):
         raise ValueError("logarithmic negativity is defined here for two-mode states")
-    nu_min = symplectic_spectra(v * _PT_SIGNS)[..., 0]
+    s, scale = _williamson_factor(v)
+    nu_min, nu_state = _spectra_of_factor(np.stack((_PT_SIGNS * s, s)))[..., 0]
     # Checked before physicality: where nu_min cannot be resolved, the
-    # state's own spectrum (error of order eps * ||V||^2) cannot either.
-    entangled = 2.0 * nu_min < 1.0
-    if np.any(entangled):
-        # V_pt = P V P with P orthogonal, so ||V_pt||_2 = ||V||_2.
-        nu, scale = nu_min[entangled], np.linalg.eigvalsh(v[entangled])[:, -1]
-        coarse = np.finfo(float).eps * scale > NEGATIVITY_PRECISION_LIMIT * nu
-        raise_first(coarse, NumericalFailureError, _UNRESOLVED, nu, scale)
-    nu_state = symplectic_spectra(v)[..., 0]
+    # state's own spectrum, with the same eps * ||V||_2 error, cannot either.
+    coarse = (2.0 * nu_min < 1.0) & (np.finfo(float).eps * scale > NEGATIVITY_PRECISION_LIMIT * nu_min)
+    raise_first(coarse, NumericalFailureError, _UNRESOLVED, nu_min, scale)
     raise_first(nu_state < 0.5 - STATE_CHECK_SLACK, UnphysicalStateError, _UNPHYSICAL, nu_state)
     return -np.log(2.0 * nu_min)
 

@@ -5,8 +5,11 @@ replaced, closed-form steady-state covariance blocks in the resonant
 matched regime, a direct quadrature of the Lyapunov integral, and the
 threshold bisection one step at a time: with the full Lyapunov equation
 solved at every step, or with one call of the library's closed form per
-step (the reference for its search by tree rounds). The library does not
-use them; each is a second way to the numbers it computes.
+step (the reference for its search by tree rounds), and two routes to the
+symplectic spectrum besides the library's symmetric eigen-solve: the
+non-symmetric eigen-solve of Omega V, and the two-mode closed form in
+exact rational arithmetic. The library does not use them; each is a
+second way to the numbers it computes.
 ``tmsv_cm`` is an exact known state (the two-mode squeezed vacuum) for
 the covariance-matrix algebra.
 
@@ -22,18 +25,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
 
 from cavmag.cvgaussian import (
     CovarianceMatrix,
+    _omega,
     clamp_negativity,
     negativity_indicators,
     pair_indicators,
     partial_transpose,
     reduce,
-    two_mode_symplectic_eigenvalues,
 )
 from cavmag.errors import NoEntanglementError, NumericalFailureError, UnstableSystemError
 from cavmag.linsys import _UNSTABLE, _scale_diffusions, _square_matrix
@@ -229,8 +233,107 @@ def cavity_magnon_N(p: ReducedParams) -> float:
     with it.
     """
     flipped = partial_transpose(vam_analytic(p), 0)
-    nu_min = float(two_mode_symplectic_eigenvalues(flipped)[0])
+    nu_min = float(symplectic_eigenvalues_by_invariants(flipped)[0])
     return -math.log(2.0 * nu_min)
+
+
+def symplectic_spectra_by_eigvals(v) -> np.ndarray:
+    """Symplectic eigenvalues, ascending, of a stack (..., 2n, 2n) of covariance matrices.
+
+    The moduli of the eigenvalues of the non-symmetric i*Omega*V, which come
+    in +-nu pairs; each pair is reported once, its partners averaged. The
+    eigenvalues of i*Omega*V are i times those of the real Omega @ V.
+    """
+    v = np.asarray(v, dtype=float)
+    mods = np.sort(np.abs(np.linalg.eigvals(_omega(v.shape[-1] // 2) @ v)), axis=-1)
+    return 0.5 * (mods[..., 0::2] + mods[..., 1::2])
+
+
+def _exact_det(rows: list[list[int]]) -> int:
+    n = len(rows)
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    total = 0
+    for j in range(n):
+        if rows[0][j] == 0:
+            continue
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = rows[0][j] * _exact_det(minor)
+        total += term if j % 2 == 0 else -term
+    return total
+
+
+def _scaled_integer_entries(v: np.ndarray) -> tuple[list[list[int]], int]:
+    # Doubles are binary rationals n / 2^k; putting all entries over the
+    # largest power-of-two denominator turns determinants into exact
+    # integer arithmetic without per-operation gcd cost.
+    ratios = [[float(x).as_integer_ratio() for x in row] for row in v]
+    denom = 1
+    for row in ratios:
+        for _, d in row:
+            if d > denom:
+                denom = d
+    ints = [[n * (denom // d) for n, d in row] for row in ratios]
+    return ints, denom
+
+
+def symplectic_eigenvalues_by_invariants(cm: CovarianceMatrix) -> np.ndarray:
+    """Closed-form symplectic spectrum of a two-mode covariance matrix.
+
+    For V = [[A, C], [C^T, B]] in 2x2 blocks the two symplectic
+    eigenvalues satisfy
+
+        nu_{+-}^2 = (delta +- sqrt(delta^2 - 4 det V)) / 2,
+        delta = det A + det B + 2 det C,
+
+    where the invariants are those of the input matrix itself. The small
+    root is evaluated subtraction-free as 2 det V / (delta + sqrt(...)) so
+    it stays accurate when det V is many orders below delta^2. Near a
+    degenerate spectrum the discriminant cancels catastrophically in
+    floating point (absolute round-off of order eps*delta^2 turns into a
+    ~1e-8 eigenvalue split after the square root); since the stored
+    entries are exact binary rationals, the invariants are then recomputed
+    in exact rational arithmetic.
+    """
+    if cm.n_modes != 2:
+        raise ValueError("closed form requires a two-mode covariance matrix")
+    v = cm.entries
+    m = v.tolist()
+    s0 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    s1 = m[0][0] * m[1][2] - m[0][2] * m[1][0]
+    s2 = m[0][0] * m[1][3] - m[0][3] * m[1][0]
+    s3 = m[0][1] * m[1][2] - m[0][2] * m[1][1]
+    s4 = m[0][1] * m[1][3] - m[0][3] * m[1][1]
+    s5 = m[0][2] * m[1][3] - m[0][3] * m[1][2]
+    c5 = m[2][2] * m[3][3] - m[2][3] * m[3][2]
+    c4 = m[2][1] * m[3][3] - m[2][3] * m[3][1]
+    c3 = m[2][1] * m[3][2] - m[2][2] * m[3][1]
+    c2 = m[2][0] * m[3][3] - m[2][3] * m[3][0]
+    c1 = m[2][0] * m[3][2] - m[2][2] * m[3][0]
+    c0 = m[2][0] * m[3][1] - m[2][1] * m[3][0]
+    det_a = s0
+    det_b = c5
+    det_c = s5
+    delta = det_a + det_b + 2.0 * det_c
+    det_v = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+    disc = delta * delta - 4.0 * det_v
+    scale = max(delta * delta, abs(4.0 * det_v), 1e-300)
+    if disc < 1e-6 * scale:
+        ints, denom = _scaled_integer_entries(v)
+        det_a_i = _exact_det([r[:2] for r in ints[:2]])
+        det_b_i = _exact_det([r[2:] for r in ints[2:]])
+        det_c_i = _exact_det([r[2:] for r in ints[:2]])
+        det_v_i = _exact_det(ints)
+        delta_i = det_a_i + det_b_i + 2 * det_c_i
+        sq = denom * denom
+        delta = float(Fraction(delta_i, sq))
+        det_v = float(Fraction(det_v_i, sq * sq))
+        disc = float(Fraction(delta_i * delta_i - 4 * det_v_i, sq * sq))
+    root = float(np.sqrt(max(disc, 0.0)))
+    hi_sq = 0.5 * (delta + root)
+    if hi_sq <= 0.0:
+        return np.array([0.0, 0.0])
+    return np.sqrt([max(2.0 * det_v / (delta + root), 0.0), hi_sq])
 
 
 def integrate_lyapunov_oracle(a, d, horizon: float, step: float) -> np.ndarray:
@@ -316,7 +419,8 @@ def threshold_by_full_solves(params: SystemParams, t_max: float, tol: float) -> 
 
     The same bisection (:func:`_bisect`), but each step builds D(T) and solves
     A V + V A^T + D(T) = 0 afresh instead of superposing the magnon bath noise on
-    one drift, and takes the magnon pair's negativity from the eigen-solve route.
+    one drift, and takes the magnon pair's negativity from the generic
+    ``negativity_indicators`` route.
     """
 
     def entangled(temperature: float) -> bool:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from cavmag.cvgaussian import (
     CovarianceMatrix,
@@ -21,9 +22,10 @@ from cavmag.cvgaussian import (
     two_mode_symplectic_eigenvalues,
 )
 from cavmag.errors import NumericalFailureError, PairStructureError, UnphysicalStateError
+from cavmag.model import BASELINE, steady_state_cm
 
 from conftest import local_rotation, random_physical_cm, random_separable_cm, two_mode_squeezer
-from oracles import tmsv_cm
+from oracles import symplectic_eigenvalues_by_invariants, symplectic_spectra_by_eigvals, tmsv_cm
 
 # Frozen reference values, independently evaluated with 40-digit
 # arithmetic and rounded to double precision.
@@ -129,7 +131,7 @@ class TestReduce:
         one = reduce(tmsv_cm(r), (0,))
         assert np.allclose(one.entries, 0.5 * COSH_08 * np.eye(2), atol=1e-15)
 
-    @pytest.mark.parametrize("modes", [(), (0, 0), (2,), (-1,)])
+    @pytest.mark.parametrize("modes", [(), (0, 0), (2,), (-1,), (0.7,), (1.0,), (True,), "01", b"\x00\x01"])
     def test_bad_mode_lists_rejected(self, modes):
         with pytest.raises(ValueError):
             reduce(tmsv_cm(0.3), modes)
@@ -176,6 +178,11 @@ class TestPartialTranspose:
         with pytest.raises(ValueError):
             partial_transpose(tmsv_cm(0.1), 2)
 
+    @pytest.mark.parametrize("mode", [0.0, 1.0, True, -1, "0", None])
+    def test_transposed_mode_must_be_an_integer_0_or_1(self, mode):
+        with pytest.raises(ValueError):
+            partial_transpose(tmsv_cm(0.1), mode)
+
 
 class TestSymplecticEigenvalues:
     def test_vacuum_any_size(self):
@@ -203,13 +210,17 @@ class TestSymplecticEigenvalues:
             nus = symplectic_eigenvalues(random_physical_cm(rng))
             assert nus[0] <= nus[1]
 
+    @staticmethod
+    def assert_oracles_agree(cm):
+        nus = symplectic_eigenvalues(cm)
+        assert np.array_equal(two_mode_symplectic_eigenvalues(cm), nus)
+        assert np.max(np.abs(nus - symplectic_spectra_by_eigvals(cm.entries))) < 1e-9
+        assert np.max(np.abs(nus - symplectic_eigenvalues_by_invariants(cm))) < 1e-9
+
     def test_routes_agree_on_random_states(self):
         rng = np.random.default_rng(23)
         for _ in range(1000):
-            cm = random_physical_cm(rng)
-            eig_route = symplectic_eigenvalues(cm)
-            closed = two_mode_symplectic_eigenvalues(cm)
-            assert np.max(np.abs(eig_route - closed)) < 1e-9
+            self.assert_oracles_agree(random_physical_cm(rng))
 
     def test_routes_agree_at_exact_degeneracy(self):
         # Symmetric squeezed thermal states have a doubly degenerate
@@ -222,27 +233,46 @@ class TestSymplecticEigenvalues:
             v = np.diag([occ] * 4)
             v[0, 2] = v[2, 0] = corr
             v[1, 3] = v[3, 1] = -corr
-            cm = CovarianceMatrix(v)
-            eig_route = symplectic_eigenvalues(cm)
-            closed = two_mode_symplectic_eigenvalues(cm)
-            assert np.max(np.abs(eig_route - closed)) < 1e-9
+            self.assert_oracles_agree(CovarianceMatrix(v))
 
-    def test_residue_check_is_scale_relative(self):
+    @given(n=st.integers(1, 4), squeezing=st.floats(0.0, 1.5), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
+    def test_spectra_known_by_construction(self, n, squeezing, seed):
+        # V = S D S^T with S = exp(Omega H) symplectic, ||H||_2 = squeezing,
+        # has the spectrum D. The error, building V included, read at most
+        # 10.8 eps * ||V||_2 over 40000 such states (n <= 4); c = 32.
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=(2 * n, 2 * n))
+        h += h.T
+        s = expm(_omega(n) @ (squeezing / np.linalg.norm(h, 2) * h))
+        nus = np.sort(rng.uniform(0.5, 3.0, n))
+        v = s @ np.diag(np.repeat(nus, 2)) @ s.T
+        v = 0.5 * (v + v.T)
+        bound = 32 * np.finfo(float).eps * np.linalg.eigvalsh(v)[-1]
+        assert np.max(np.abs(symplectic_spectra(v) - nus)) <= bound
+
+    def test_definiteness_check_is_scale_relative(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
             cm = random_physical_cm(rng)
             scaled = symplectic_eigenvalues(CovarianceMatrix(1e9 * cm.entries))
             assert np.allclose(scaled, 1e9 * symplectic_eigenvalues(cm), rtol=1e-9)
+        # Round-off leaves the zero eigenvalue of a singular V near -eps * ||V||_2,
+        # which passes at any scale; -1e-9 of the largest fails at any scale.
+        for scale in (1e-9, 1.0, 1e9):
+            for _ in range(5):
+                g = rng.normal(size=(4, 3))
+                symplectic_spectra(scale * (g @ g.T))
+            with pytest.raises(UnphysicalStateError):
+                symplectic_spectra(scale * np.diag([1.0, -1e-9]))
 
     def test_closed_form_requires_two_modes(self):
         with pytest.raises(ValueError):
             two_mode_symplectic_eigenvalues(CovarianceMatrix(0.5 * np.eye(2)))
 
-    def test_invalid_state_raises_numerical_failure(self):
-        # Symmetric but indefinite: Omega V has eigenvalues with large
-        # real parts, so the spectrum is not purely imaginary.
+    def test_indefinite_state_raises_unphysical_state(self):
         cm = CovarianceMatrix(np.diag([1.0, -1.0]))
-        with pytest.raises(NumericalFailureError):
+        with pytest.raises(UnphysicalStateError, match="not positive semidefinite"):
             symplectic_eigenvalues(cm)
 
 
@@ -301,6 +331,8 @@ class TestLogNegativity:
     def test_unphysical_input_rejected(self):
         with pytest.raises(UnphysicalStateError):
             log_negativity(CovarianceMatrix(np.eye(4) / 4.0))
+        with pytest.raises(UnphysicalStateError, match="not positive semidefinite"):
+            log_negativity(CovarianceMatrix(np.diag([1.0, -1.0, 1.0, 1.0])))
 
     def test_indicator_is_unclamped(self):
         rng = np.random.default_rng(41)
@@ -318,6 +350,25 @@ class TestLogNegativity:
         assert log_negativity(tmsv_cm(4.0)) == pytest.approx(8.0, abs=1e-8)
         with pytest.raises(NumericalFailureError, match="resolution"):
             log_negativity(tmsv_cm(5.0))
+
+    def test_precision_guard_runs_before_physicality(self):
+        # At r = 20 round-off of eps * ||V||_2 ~ 26 swamps the state's own
+        # spectrum too; the guard, not the physicality check, answers.
+        with pytest.raises(NumericalFailureError, match="resolution"):
+            negativity_indicators(tmsv_cm(20.0).entries)
+
+    def test_nearly_degenerate_thermal_block(self):
+        # A magnon block with a 9.26e9 diagonal and 0.04 couplings, on which
+        # the non-symmetric eigen-solve of Omega V does not converge.
+        params = BASELINE.replace(r=0.05, temperature=25653355008.114853)
+        v = steady_state_cm(params).entries
+        magnons = reduce(CovarianceMatrix(v), (2, 3))
+        indicator = float(negativity_indicators(magnons.entries))
+        assert math.isfinite(indicator)
+        nu_min = 0.5 * math.exp(-indicator)
+        bound = 1e-12 + np.finfo(float).eps * np.linalg.eigvalsh(magnons.entries)[-1] / nu_min
+        assert abs(indicator - pair_indicators(v[None], ((2, 3),))[0, 0]) <= bound
+        assert log_negativity(magnons) == 0.0
 
     def test_requires_two_modes(self):
         with pytest.raises(ValueError):
