@@ -350,12 +350,10 @@ class TestLogNegativity:
         assert log_negativity(tmsv_cm(4.0)) == pytest.approx(8.0, abs=1e-8)
         with pytest.raises(NumericalFailureError, match="resolution"):
             log_negativity(tmsv_cm(5.0))
-
-    def test_precision_guard_runs_before_physicality(self):
-        # At r = 20 round-off of eps * ||V||_2 ~ 26 swamps the state's own
-        # spectrum too; the guard, not the physicality check, answers.
+        # At r = 20 round-off swamps the state's own spectrum too; the
+        # guard runs first, so it answers, not the physicality check.
         with pytest.raises(NumericalFailureError, match="resolution"):
-            negativity_indicators(tmsv_cm(20.0).entries)
+            log_negativity(tmsv_cm(20.0))
 
     def test_nearly_degenerate_thermal_block(self):
         # A magnon block with a 9.26e9 diagonal and 0.04 couplings, on which
