@@ -347,6 +347,7 @@ def entanglement_columns(points) -> dict[str, NDArray[np.float64]]:
     all points go through one closed-form array call (`pair_indicators`).
     No stability test is needed: every drift has A + A^T = -2 diag(kappa) / kappa_a1.
     """
+    points = tuple(points)  # read more than once, so an iterator is taken whole here
     if not points:
         return {name: np.empty(0) for name in OUTPUT_COLUMNS}
     indicators = pair_indicators(_steady_states(points), _PAIRS)

@@ -32,47 +32,9 @@ DEFAULT_RESOLUTION_1D = 121
 # parameter paths
 
 
-def _set_scalar(field):
-    def setter(params: SystemParams, value: float) -> SystemParams:
-        return params.replace(**{field: value})
-
-    return setter
-
-
-def _set_detuning(field, index):
-    def setter(params: SystemParams, value: float) -> SystemParams:
-        freqs = list(getattr(params, field))
-        freqs[index] = params.omega_drive[index] + value * params.kappa_a[0]
-        return params.replace(**{field: tuple(freqs)})
-
-    return setter
-
-
-def _set_rate(field, index):
-    def setter(params: SystemParams, value: float) -> SystemParams:
-        rates = list(getattr(params, field))
-        if index is None:
-            rates = [value * params.kappa_a[0]] * 2
-        else:
-            rates[index] = value * params.kappa_a[0]
-        return params.replace(**{field: tuple(rates)})
-
-    return setter
-
-
-def _set_coupling_ratio(params: SystemParams, value: float) -> SystemParams:
-    return params.replace(g=(params.g[0], value * params.g[0]))
-
-
-def _set_kappa_a_hz(params: SystemParams, value: float) -> SystemParams:
-    kappa = 2.0 * math.pi * value
-    return params.replace(kappa_a=(kappa, kappa))
-
-
-def _set_omega_a_hz(params: SystemParams, value: float) -> SystemParams:
-    omega = 2.0 * math.pi * value
-    pair = (omega, omega)
-    return params.replace(omega_a=pair, omega_m=pair, omega_drive=pair)
+def _hz(value: float) -> tuple[float, float]:
+    """Both members of a pair at the angular frequency of ``value`` Hz."""
+    return (2.0 * math.pi * value,) * 2
 
 
 # Knobs addressable from sweep axes, config files and the command line.
@@ -84,23 +46,23 @@ def _set_omega_a_hz(params: SystemParams, value: float) -> SystemParams:
 # given frequency. Paths apply in sequence, each resolving ratios against
 # the parameters produced by the previous one.
 PARAMETER_PATHS = {
-    "r": _set_scalar("r"),
-    "theta": _set_scalar("theta"),
-    "temperature": _set_scalar("temperature"),
-    "delta_a1": _set_detuning("omega_a", 0),
-    "delta_a2": _set_detuning("omega_a", 1),
-    "delta_m1": _set_detuning("omega_m", 0),
-    "delta_m2": _set_detuning("omega_m", 1),
-    "g1": _set_rate("g", 0),
-    "g2": _set_rate("g", 1),
-    "g": _set_rate("g", None),
-    "g2_over_g1": _set_coupling_ratio,
-    "kappa_m1": _set_rate("kappa_m", 0),
-    "kappa_m2": _set_rate("kappa_m", 1),
-    "kappa_m": _set_rate("kappa_m", None),
-    "kappa_a2": _set_rate("kappa_a", 1),
-    "kappa_a_hz": _set_kappa_a_hz,
-    "omega_a_hz": _set_omega_a_hz,
+    "r": lambda p, x: p.replace(r=x),
+    "theta": lambda p, x: p.replace(theta=x),
+    "temperature": lambda p, x: p.replace(temperature=x),
+    "delta_a1": lambda p, x: p.replace(omega_a=(p.omega_drive[0] + x * p.kappa_a[0], p.omega_a[1])),
+    "delta_a2": lambda p, x: p.replace(omega_a=(p.omega_a[0], p.omega_drive[1] + x * p.kappa_a[0])),
+    "delta_m1": lambda p, x: p.replace(omega_m=(p.omega_drive[0] + x * p.kappa_a[0], p.omega_m[1])),
+    "delta_m2": lambda p, x: p.replace(omega_m=(p.omega_m[0], p.omega_drive[1] + x * p.kappa_a[0])),
+    "g1": lambda p, x: p.replace(g=(x * p.kappa_a[0], p.g[1])),
+    "g2": lambda p, x: p.replace(g=(p.g[0], x * p.kappa_a[0])),
+    "g": lambda p, x: p.replace(g=(x * p.kappa_a[0],) * 2),
+    "g2_over_g1": lambda p, x: p.replace(g=(p.g[0], x * p.g[0])),
+    "kappa_m1": lambda p, x: p.replace(kappa_m=(x * p.kappa_a[0], p.kappa_m[1])),
+    "kappa_m2": lambda p, x: p.replace(kappa_m=(p.kappa_m[0], x * p.kappa_a[0])),
+    "kappa_m": lambda p, x: p.replace(kappa_m=(x * p.kappa_a[0],) * 2),
+    "kappa_a2": lambda p, x: p.replace(kappa_a=(p.kappa_a[0], x * p.kappa_a[0])),
+    "kappa_a_hz": lambda p, x: p.replace(kappa_a=_hz(x)),
+    "omega_a_hz": lambda p, x: p.replace(omega_a=_hz(x), omega_m=_hz(x), omega_drive=_hz(x)),
 }
 
 
@@ -115,7 +77,7 @@ def _known_path(path: str) -> str:
 def apply_parameter(params: SystemParams, path: str, value: float) -> SystemParams:
     """Return a copy of ``params`` with one named knob set to ``value``."""
     setter = PARAMETER_PATHS[_known_path(path)]
-    value = value if type(value) is float else _real(path, value)
+    value = _real(path, value)
     if not math.isfinite(value):
         raise ValueError(f"value for {path!r} must be finite")
     return setter(params, value)
@@ -199,6 +161,9 @@ class SweepSpec:
     name: str = ""
 
     def __post_init__(self):
+        axes = (self.axis1,) if self.axis2 is None else (self.axis1, self.axis2)
+        if not (isinstance(self.base, SystemParams) and all(isinstance(a, SweepAxis) for a in axes)):
+            raise ValueError("a sweep needs a SystemParams base and SweepAxis axes (axis2 may be None)")
         outputs = tuple(self.outputs)
         if len(outputs) == 0:
             raise ValueError("at least one output column is required")
@@ -278,11 +243,13 @@ def _provenance_lines(spec: SweepSpec) -> tuple[str, ...]:
 
 
 def _grid_points(spec: SweepSpec) -> list[SystemParams]:
-    """Parameters of every cell of the lattice, in row-major order."""
-    points = [apply_parameter(spec.base, spec.axis1.path, v) for v in spec.axis1.values]
+    """Parameters of every cell of the lattice, in row-major order. The axes hold checked
+    paths and values, so each cell goes straight to its rows of :data:`PARAMETER_PATHS`."""
+    set1 = PARAMETER_PATHS[spec.axis1.path]
+    points = [set1(spec.base, v) for v in spec.axis1.values]
     if spec.axis2 is not None:
-        path2, values2 = spec.axis2.path, spec.axis2.values
-        points = [apply_parameter(p, path2, v) for p in points for v in values2]
+        set2, values2 = PARAMETER_PATHS[spec.axis2.path], spec.axis2.values
+        points = [set2(p, v) for p in points for v in values2]
     return points
 
 
@@ -463,6 +430,7 @@ def find_temperature_threshold(
     NoEntanglementError
         If E_mm is already zero at T = 0, where no threshold exists.
     """
+    t_max, tol = _real("t_max", t_max), _real("tol", tol)
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError("t_max must be positive and finite")
     if not (math.isfinite(tol) and 0 < tol < t_max):

@@ -644,6 +644,11 @@ class TestEntanglementReports:
             single = dataclasses.astuple(entanglement_report(params))
             assert same_floats(single, row)
 
+    def test_a_generator_gives_the_columns_of_the_list(self):
+        points = self.grid_points()
+        columns = entanglement_columns(p for p in points)
+        assert all(same_floats(columns[name], column) for name, column in entanglement_columns(points).items())
+
     def test_empty_input(self):
         columns = entanglement_columns([])
         assert tuple(columns) == OUTPUT_COLUMNS

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from cavmag import linsys, model
 from cavmag.cvgaussian import STATE_CHECK_SLACK
 from cavmag.errors import CavmagError, NoEntanglementError, NumericalFailureError
-from cavmag.model import BASELINE
+from cavmag.model import BASELINE, SystemParams
 from cavmag.sweep import (
     COLOR_ANCHORS,
     DEFAULT_RESOLUTION_1D,
@@ -60,7 +60,69 @@ def tiny_spec(**kwargs) -> SweepSpec:
     return SweepSpec(**defaults)
 
 
+# Asymmetric operating point: unequal drives, cavity linewidths and couplings, every mode detuned.
+DRIVE = (BASELINE.omega_drive[0], BASELINE.omega_drive[1] + 3.3 * UNIT)
+ASYMMETRIC = BASELINE.replace(
+    omega_drive=DRIVE,
+    omega_a=(DRIVE[0] + 0.31 * UNIT, DRIVE[1] - 0.17 * UNIT),
+    omega_m=(DRIVE[0] - 0.23 * UNIT, DRIVE[1] + 0.41 * UNIT),
+    kappa_a=(UNIT, 1.37 * UNIT),
+    kappa_m=(0.13 * UNIT, 0.29 * UNIT),
+    g=(3.1 * UNIT, 4.7 * UNIT),
+    r=0.6,
+    theta=0.4,
+    temperature=0.07,
+)
+
+
+def expected_fields(p: SystemParams, path: str, x: float) -> dict:
+    """The fields ``path`` writes on ``p``, each in the order of operations of its definition."""
+    k, w = p.kappa_a[0], p.omega_drive
+    hz = (2.0 * math.pi * x, 2.0 * math.pi * x)
+    return {
+        "r": dict(r=x),
+        "theta": dict(theta=x),
+        "temperature": dict(temperature=x),
+        "delta_a1": dict(omega_a=(w[0] + x * k, p.omega_a[1])),
+        "delta_a2": dict(omega_a=(p.omega_a[0], w[1] + x * k)),
+        "delta_m1": dict(omega_m=(w[0] + x * k, p.omega_m[1])),
+        "delta_m2": dict(omega_m=(p.omega_m[0], w[1] + x * k)),
+        "g1": dict(g=(x * k, p.g[1])),
+        "g2": dict(g=(p.g[0], x * k)),
+        "g": dict(g=(x * k, x * k)),
+        "g2_over_g1": dict(g=(p.g[0], x * p.g[0])),
+        "kappa_m1": dict(kappa_m=(x * k, p.kappa_m[1])),
+        "kappa_m2": dict(kappa_m=(p.kappa_m[0], x * k)),
+        "kappa_m": dict(kappa_m=(x * k, x * k)),
+        "kappa_a2": dict(kappa_a=(p.kappa_a[0], x * k)),
+        "kappa_a_hz": dict(kappa_a=hz),
+        "omega_a_hz": dict(omega_a=hz, omega_m=hz, omega_drive=hz),
+    }[path]
+
+
+# A value per path, none of them exact in binary: detunings of either sign, rates and Hz positive.
+PATH_VALUES = {
+    "r": 0.37, "theta": -1.13, "temperature": 0.021,
+    "delta_a1": 0.29, "delta_a2": -0.61, "delta_m1": -0.43, "delta_m2": 0.77,
+    "g1": 2.3, "g2": 3.9, "g": 1.7, "g2_over_g1": 0.83,
+    "kappa_m1": 0.11, "kappa_m2": 0.53, "kappa_m": 0.31, "kappa_a2": 1.9,
+    "kappa_a_hz": 7.3e6, "omega_a_hz": 9.7e9,
+}
+
+
 class TestApplyParameter:
+    @pytest.mark.parametrize("base", [BASELINE, ASYMMETRIC], ids=["baseline", "asymmetric"])
+    @pytest.mark.parametrize("path", sorted(PATH_VALUES))
+    def test_each_path_writes_its_fields_bit_for_bit(self, base, path):
+        x = PATH_VALUES[path]
+        changed = apply_parameter(base, path, x)
+        expected = dataclasses.replace(base, **expected_fields(base, path, x))
+        for field in dataclasses.fields(SystemParams):
+            assert getattr(changed, field.name) == getattr(expected, field.name), field.name
+
+    def test_every_path_is_covered(self):
+        assert set(PATH_VALUES) == set(PARAMETER_PATHS)
+
     def test_direct_fields(self):
         assert apply_parameter(BASELINE, "r", 0.4).r == 0.4
         assert apply_parameter(BASELINE, "theta", 0.7).theta == 0.7
@@ -181,6 +243,16 @@ class TestAxisAndSpecValidation:
     def test_spec_rejects_duplicate_axis_path(self):
         with pytest.raises(ValueError, match="different parameter path"):
             tiny_spec(axis2=SweepAxis("r", (0.0, 1.0)))
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(axis1=None), dict(axis1=("r", (0.0, 1.0))), dict(axis2=("g", (1.0, 2.0))),
+         dict(base=dataclasses.asdict(BASELINE)), dict(base=None)],
+        ids=["axis1-None", "axis1-tuple", "axis2-tuple", "base-dict", "base-None"],
+    )
+    def test_spec_rejects_a_base_or_axis_of_the_wrong_type(self, change):
+        with pytest.raises(ValueError, match="SweepAxis|SystemParams"):
+            tiny_spec(**change)
 
     def test_shape(self):
         assert tiny_spec().shape == (2,)
@@ -471,6 +543,9 @@ class TestTemperatureThreshold:
             find_temperature_threshold(BASELINE, t_max=0.0)
         with pytest.raises(ValueError):
             find_temperature_threshold(BASELINE, tol=0.0)
+        for bad in (dict(t_max=True), dict(t_max="2"), dict(tol=None), dict(tol="0.1"), dict(t_max=None)):
+            with pytest.raises(ValueError, match="must be a real number"):
+                find_temperature_threshold(BASELINE, **bad)
 
     def test_equals_the_per_step_solve_bisection(self):
         # The survival-curve setting: t_max 3 K, tol 1e-3 K.
