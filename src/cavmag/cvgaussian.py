@@ -21,9 +21,12 @@ from .errors import NumericalFailureError, PairStructureError, UnphysicalStateEr
 # Tolerances used by this module. V is taken as known to SYMMETRY_RTOL of
 # its scale: it must be symmetric to that, and no eigenvalue may lie
 # further below zero than that fraction of the largest. The physicality
-# slack is absolute in quadrature units. The symplectic spectrum's error is
-# of order eps * ||V||_2, so eps * ||V||_2 / nu_min bounds the error of
-# -ln(2 nu_min).
+# slack is absolute in quadrature units. V's eigen-solve errs by eps * ||V||_2,
+# within delta = eps * ||V||_2 / lambda_min of V in the Loewner order, where
+# symplectic eigenvalues are monotone and homogeneous (Bhatia & Jain, J. Math.
+# Phys. 56, 112201 (2015)): each is known to a relative delta, eps times V's
+# condition number (e^(4r) for a pure state squeezed by r). A closed form has
+# no such solve: eps * ||V||_2 / nu_min bounds the error of its -ln(2 nu_min).
 SYMMETRY_RTOL = 1e-12
 NEGATIVITY_PRECISION_LIMIT = 1e-8
 STATE_CHECK_SLACK = 1e-6
@@ -37,6 +40,7 @@ _INDEFINITE = "covariance matrix is not positive semidefinite (eigenvalue {:.9g}
 _BENT = "pair block leaves the form [[a I, C], [C^T, b I]] by {:.3e} of its scale"
 _UNRESOLVED = ("smallest partially transposed symplectic eigenvalue {:.3e} "
                "is below the resolution at matrix scale {:.3e}")
+_ILL_CONDITIONED = "symplectic spectrum is below the resolution of eigenvalues from {:.3e} to {:.3e}"
 _UNPHYSICAL = "covariance matrix is unphysical (min symplectic eigenvalue {:.9g})"
 # Round-off guard at the separability boundary: negativity is clamped to
 # exactly 0.0 already when -ln(2*nu_min) <= SEPARABLE_SLACK, so product
@@ -144,14 +148,17 @@ def two_mode_symplectic_eigenvalues(cm: CovarianceMatrix) -> NDArray[np.float64]
     return symplectic_eigenvalues(cm)
 
 
-def _williamson_factor(v) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """(S, ||V||_2) of a stack of covariance matrices V = S S^T: S = Q sqrt(Lambda) from
-    V = Q Lambda Q^T. The first V with an eigenvalue below -SYMMETRY_RTOL of its largest
-    raises UnphysicalStateError; a negative eigenvalue above that counts as zero."""
+def _williamson_factor(v) -> NDArray[np.float64]:
+    """S of a stack of covariance matrices V = S S^T: S = Q sqrt(Lambda) from V = Q Lambda Q^T.
+    The first V with an eigenvalue below -SYMMETRY_RTOL of its largest raises
+    UnphysicalStateError (a negative eigenvalue above that counts as zero), then the first
+    whose condition number exceeds 1e-8 / eps NumericalFailureError: its spectrum is unresolved."""
     lam, q = np.linalg.eigh(np.asarray(v, dtype=float))
     low, top = lam[..., 0], lam[..., -1]
     raise_first(low < -SYMMETRY_RTOL * top, UnphysicalStateError, _INDEFINITE, low, top)
-    return q * np.sqrt(np.maximum(lam, 0.0))[..., None, :], top
+    unresolved = np.finfo(float).eps * top > NEGATIVITY_PRECISION_LIMIT * low
+    raise_first(unresolved, NumericalFailureError, _ILL_CONDITIONED, low, top)
+    return q * np.sqrt(np.maximum(lam, 0.0))[..., None, :]
 
 
 def _spectra_of_factor(s) -> NDArray[np.float64]:
@@ -170,9 +177,11 @@ def symplectic_spectra(v) -> NDArray[np.float64]:
     Variables, CRC 2017): one symmetric eigen-solve V = Q Lambda Q^T gives
     V = S S^T with S = Q sqrt(Lambda), and the spectrum is the positive
     half of the Hermitian i*S^T*Omega*S's. The first matrix with an
-    eigenvalue below -1e-12 of its largest raises UnphysicalStateError.
+    eigenvalue below -1e-12 of its largest raises UnphysicalStateError,
+    then the first with a condition number above 1e-8 / eps (singular, or
+    pure and squeezed beyond r = 4.4) NumericalFailureError.
     """
-    return _spectra_of_factor(_williamson_factor(v)[0])
+    return _spectra_of_factor(_williamson_factor(v))
 
 
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> NDArray[np.float64]:
@@ -190,22 +199,17 @@ def negativity_indicators(v) -> NDArray[np.float64]:
     nu_min is the smallest symplectic eigenvalue of the partially
     transposed matrix and ln the natural logarithm; the value is
     positive exactly for entangled states. Both spectra come from one
-    factor of V (see :func:`symplectic_spectra`). Each check runs over
-    the whole stack before the next, and the first matrix that fails
-    raises: UnphysicalStateError if V is not positive semidefinite, then
-    NumericalFailureError if a state is entangled and
-    eps * ||V||_2 / nu_min > 1e-8, then UnphysicalStateError if a state
-    has a symplectic eigenvalue below 1/2 - 1e-6.
+    factor of V (see :func:`symplectic_spectra`), whose checks resolve both:
+    V and its partial transpose share eigenvalues, and nu_min >= lambda_min.
+    Each check runs over the whole stack before the next, and the first
+    matrix that fails raises; last, UnphysicalStateError if a state has a
+    symplectic eigenvalue below 1/2 - 1e-6.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-2:] != (4, 4):
         raise ValueError("logarithmic negativity is defined here for two-mode states")
-    s, scale = _williamson_factor(v)
+    s = _williamson_factor(v)
     nu_min, nu_state = _spectra_of_factor(np.stack((_PT_SIGNS * s, s)))[..., 0]
-    # Checked before physicality: where nu_min cannot be resolved, the
-    # state's own spectrum, with the same eps * ||V||_2 error, cannot either.
-    coarse = (2.0 * nu_min < 1.0) & (np.finfo(float).eps * scale > NEGATIVITY_PRECISION_LIMIT * nu_min)
-    raise_first(coarse, NumericalFailureError, _UNRESOLVED, nu_min, scale)
     raise_first(nu_state < 0.5 - STATE_CHECK_SLACK, UnphysicalStateError, _UNPHYSICAL, nu_state)
     return -np.log(2.0 * nu_min)
 
@@ -232,9 +236,10 @@ def pair_indicators(v, pairs) -> NDArray[np.float64]:
     (2004)): with p = ab - |mu|^2 - |beta|^2 and d = (a - b)^2, the partial transpose has
     nu_min = 2p / (sqrt(d + 4p + 4|mu|^2) + sqrt(d + 4|mu|^2)), the pair state the same with
     beta for mu, and 2 ||V||_2 is the larger denominator. Where the pair state's nu_min is below
-    1/2, the partial transpose's is measured against it instead. Checked as
-    :func:`negativity_indicators` is, after a PairStructureError where a block leaves the form
-    by more than PAIR_STRUCTURE_RTOL of its scale.
+    1/2, the partial transpose's is measured against it instead. The first failing pair raises:
+    PairStructureError where a block leaves the form by more than PAIR_STRUCTURE_RTOL of its
+    scale, then NumericalFailureError where it is entangled and eps * ||V||_2 / nu_min > 1e-8,
+    then UnphysicalStateError where its state has a symplectic eigenvalue below 1/2 - 1e-6.
     """
     v = np.asarray(v, dtype=float)
     readout = _pair_readout(tuple(map(tuple, pairs)), v.shape[-1])

@@ -17,9 +17,9 @@ class NumericalFailureError(CavmagError, RuntimeError):
     """A numerical routine cannot deliver a result it can vouch for.
 
     Raised when the model's drift or diffusion matrix overflows, when a
-    Lyapunov residual exceeds its bound, or when a negativity lies below
-    the precision the matrix scale allows (e.g. squeezing r > 4.4 at zero
-    coupling).
+    Lyapunov residual exceeds its bound, or when a negativity or symplectic
+    spectrum lies below the precision the matrix scale allows (e.g.
+    squeezing r > 4.4 at zero coupling).
     """
 
 

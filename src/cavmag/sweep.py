@@ -10,7 +10,7 @@ temperatures in kelvin); see :data:`PARAMETER_PATHS`.
 
 from __future__ import annotations
 
-import io
+import functools
 import itertools
 import math
 import numbers
@@ -176,13 +176,13 @@ class SweepSpec:
             )
         if self.axis2 is not None and self.axis2.path == self.axis1.path:
             raise ValueError("axis2 must sweep a different parameter path than axis1")
+        if not (isinstance(self.name, str) and self.name.isprintable()):
+            raise ValueError(f"name must be printable text, without control characters, not {self.name!r}")
         object.__setattr__(self, "outputs", outputs)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        if self.axis2 is None:
-            return (len(self.axis1.values),)
-        return (len(self.axis1.values), len(self.axis2.values))
+        return tuple(len(axis.values) for axis in (self.axis1, self.axis2) if axis is not None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,9 +216,7 @@ def summarize_point(params: SystemParams) -> EntanglementReport:
 
 
 def _fmt(value: float) -> str:
-    if math.isnan(value):
-        return "NaN"
-    return f"{value:.9g}"
+    return f"{value:.9g}" if value == value else "NaN"
 
 
 def _provenance_lines(spec: SweepSpec) -> tuple[str, ...]:
@@ -482,17 +480,16 @@ def emit_csv(grid: SweepGrid, destination) -> None:
     always ``true`` (every valid drift is stable) and kept for the file
     format. Bytes are identical across repeated runs of the same spec.
     """
-    buf = io.StringIO()
-    for line in grid.provenance:
-        buf.write(f"# {line}\n")
     spec = grid.spec
-    columns = ["axis1"] + (["axis2"] if spec.axis2 else []) + list(spec.outputs) + ["stable"]
-    buf.write(",".join(columns) + "\n")
-    keys = itertools.product(*(axis.values for axis in (spec.axis1, spec.axis2) if axis))
-    values = zip(*(grid.value_array(column).ravel().tolist() for column in spec.outputs))
-    for key, value in zip(keys, values):
-        buf.write(",".join(map(_fmt, key + value)) + ",true\n")
-    _write_text(destination, buf.getvalue())
+    header = ["axis1"] + (["axis2"] if spec.axis2 else []) + list(spec.outputs) + ["stable"]
+    # Each axis and output value is formatted once, as by _fmt (axis values are finite).
+    axes = (axis.values for axis in (spec.axis1, spec.axis2) if axis)
+    keys = itertools.product(*([f"{v:.9g}" for v in values] for values in axes))
+    columns = (grid.value_array(column).ravel().tolist() for column in spec.outputs)
+    values = zip(*([f"{v:.9g}" if v == v else "NaN" for v in data] for data in columns))
+    rows = "".join(f"{','.join(key + value)},true\n" for key, value in zip(keys, values))
+    comments = "".join(f"# {line}\n" for line in grid.provenance)
+    _write_text(destination, f"{comments}{','.join(header)}\n{rows}")
 
 
 def _write_text(destination, text: str) -> None:
@@ -530,26 +527,24 @@ COLOR_ANCHORS = (
 )
 
 NAN_FILL = "#9e9e9e"
+_ANCHOR_RGB = np.array(COLOR_ANCHORS + COLOR_ANCHORS[-1:], dtype=float)  # the last repeats: at 1, t = 0
+
+
+def _color_codes(fractions) -> np.ndarray:
+    """0xRRGGBB of the fixed colormap at each of ``fractions``, in one array pass: clamp to
+    [0, 1], scale by 16, split into anchor and fraction t, interpolate and round half to even
+    (``np.rint``, as Python's ``round``). NaN maps to NAN_FILL."""
+    f = np.asarray(fractions, dtype=float)
+    t, low = np.modf(np.fmin(np.fmax(f, 0.0), 1.0) * (len(COLOR_ANCHORS) - 1))  # fmax takes NaN to 0
+    t, low = t[..., None], low.astype(int)
+    rgb = np.rint((1.0 - t) * _ANCHOR_RGB[low] + t * _ANCHOR_RGB[low + 1]).astype(int)
+    return np.where(np.isnan(f), int(NAN_FILL[1:], 16), rgb @ (1 << 16, 1 << 8, 1))
 
 
 def color_for(fraction: float) -> str:
-    """Hex color of the fixed colormap at ``fraction`` in [0, 1].
-
-    Out-of-range values clamp to the endpoints; NaN maps to the fill
-    used for unavailable cells.
-    """
-    if math.isnan(fraction):
-        return NAN_FILL
-    f = min(max(float(fraction), 0.0), 1.0)
-    scaled = f * (len(COLOR_ANCHORS) - 1)
-    low = int(math.floor(scaled))
-    high = min(low + 1, len(COLOR_ANCHORS) - 1)
-    t = scaled - low
-    rgb = [
-        int(round((1.0 - t) * COLOR_ANCHORS[low][k] + t * COLOR_ANCHORS[high][k]))
-        for k in range(3)
-    ]
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+    """Hex color of the fixed colormap at ``fraction`` in [0, 1], clamped to the endpoints, NaN
+    to the fill of unavailable cells: the one-value case of the heatmap's array map."""
+    return f"#{int(_color_codes(fraction)):06x}"
 
 
 def _rect(x, y, width, height, fill: str | None = None) -> str:
@@ -562,7 +557,7 @@ def _text(x, y, body: str, size: int = 11, anchor: str | None = None, attrs: str
     anchored = f' text-anchor="{anchor}"' if anchor else ""
     return (
         f'<text x="{x}" y="{y}" font-family="monospace" font-size="{size}"{anchored}{attrs}>'
-        f"{body}</text>"
+        f"{body.replace('&', '&amp;').replace('<', '&lt;').replace('>', '&gt;')}</text>"
     )
 
 
@@ -581,6 +576,17 @@ def _write_svg(destination, width: int, height: int, title: str, body: list[str]
 
 def _tick_label(x: float) -> str:
     return f"{x:.6g}"
+
+
+@functools.cache
+def _colorbar(x: int, top: int, width: int, height: int, steps: int = 32) -> tuple[str, ...]:
+    """The heatmap legend's color steps, bottom up, and its frame: the same on every page."""
+    step = f"{height / steps + 0.05:.2f}"
+    rects = (
+        _rect(x, f"{top + height - (s + 1) * (height / steps):.2f}", width, step, color_for((s + 0.5) / steps))
+        for s in range(steps)
+    )
+    return (*rects, _rect(x, top, width, height))
 
 
 def emit_heatmap(grid: SweepGrid, column: str | None, destination) -> None:
@@ -614,21 +620,14 @@ def emit_heatmap(grid: SweepGrid, column: str | None, destination) -> None:
     right_pad, bottom_pad = 110, 60
     width, height = left + plot_w + right_pad, top + plot_h + bottom_pad
     cw, ch = plot_w / n1, plot_h / n2
-    cell_w, cell_h = f"{cw + 0.05:.2f}", f"{ch + 0.05:.2f}"
-
-    parts = []
-    for i in range(n1):
-        for j in range(n2):
-            v = values[i, j]
-            if math.isnan(v):
-                fill = NAN_FILL
-            elif span == 0.0:
-                fill = color_for(0.5)
-            else:
-                fill = color_for((v - vmin) / span)
-            x = left + i * cw
-            y = top + (n2 - 1 - j) * ch
-            parts.append(_rect(f"{x:.2f}", f"{y:.2f}", cell_w, cell_h, fill))
+    with np.errstate(all="ignore"):  # as per-cell float arithmetic: inf clamps, inf / inf is NaN
+        fractions = (values - vmin) / span if span else np.where(np.isnan(values), np.nan, 0.5)
+    # Each column's x and each row's y is formatted once; a cell adds its fill.
+    xs = [f'<rect x="{left + i * cw:.2f}" y="' for i in range(n1)]
+    rest = f'" width="{cw + 0.05:.2f}" height="{ch + 0.05:.2f}" fill="#'
+    ys = [f"{top + (n2 - 1 - j) * ch:.2f}{rest}" for j in range(n2)]
+    codes = _color_codes(fractions).ravel().tolist()
+    parts = [f'{x}{y}{code:06x}"/>' for (x, y), code in zip(itertools.product(xs, ys), codes)]
     parts.append(_rect(left, top, plot_w, plot_h))
 
     # First, middle and last values, each labelled at the centre of its own cell.
@@ -645,12 +644,7 @@ def emit_heatmap(grid: SweepGrid, column: str | None, destination) -> None:
 
     bar_x = left + plot_w + 24
     bar_w, bar_h = 18, plot_h
-    steps = 32
-    for s in range(steps):
-        y = top + bar_h - (s + 1) * (bar_h / steps)
-        fill = color_for((s + 0.5) / steps)
-        parts.append(_rect(bar_x, f"{y:.2f}", bar_w, f"{bar_h / steps + 0.05:.2f}", fill))
-    parts.append(_rect(bar_x, top, bar_w, bar_h))
+    parts.extend(_colorbar(bar_x, top, bar_w, bar_h))
     parts.append(_text(bar_x + bar_w + 6, top + 10, _tick_label(vmax)))
     parts.append(_text(bar_x + bar_w + 6, top + bar_h, _tick_label(vmin)))
     _write_svg(destination, width, height, f"{spec.name or 'sweep'}: {column}", parts)

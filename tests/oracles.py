@@ -10,6 +10,9 @@ symplectic spectrum besides the library's symmetric eigen-solve: the
 non-symmetric eigen-solve of Omega V, and the two-mode closed form in
 exact rational arithmetic. The library does not use them; each is a
 second way to the numbers it computes.
+The CSV and heatmap emitters as they were written cell by cell, each
+value formatted and each colour interpolated in scalar Python, are the
+byte oracle of the library's array-at-a-time emitters.
 ``tmsv_cm`` is an exact known state (the two-mode squeezed vacuum) for
 the covariance-matrix algebra.
 
@@ -23,6 +26,8 @@ collected in :class:`ReducedParams`.
 
 from __future__ import annotations
 
+import io
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +47,7 @@ from cavmag.cvgaussian import (
 from cavmag.errors import NoEntanglementError, NumericalFailureError, UnstableSystemError
 from cavmag.linsys import _UNSTABLE, _scale_diffusions, _square_matrix
 from cavmag.model import R_MAX, SystemParams, steady_state_cm, thermal_occupation, thermal_steady_state
+from cavmag.sweep import COLOR_ANCHORS, NAN_FILL, SweepGrid, _fmt, _rect, _text, _tick_label, _write_svg, _write_text
 
 
 def drift_by_point(params: SystemParams) -> np.ndarray:
@@ -443,3 +449,93 @@ def threshold_by_steps(params: SystemParams, t_max: float, tol: float) -> float 
         return clamp_negativity(pair_indicators(covariance([temperature]), ((2, 3),))[0, 0]) > 0.0
 
     return _bisect(entangled, t_max, tol)
+
+
+# ---------------------------------------------------------------------------
+# emitters, one cell at a time
+
+
+def color_by_cell(fraction: float) -> str:
+    """Hex color of the fixed colormap at ``fraction``, in scalar Python arithmetic."""
+    if math.isnan(fraction):
+        return NAN_FILL
+    f = min(max(float(fraction), 0.0), 1.0)
+    scaled = f * (len(COLOR_ANCHORS) - 1)
+    low = int(math.floor(scaled))
+    high = min(low + 1, len(COLOR_ANCHORS) - 1)
+    t = scaled - low
+    rgb = [int(round((1.0 - t) * COLOR_ANCHORS[low][k] + t * COLOR_ANCHORS[high][k])) for k in range(3)]
+    return "#{:02x}{:02x}{:02x}".format(*rgb)
+
+
+def csv_by_cell(grid: SweepGrid) -> str:
+    """What :func:`cavmag.sweep.emit_csv` writes, each row's values formatted one by one."""
+    buf = io.StringIO()
+    for line in grid.provenance:
+        buf.write(f"# {line}\n")
+    spec = grid.spec
+    columns = ["axis1"] + (["axis2"] if spec.axis2 else []) + list(spec.outputs) + ["stable"]
+    buf.write(",".join(columns) + "\n")
+    keys = itertools.product(*(axis.values for axis in (spec.axis1, spec.axis2) if axis))
+    values = zip(*(grid.value_array(column).ravel().tolist() for column in spec.outputs))
+    for key, value in zip(keys, values):
+        buf.write(",".join(map(_fmt, key + value)) + ",true\n")
+    return buf.getvalue()
+
+
+def heatmap_by_cell(grid: SweepGrid, column: str | None) -> str:
+    """What :func:`cavmag.sweep.emit_heatmap` writes, each cell placed and colored on its own."""
+    spec = grid.spec
+    column = spec.outputs[0] if column is None else column
+    values = grid.value_array(column)
+    n1, n2 = values.shape
+    finite = values[np.isfinite(values)]
+    vmin, vmax = (float(np.min(finite)), float(np.max(finite))) if finite.size else (0.0, 0.0)
+    span = vmax - vmin
+
+    left, top = 70, 40
+    plot_w, plot_h = 480, 480
+    right_pad, bottom_pad = 110, 60
+    width, height = left + plot_w + right_pad, top + plot_h + bottom_pad
+    cw, ch = plot_w / n1, plot_h / n2
+    cell_w, cell_h = f"{cw + 0.05:.2f}", f"{ch + 0.05:.2f}"
+
+    parts = []
+    for i in range(n1):
+        for j in range(n2):
+            v = float(values[i, j])  # Python floats: inf - inf is NaN without a warning
+            if math.isnan(v):
+                fill = NAN_FILL
+            elif span == 0.0:
+                fill = color_by_cell(0.5)
+            else:
+                fill = color_by_cell((v - vmin) / span)
+            x = left + i * cw
+            y = top + (n2 - 1 - j) * ch
+            parts.append(_rect(f"{x:.2f}", f"{y:.2f}", cell_w, cell_h, fill))
+    parts.append(_rect(left, top, plot_w, plot_h))
+
+    for i in sorted({0, n1 // 2, n1 - 1}):
+        x = left + i * cw + cw / 2
+        parts.append(_text(f"{x:.1f}", top + plot_h + 18, _tick_label(spec.axis1.values[i]), anchor="middle"))
+    for j in sorted({0, n2 // 2, n2 - 1}):
+        y = top + (n2 - 1 - j) * ch + ch / 2
+        parts.append(_text(left - 6, f"{y + 4:.1f}", _tick_label(spec.axis2.values[j]), anchor="end"))
+    parts.append(_text(f"{left + plot_w / 2:.1f}", height - 14, spec.axis1.path, 13, "middle"))
+    mid = f"{top + plot_h / 2:.1f}"
+    rotate = f' transform="rotate(-90 16 {mid})"'
+    parts.append(_text(16, mid, spec.axis2.path, 13, "middle", rotate))
+
+    bar_x = left + plot_w + 24
+    bar_w, bar_h = 18, plot_h
+    steps = 32
+    for s in range(steps):
+        y = top + bar_h - (s + 1) * (bar_h / steps)
+        fill = color_by_cell((s + 0.5) / steps)
+        parts.append(_rect(bar_x, f"{y:.2f}", bar_w, f"{bar_h / steps + 0.05:.2f}", fill))
+    parts.append(_rect(bar_x, top, bar_w, bar_h))
+    parts.append(_text(bar_x + bar_w + 6, top + 10, _tick_label(vmax)))
+    parts.append(_text(bar_x + bar_w + 6, top + bar_h, _tick_label(vmin)))
+    buf = io.StringIO()
+    _write_svg(buf, width, height, f"{spec.name or 'sweep'}: {column}", parts)
+    return buf.getvalue()

@@ -195,6 +195,19 @@ class TestSymplecticEigenvalues:
             nus = symplectic_eigenvalues(tmsv_cm(r))
             assert np.allclose(nus, [0.5, 0.5], atol=1e-9)
 
+    def test_pure_state_resolves_up_to_r_4(self):
+        # The spectrum's relative error bound, eps times V's condition number e^(4r), is 2e-9 here.
+        assert np.allclose(symplectic_eigenvalues(tmsv_cm(4.0)), [0.5, 0.5], atol=1e-9)
+
+    @pytest.mark.parametrize("r", [5.0, 10.0, 20.0])
+    def test_unresolved_pure_state_raises(self, r):
+        # The bound passes 1e-8 near r = 4.42. Unguarded, tmsv_cm(10) read [0, 5.0e-9]
+        # and tmsv_cm(20) [0, 2.23]; the truth is [0.5, 0.5].
+        with pytest.raises(NumericalFailureError, match="resolution"):
+            symplectic_eigenvalues(tmsv_cm(r))
+        with pytest.raises(NumericalFailureError, match="resolution"):
+            symplectic_spectra(np.stack([tmsv_cm(0.4).entries, tmsv_cm(r).entries]))
+
     def test_pt_tmsv_frozen_values(self):
         nus = symplectic_eigenvalues(partial_transpose(tmsv_cm(0.4), 0))
         assert nus[0] == pytest.approx(EXP_M08_HALF, abs=1e-12)
@@ -258,11 +271,14 @@ class TestSymplecticEigenvalues:
             scaled = symplectic_eigenvalues(CovarianceMatrix(1e9 * cm.entries))
             assert np.allclose(scaled, 1e9 * symplectic_eigenvalues(cm), rtol=1e-9)
         # Round-off leaves the zero eigenvalue of a singular V near -eps * ||V||_2,
-        # which passes at any scale; -1e-9 of the largest fails at any scale.
+        # which the definiteness check passes at any scale; the condition check then
+        # refuses an unresolved spectrum, not an unphysical state. -1e-9 of the largest
+        # fails the definiteness check at any scale.
         for scale in (1e-9, 1.0, 1e9):
             for _ in range(5):
                 g = rng.normal(size=(4, 3))
-                symplectic_spectra(scale * (g @ g.T))
+                with pytest.raises(NumericalFailureError, match="resolution"):
+                    symplectic_spectra(scale * (g @ g.T))
             with pytest.raises(UnphysicalStateError):
                 symplectic_spectra(scale * np.diag([1.0, -1e-9]))
 
@@ -371,6 +387,22 @@ class TestLogNegativity:
     def test_requires_two_modes(self):
         with pytest.raises(ValueError):
             log_negativity(CovarianceMatrix(0.5 * np.eye(6)))
+
+    @pytest.mark.parametrize("s", [6.0, 7.0, 8.0])
+    def test_locally_squeezed_product_state_is_refused_not_misread(self, s):
+        # A rotated single-mode squeezed state times the vacuum is pure and separable. Its
+        # spectrum is known to eps times V's condition number, eps * exp(4 s): unguarded, it
+        # read E up to 1.25e-6 at s = 6 and an unphysical state at s = 7 and 8.
+        for phi in np.linspace(0.0, np.pi, 25):
+            rot = local_rotation(phi, 0.0)
+            v = rot @ np.diag([0.5 * np.exp(2 * s), 0.5 * np.exp(-2 * s), 0.5, 0.5]) @ rot.T
+            with pytest.raises(NumericalFailureError, match="resolution"):
+                log_negativity(CovarianceMatrix(0.5 * (v + v.T)))
+
+    def test_locally_squeezed_product_state_resolves_at_s_4(self):
+        rot = local_rotation(0.3, 0.0)
+        v = rot @ np.diag([0.5 * np.exp(8.0), 0.5 * np.exp(-8.0), 0.5, 0.5]) @ rot.T
+        assert log_negativity(CovarianceMatrix(0.5 * (v + v.T))) == 0.0
 
 
 class TestStackedEvaluation:

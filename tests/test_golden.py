@@ -14,8 +14,10 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cavmag.model import BASELINE
+from cavmag.model import BASELINE, OUTPUT_COLUMNS
 from cavmag.sweep import (
     SweepAxis,
     SweepGrid,
@@ -24,6 +26,7 @@ from cavmag.sweep import (
     emit_heatmap,
     emit_lineplot,
 )
+from oracles import csv_by_cell, heatmap_by_cell
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 NAN = float("nan")
@@ -134,6 +137,53 @@ CASES = {
 def test_emitter_bytes_match_golden(name):
     expected = (GOLDEN_DIR / name).read_bytes().decode("utf-8")
     assert CASES[name]() == expected
+
+
+SPECIAL = (NAN, math.inf, -math.inf)
+
+
+@st.composite
+def emitter_grids(draw) -> SweepGrid:
+    """1- and 2-axis grids, 1 to 6 values per axis, whose cells mix NaN and +-inf with finite values:
+    wide floats; multiples of 1/32 between a 0 and a 1 cell, whose fractions fall on the colormap's
+    anchors (k / 16) and on its exact .5 ties ((2k + 1) / 32); or one constant."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+    axes = [
+        SweepAxis(path, sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n, unique=True))))
+        for path, n in zip(("r", "g"), sizes)
+    ]
+    cells = math.prod(sizes)
+    kind = draw(st.sampled_from(("wide", "lattice", "constant")))
+    finite = {
+        "wide": st.floats(allow_nan=False, allow_infinity=False),
+        "lattice": st.integers(0, 32).map(lambda k: k / 32),
+        "constant": st.just(draw(st.floats(-1e3, 1e3))),
+    }[kind]
+    outputs = tuple(draw(st.lists(st.sampled_from(OUTPUT_COLUMNS), min_size=1, max_size=3, unique=True)))
+    columns = {}
+    for column in OUTPUT_COLUMNS:
+        values = draw(st.lists(st.one_of(finite, st.sampled_from(SPECIAL)), min_size=cells, max_size=cells))
+        if kind == "lattice" and cells > 1:
+            values[0], values[-1] = 0.0, 1.0
+        columns[column] = values
+    spec = SweepSpec(BASELINE, axes[0], axes[1] if len(axes) == 2 else None, outputs, name="drawn")
+    return SweepGrid(spec=spec, columns=columns, provenance=("drawn grid",))
+
+
+@given(g=emitter_grids())
+@example(g=SweepGrid(  # the span of the finite values overflows
+    spec=SweepSpec(BASELINE, SweepAxis("r", (0.0, 1.0)), SweepAxis("g", (1.0, 2.0)), ("E_mm",)),
+    columns=dict.fromkeys(OUTPUT_COLUMNS, [-1e308, 1e308, 0.0, math.inf]),
+    provenance=(),
+))
+@example(g=grid(("r", (0.0, 1.0)), ("g", (1.0,)), [math.inf, -math.inf]))  # no finite cell
+@example(g=grid(("r", (0.0,)), ("g", (1.0, 2.0)), [NAN, NAN]))
+@settings(max_examples=300, deadline=None)
+def test_emitters_equal_the_per_cell_oracles(g):
+    assert csv(g) == csv_by_cell(g)
+    if g.spec.axis2 is not None:
+        for column in (None, *g.spec.outputs):
+            assert heatmap(g, column) == heatmap_by_cell(g, column)
 
 
 if __name__ == "__main__":

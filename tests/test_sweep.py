@@ -40,7 +40,7 @@ from cavmag.sweep import (
 from cavmag.model import entanglement_report
 
 from conftest import STAGES_UNCALLED, outcome, state_nu_min
-from oracles import threshold_by_full_solves, threshold_by_steps
+from oracles import color_by_cell, threshold_by_full_solves, threshold_by_steps
 
 # One batch of points: one closed-form call for its pairs, and no spectrum of its states.
 ONE_BATCH = dict(pair_indicators=1, symplectic_spectra=0)
@@ -253,6 +253,11 @@ class TestAxisAndSpecValidation:
     def test_spec_rejects_a_base_or_axis_of_the_wrong_type(self, change):
         with pytest.raises(ValueError, match="SweepAxis|SystemParams"):
             tiny_spec(**change)
+
+    @pytest.mark.parametrize("name", [5, None, b"fig2c", "a<b & c\nrow", "tab\tname", "nul\x00", "line\u2028break"])
+    def test_spec_rejects_a_name_that_is_not_printable_text(self, name):
+        with pytest.raises(ValueError, match="name must be printable text"):
+            tiny_spec(name=name)
 
     def test_shape(self):
         assert tiny_spec().shape == (2,)
@@ -693,6 +698,14 @@ class TestEmitCsv:
         assert content.endswith("\n")
         assert "axis1,E_mm,stable" in content
 
+    def test_markup_in_the_name_stays_on_its_provenance_line(self):
+        buf = io.StringIO()
+        emit_csv(run_sweep(tiny_spec(name="a<b & c>d")), buf)
+        lines = buf.getvalue().splitlines()
+        assert "# preset: a<b & c>d" in lines
+        header = lines.index("axis1,E_mm,stable")
+        assert all(line.startswith("# ") for line in lines[:header])
+
     def test_deterministic_bytes(self):
         spec = tiny_spec(axis1=SweepAxis("r", (0.0, 0.7)), axis2=SweepAxis("g", (1.0, 4.0)))
         first, second = io.StringIO(), io.StringIO()
@@ -759,6 +772,14 @@ class TestEmitHeatmap:
         assert abs(float(labels[f"{a1[n1 // 2]:g}"]["x"]) - x_centre) <= 0.05
         assert abs(float(labels[f"{a2[n2 // 2]:g}"]["y"]) - 4.0 - y_centre) <= 0.05
 
+    def test_markup_in_the_name_is_escaped(self):
+        spec = tiny_spec(axis2=SweepAxis("g", (1.0, 2.0)), name="a<b & c>d")
+        buf = io.StringIO()
+        emit_heatmap(run_sweep(spec), None, buf)
+        assert "a&lt;b &amp; c&gt;d: E_mm" in buf.getvalue()
+        titles = [el.text for el in ET.fromstring(buf.getvalue()) if el.tag.endswith("text")]
+        assert titles[0] == "a<b & c>d: E_mm"
+
     def test_writes_to_path(self, tmp_path):
         target = tmp_path / "map.svg"
         emit_heatmap(self.small_grid(), None, str(target))
@@ -810,3 +831,11 @@ class TestColorFor:
 
     def test_format(self):
         assert re.fullmatch(r"#[0-9a-f]{6}", color_for(0.37))
+
+    def test_equals_the_per_cell_oracle(self):
+        # Anchors (k / 16), exact .5 ties in a channel ((2k + 1) / 32), signed zeros,
+        # out-of-range and non-finite values, and a dense random sweep.
+        rng = np.random.default_rng(53)
+        fractions = [k / 32 for k in range(33)] + [-0.0, -1e-300, 1.0 + 1e-16, math.inf, -math.inf, math.nan]
+        for f in fractions + rng.uniform(-0.1, 1.1, 2000).tolist():
+            assert color_for(f) == color_by_cell(f), f
