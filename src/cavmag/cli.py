@@ -147,10 +147,17 @@ def _effective_params(args, presets=(), replaced=()) -> SystemParams:
     return params
 
 
-def _out_paths(out_dir: str, name: str) -> tuple[str, str]:
-    """DIR/NAME.csv and DIR/NAME.svg, creating DIR if needed."""
+def _write_figure(out_dir: str | None, name: str, write_csv, write_svg) -> None:
+    """The CSV on stdout, or DIR/NAME.csv and DIR/NAME.svg with DIR created if needed:
+    ``write_csv`` takes a stream or a path, ``write_svg`` a path."""
+    if out_dir is None:
+        write_csv(sys.stdout)
+        return
     os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, f"{name}.csv"), os.path.join(out_dir, f"{name}.svg")
+    csv_path, svg_path = (os.path.join(out_dir, f"{name}.{suffix}") for suffix in ("csv", "svg"))
+    write_csv(csv_path)
+    write_svg(svg_path)
+    print(f"{name}: wrote {csv_path} and {svg_path}", flush=True)
 
 
 def _run_point(args) -> int:
@@ -187,16 +194,9 @@ def _run_sweep(args) -> int:
         raise ValueError(f"--resolution {args.resolution} is too many points: {exc}") from exc
     for spec in specs:
         grid = run_sweep(spec)
-        if args.out_dir is None:
-            emit_csv(grid, sys.stdout)
-            continue
-        csv_path, svg_path = _out_paths(args.out_dir, spec.name)
-        emit_csv(grid, csv_path)
-        if PRESETS[spec.name].lines:
-            emit_lineplot(grid, svg_path)
-        else:
-            emit_heatmap(grid, None, svg_path)
-        print(f"{spec.name}: wrote {csv_path} and {svg_path}", flush=True)
+        lines = PRESETS[spec.name].lines
+        plot = functools.partial(emit_lineplot, grid) if lines else functools.partial(emit_heatmap, grid, None)
+        _write_figure(args.out_dir, spec.name, functools.partial(emit_csv, grid), plot)
     return EXIT_OK
 
 
@@ -226,14 +226,9 @@ def _run_threshold(args) -> int:
     text = "r,threshold_K\n" + "".join(
         f"{_fmt(r)},{'' if t is None else _fmt(t)}\n" for r, t in zip(r_values, thresholds)
     )
-    if args.out_dir is None:
-        _write_text(sys.stdout, text)
-        return EXIT_OK
-    csv_path, svg_path = _out_paths(args.out_dir, "survival_temperature")
-    _write_text(csv_path, text)
     series = [("threshold temperature (K)", thresholds)]
-    render_lines(r_values, series, "entanglement survival temperature", "r", svg_path)
-    print(f"survival_temperature: wrote {csv_path} and {svg_path}")
+    plot = functools.partial(render_lines, r_values, series, "entanglement survival temperature", "r")
+    _write_figure(args.out_dir, "survival_temperature", lambda dest: _write_text(dest, text), plot)
     return EXIT_OK
 
 

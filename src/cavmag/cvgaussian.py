@@ -270,9 +270,10 @@ def log_negativity(cm: CovarianceMatrix) -> float:
     """Logarithmic negativity E = max(0, -ln(2 nu_min)) of a two-mode
     Gaussian state: :func:`negativity_indicators` of ``cm``, clamped.
     Separable states return exactly 0.0."""
-    return clamp_negativity(float(negativity_indicators(cm.entries)))
+    return float(clamp_negativity(negativity_indicators(cm.entries)))
 
 
-def clamp_negativity(indicator: float) -> float:
-    """Log-negativity from one value of :func:`negativity_indicators` or :func:`pair_indicators`."""
-    return indicator if indicator > SEPARABLE_SLACK else 0.0
+def clamp_negativity(indicators):
+    """Log-negativity from values of :func:`negativity_indicators` or :func:`pair_indicators`,
+    elementwise: exactly 0.0 where a value is NaN or at most SEPARABLE_SLACK. A 0-d input gives a float."""
+    return np.where(np.greater(indicators, SEPARABLE_SLACK), indicators, 0.0)[()]

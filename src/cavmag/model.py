@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .cvgaussian import SEPARABLE_SLACK, CovarianceMatrix, pair_indicators
+from .cvgaussian import CovarianceMatrix, clamp_negativity, pair_indicators
 from .errors import NumericalFailureError
 from .linsys import check_residual, solve_lyapunov
 
@@ -40,10 +40,13 @@ MODE_LABELS = ("cavity1", "cavity2", "magnon1", "magnon2")
 
 
 def _real(name: str, value) -> float:
-    """``value`` as a float; ValueError unless it is a real number other than a bool."""
+    """``value`` as a float, +-inf beyond its range; ValueError unless a real number other than a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, not {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer or fraction beyond the float range; callers refuse inf
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True, slots=True)
@@ -351,7 +354,7 @@ def entanglement_columns(points) -> dict[str, NDArray[np.float64]]:
     if not points:
         return {name: np.empty(0) for name in OUTPUT_COLUMNS}
     indicators = pair_indicators(_steady_states(points), _PAIRS)
-    e = np.where(indicators > SEPARABLE_SLACK, indicators, 0.0)  # clamp_negativity, elementwise
+    e = clamp_negativity(indicators)
     ratio = np.divide(e[:, 1], e[:, 0], out=np.full(len(e), math.nan), where=e[:, 0] > 0.0)
     return dict(zip(OUTPUT_COLUMNS, (*e.T, ratio, indicators[:, 2])))
 

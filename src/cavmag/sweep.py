@@ -121,6 +121,14 @@ def parse_config(text: str) -> list[tuple[str, float]]:
 # sweep definition and grid
 
 
+def _sequence(role: str, items, what: str) -> tuple:
+    """``items`` as a tuple; ValueError for a string or a non-iterable, where a sequence belongs."""
+    kind = "a string" if isinstance(items, (str, bytes)) else type(items).__name__
+    if kind == "a string" or not hasattr(items, "__iter__"):
+        raise ValueError(f"{role} must be a sequence of {what}, not {kind}")
+    return tuple(items)
+
+
 @dataclass(frozen=True)
 class SweepAxis:
     """One sweep axis: a parameter path and its strictly monotone values."""
@@ -130,11 +138,7 @@ class SweepAxis:
 
     def __post_init__(self):
         _known_path(self.path)
-        if isinstance(self.values, (str, bytes)):
-            raise ValueError("axis values must be numbers, not a string")
-        if not hasattr(self.values, "__iter__"):
-            raise ValueError(f"axis values must be a sequence of numbers, not {type(self.values).__name__}")
-        values = tuple(_real("axis value", v) for v in self.values)
+        values = tuple(_real("axis value", v) for v in _sequence("axis values", self.values, "numbers"))
         if len(values) == 0:
             raise ValueError("axis must hold at least one value")
         if not all(math.isfinite(v) for v in values):
@@ -164,7 +168,7 @@ class SweepSpec:
         axes = (self.axis1,) if self.axis2 is None else (self.axis1, self.axis2)
         if not (isinstance(self.base, SystemParams) and all(isinstance(a, SweepAxis) for a in axes)):
             raise ValueError("a sweep needs a SystemParams base and SweepAxis axes (axis2 may be None)")
-        outputs = tuple(self.outputs)
+        outputs = _sequence("outputs", self.outputs, "column names")
         if len(outputs) == 0:
             raise ValueError("at least one output column is required")
         if len(set(outputs)) != len(outputs):
@@ -195,6 +199,10 @@ class SweepGrid:
     provenance: tuple[str, ...]
 
     def __post_init__(self):
+        lines = _sequence("provenance", self.provenance, "text lines")
+        bad = [line for line in lines if not (isinstance(line, str) and line.isprintable())]
+        if bad:
+            raise ValueError(f"provenance lines must be printable text, not {bad[0]!r}")
         if set(self.columns) != set(OUTPUT_COLUMNS):
             raise ValueError(f"expected one array per column of {', '.join(OUTPUT_COLUMNS)}")
         shape = self.spec.shape
@@ -202,6 +210,7 @@ class SweepGrid:
         for data in columns.values():
             data.flags.writeable = False
         object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "provenance", lines)
 
     def value_array(self, column: str) -> np.ndarray:
         """Values of one summary column, shaped like the grid (read-only)."""
@@ -438,7 +447,7 @@ def find_temperature_threshold(
 
     def entangled(temperatures) -> list[bool]:
         indicators = pair_indicators(covariance(temperatures), _PAIRS[1:2])[:, 0]
-        return [clamp_negativity(x) > 0.0 for x in indicators]
+        return (clamp_negativity(indicators) > 0.0).tolist()
 
     def round_of(temperatures):
         try:
@@ -658,11 +667,10 @@ def emit_lineplot(grid: SweepGrid, destination, columns: tuple[str, ...] | None 
 
     For two-axis grids with a small second axis (such as the fixed
     three-coupling comparison) one polyline is drawn per second-axis
-    value, labeled in the legend. NaN samples break the polyline.
+    value, labeled in the legend. Non-finite samples break the polyline.
     """
     spec = grid.spec
-    if columns is None:
-        columns = (spec.outputs[0],)
+    columns = (spec.outputs[0],) if columns is None else _sequence("columns", columns, "column names")
     for column in columns:
         if column not in spec.outputs:
             raise ValueError(f"column {column!r} is not among the grid outputs {spec.outputs}")
@@ -683,8 +691,8 @@ def emit_lineplot(grid: SweepGrid, destination, columns: tuple[str, ...] | None 
 def render_lines(xs, series, title: str, x_label: str, destination) -> None:
     """Draw (label, ys) ``series`` over the shared ``xs`` as an SVG line plot.
 
-    The vertical range spans every finite sample. NaN (or None) samples
-    break a line; each line gets its own color and legend entry.
+    The vertical range spans every finite sample, and each run of finite samples is one
+    polyline (NaN, None and +-inf break a line). Each line gets its own color and legend entry.
     """
     xs = np.asarray(xs, dtype=float)
     series = [(label, np.asarray(ys, dtype=float)) for label, ys in series]
@@ -708,19 +716,11 @@ def render_lines(xs, series, title: str, x_label: str, destination) -> None:
     parts = [_rect(left, top, plot_w, plot_h)]
     for k, (label, ys) in enumerate(series):
         color = LINE_COLORS[k % len(LINE_COLORS)]
-        chunks: list[list[str]] = [[]]
-        for x, y in zip(xs, ys):
-            if math.isnan(y):
-                if chunks[-1]:
-                    chunks.append([])
-                continue
-            chunks[-1].append(f"{sx(float(x)):.2f},{sy(float(y)):.2f}")
-        for chunk in chunks:
-            if len(chunk) >= 2:
-                parts.append(
-                    f'<polyline points="{" ".join(chunk)}" fill="none" '
-                    f'stroke="{color}" stroke-width="1.5"/>'
-                )
+        samples = itertools.groupby(zip(xs.tolist(), ys.tolist()), lambda sample: math.isfinite(sample[1]))
+        for run in (list(run) for finite, run in samples if finite):
+            if len(run) >= 2:
+                points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in run)
+                parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(_text(left + 8, top + 16 + 14 * k, label, attrs=f' fill="{color}"'))
     for value, x in ((x_lo, left), (x_hi, left + plot_w)):
         parts.append(_text(x, top + plot_h + 18, _tick_label(value), anchor="middle"))

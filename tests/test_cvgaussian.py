@@ -5,13 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cavmag.cvgaussian import (
+    SEPARABLE_SLACK,
     CovarianceMatrix,
     _omega,
+    clamp_negativity,
     log_negativity,
     negativity_indicators,
     pair_indicators,
@@ -403,6 +405,37 @@ class TestLogNegativity:
         rot = local_rotation(0.3, 0.0)
         v = rot @ np.diag([0.5 * np.exp(8.0), 0.5 * np.exp(-8.0), 0.5, 0.5]) @ rot.T
         assert log_negativity(CovarianceMatrix(0.5 * (v + v.T))) == 0.0
+
+
+def clamp_by_value(x: float) -> float:
+    """The separability clamp one value at a time: the value where it exceeds the slack, else 0.0."""
+    return x if x > SEPARABLE_SLACK else 0.0
+
+
+EDGE_INDICATORS = (math.nan, math.inf, -math.inf, SEPARABLE_SLACK, np.nextafter(SEPARABLE_SLACK, 1.0),
+                   np.nextafter(SEPARABLE_SLACK, 0.0), -0.0, 0.0, 5e-324, 0.3, -0.3)
+
+
+class TestClampNegativity:
+    @given(st.lists(st.floats() | st.sampled_from(EDGE_INDICATORS), max_size=12))
+    @example(list(EDGE_INDICATORS))
+    def test_array_equals_the_value_rule_elementwise(self, values):
+        # Bit for bit: NaN and -0.0 both give +0.0, as the value rule does.
+        expected = np.array([clamp_by_value(x) for x in values], dtype=float)
+        assert clamp_negativity(np.array(values, dtype=float)).tobytes() == expected.tobytes()
+        stacked = clamp_negativity(np.array(values + values, dtype=float).reshape(2, -1))
+        assert stacked.shape == (2, len(values)) and stacked.tobytes() == np.tile(expected, 2).tobytes()
+
+    @pytest.mark.parametrize("x", EDGE_INDICATORS)
+    def test_zero_dimensional_input_gives_a_float(self, x):
+        for value in (x, np.float64(x), np.array(x)):
+            clamped = clamp_negativity(value)
+            assert isinstance(clamped, float)
+            assert np.array(clamped).tobytes() == np.array(clamp_by_value(x)).tobytes()
+
+    def test_log_negativity_returns_a_python_float(self):
+        assert type(log_negativity(tmsv_cm(0.4))) is float
+        assert type(log_negativity(CovarianceMatrix(0.5 * np.eye(4)))) is float
 
 
 class TestStackedEvaluation:

@@ -105,6 +105,10 @@ class TestSystemParams:
             ("g", (True, 1.0)),
             ("g", 5.0),
             ("g", None),
+            # Integers beyond the float range read as infinite, not as an OverflowError.
+            pytest.param("r", 10**400, id="r-huge"),
+            pytest.param("temperature", -(10**400), id="temperature-huge"),
+            pytest.param("g", (10**400, 1.0), id="g-huge"),
         ],
     )
     def test_invalid_values_rejected(self, field, value):

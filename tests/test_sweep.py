@@ -34,6 +34,7 @@ from cavmag.sweep import (
     figure_preset,
     find_temperature_threshold,
     parse_config,
+    render_lines,
     run_sweep,
     summarize_point,
 )
@@ -165,6 +166,8 @@ class TestApplyParameter:
     def test_nonfinite_value_rejected(self):
         with pytest.raises(ValueError):
             apply_parameter(BASELINE, "r", math.nan)
+        with pytest.raises(ValueError, match="must be finite"):
+            apply_parameter(BASELINE, "r", 10**400)
 
     @pytest.mark.parametrize(("path", "value"), [("r", "0.5"), ("r", True), ("g", b"2")])
     def test_non_number_value_rejected(self, path, value):
@@ -218,6 +221,8 @@ class TestAxisAndSpecValidation:
             SweepAxis("r", ())
         with pytest.raises(ValueError):
             SweepAxis("r", (0.0, math.inf))
+        with pytest.raises(ValueError, match="must be finite"):
+            SweepAxis("r", (0, 10**400))
         for values in ("12", b"12"):
             with pytest.raises(ValueError, match="not a string"):
                 SweepAxis("r", values)
@@ -239,6 +244,9 @@ class TestAxisAndSpecValidation:
             tiny_spec(outputs=("E_mm", "E_mm"))
         with pytest.raises(ValueError, match="at least one"):
             tiny_spec(outputs=())
+        for outputs in ("E_mm", b"E_mm", 5, None):
+            with pytest.raises(ValueError, match="outputs must be a sequence of column names"):
+                tiny_spec(outputs=outputs)
 
     def test_spec_rejects_duplicate_axis_path(self):
         with pytest.raises(ValueError, match="different parameter path"):
@@ -385,6 +393,22 @@ class TestRunSweep:
             SweepGrid(spec=spec, columns=dict.fromkeys(OUTPUT_COLUMNS[1:], source), provenance=())
         with pytest.raises(ValueError):
             SweepGrid(spec=spec, columns=dict.fromkeys(OUTPUT_COLUMNS, source[:5]), provenance=())
+
+    @pytest.mark.parametrize(
+        "provenance", ["abc", b"abc", 5, None, ("note\nrow",), (5,), ("tab\there",), ("line\u2028break",)]
+    )
+    def test_grid_rejects_provenance_that_is_not_printable_lines(self, provenance):
+        columns = dict.fromkeys(OUTPUT_COLUMNS, np.zeros(2))
+        with pytest.raises(ValueError, match="provenance"):
+            SweepGrid(spec=tiny_spec(), columns=columns, provenance=provenance)
+
+    def test_grid_keeps_provenance_lines_as_a_tuple(self):
+        columns = dict.fromkeys(OUTPUT_COLUMNS, np.zeros(2))
+        grid = SweepGrid(spec=tiny_spec(), columns=columns, provenance=iter(["a <b>", ""]))
+        assert grid.provenance == ("a <b>", "")
+        buf = io.StringIO()
+        emit_csv(grid, buf)
+        assert buf.getvalue().startswith("# a <b>\n# \naxis1,E_mm,stable\n")
 
     def test_repeated_runs_give_identical_results(self):
         spec = figure_preset("fig2c", resolution=5)
@@ -548,6 +572,10 @@ class TestTemperatureThreshold:
             find_temperature_threshold(BASELINE, t_max=0.0)
         with pytest.raises(ValueError):
             find_temperature_threshold(BASELINE, tol=0.0)
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            find_temperature_threshold(BASELINE, t_max=10**400)
+        with pytest.raises(ValueError, match="tol must satisfy"):
+            find_temperature_threshold(BASELINE, tol=10**400)
         for bad in (dict(t_max=True), dict(t_max="2"), dict(tol=None), dict(tol="0.1"), dict(t_max=None)):
             with pytest.raises(ValueError, match="must be a real number"):
                 find_temperature_threshold(BASELINE, **bad)
@@ -806,6 +834,17 @@ class TestEmitLineplot:
         grid = run_sweep(figure_preset("fig4", resolution=3))
         with pytest.raises(ValueError):
             emit_lineplot(grid, io.StringIO(), columns=("E_mm",))
+        with pytest.raises(ValueError, match="columns must be a sequence of column names"):
+            emit_lineplot(grid, io.StringIO(), columns="E_aa")
+
+    def test_non_finite_samples_break_the_line(self):
+        buf = io.StringIO()
+        ys = [0.1, 0.2, math.inf, 0.3, 0.4, math.nan, 0.5, -math.inf, None, 0.6, 0.7]
+        render_lines(range(len(ys)), [("y", ys)], "gaps", "x", buf)
+        root = ET.fromstring(buf.getvalue())
+        runs = [el.attrib["points"].split() for el in root if el.tag.endswith("polyline")]
+        assert [len(run) for run in runs] == [2, 2, 2]
+        assert "inf" not in buf.getvalue()
 
     def test_writes_to_path(self, tmp_path):
         target = tmp_path / "line.svg"
