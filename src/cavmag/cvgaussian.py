@@ -228,8 +228,15 @@ def _pair_readout(pairs: tuple, dim: int) -> NDArray[np.float64]:
     return out
 
 
-def pair_indicators(v, pairs) -> NDArray[np.float64]:
-    """Unclamped -ln(2 nu_min) of mode pairs (i, j) of a stack (k, 2n, 2n) of states, as (k, pairs).
+def pair_moments(v, pairs) -> NDArray[np.float64]:
+    """Moments of mode pairs (i, j) of a stack (k, 2n, 2n) of states, (k, 10, pairs) in the order of
+    :func:`_pair_readout`: each half a sum of two entries of V, so linear in V and in any summation order."""
+    v = np.asarray(v, dtype=float)
+    return (v.reshape(len(v), -1) @ _pair_readout(tuple(map(tuple, pairs)), v.shape[-1])).reshape(len(v), 10, -1)
+
+
+def _closed_form(q) -> NDArray[np.float64]:
+    """Unclamped -ln(2 nu_min) of mode pairs from their moments q (k, 10, pairs), as (k, pairs).
 
     Closed form for pair blocks [[a I, C], [C^T, b I]] with C purely anomalous (mu) or purely
     normal (beta) (Simon, PRL 84, 2726 (2000); Adesso, Serafini & Illuminati, PRA 70, 022318
@@ -241,17 +248,14 @@ def pair_indicators(v, pairs) -> NDArray[np.float64]:
     scale, then NumericalFailureError where it is entangled and eps * ||V||_2 / nu_min > 1e-8,
     then UnphysicalStateError where its state has a symplectic eigenvalue below 1/2 - 1e-6.
     """
-    v = np.asarray(v, dtype=float)
-    readout = _pair_readout(tuple(map(tuple, pairs)), v.shape[-1])
-    q = (v.reshape(len(v), -1) @ readout).reshape(len(v), 10, -1)
     # Scaled by a power of two to a larger diagonal in [1/2, 1): exact, and no product overflows.
     e = np.frexp(np.maximum(q[:, 0], q[:, 1]))[1]
     q = np.ldexp(q, -e[:, None])
     sq = q[:, 2:] ** 2
-    c2, squeezing = sq[:, 0:2] + sq[:, 4:6], sq[:, 2:4] + sq[:, 6:8]  # |mu|^2, |beta|^2 and |<a a>|^2
-    residue = np.sqrt(np.maximum(np.minimum(c2[:, 0], c2[:, 1]), squeezing.max(axis=1)))
+    c2 = sq[:, :4] + sq[:, 4:]  # |mu|^2, |beta|^2, then |<a a>|^2 of each mode
+    residue = np.sqrt(np.maximum(np.minimum(c2[:, 0], c2[:, 1]), np.maximum(c2[:, 2], c2[:, 3])))
     raise_first(residue > PAIR_STRUCTURE_RTOL, PairStructureError, _BENT, residue)
-    a, b = q[:, 0], q[:, 1]
+    a, b, c2 = q[:, 0], q[:, 1], c2[:, :2]
     p, inner = a * b - c2[:, 0] - c2[:, 1], (a - b)[:, None] ** 2 + 4.0 * c2
     with np.errstate(divide="ignore", invalid="ignore"):  # p <= 0 only in unphysical blocks
         den = np.sqrt(inner + 4.0 * p[:, None]) + np.sqrt(inner)
@@ -264,6 +268,11 @@ def pair_indicators(v, pairs) -> NDArray[np.float64]:
     # Measured from the pair state's own floor: where round-off leaves its nu_min below 1/2,
     # a partial transpose no further below is no entanglement.
     return np.log(np.minimum(1.0, 2.0 * nu_state)) - np.log(2.0 * nu_pt)
+
+
+def pair_indicators(v, pairs) -> NDArray[np.float64]:
+    """:func:`_closed_form` of :func:`pair_moments`: unclamped -ln(2 nu_min) of the pairs, (k, pairs)."""
+    return _closed_form(pair_moments(v, pairs))
 
 
 def log_negativity(cm: CovarianceMatrix) -> float:

@@ -71,7 +71,8 @@ def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
         Symmetric positive semidefinite diffusion matrix of equal shape, or
         a (k, n, n) stack of them.
     gate:
-        False leaves the residual check to the caller (:func:`check_residual`).
+        False leaves the residual check to the caller, e.g. to :func:`superposition_gate`
+        where the solves are members of a superposition that alone may miss it.
 
     Returns
     -------
@@ -122,7 +123,8 @@ def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
         raise_first(conds > CONDITION_LIMIT, NearSingularError, _SINGULAR, conds)
     v = 0.5 * (v + v.swapaxes(1, 2))
     if gate:
-        residual, passed = _residual_gate(a, v, d)
+        r = a @ v + v @ a.swapaxes(-1, -2) + d
+        residual, passed = _gate((r * r).sum(axis=(1, 2)), (d * d).sum(axis=(1, 2)))
         raise_first(~passed, NumericalFailureError, _RESIDUAL, residual)
     v = np.ldexp(v, exponents[:, None, None])
     return v[0] if single else v
@@ -152,21 +154,25 @@ def _back_substitute(r, u, q) -> NDArray[np.float64]:
     return u.dot(y).dot(u.T)
 
 
-def check_residual(a, v, d) -> None:
-    """Raise NumericalFailureError unless ||A V + V A^T + D||_F <= 1e-9 ||D||_F, for one V
-    and D or for each member of (k, n, n) stacks of them, the first failure in stack order.
+def superposition_gate(a, v, d):
+    """``gate(c, peak)``: residuals of V(c) = sum_b c_b V_b, V_b solving A V_b + V_b A^T + D_b = 0, for rows c
+    and each D(c)'s largest |entry|, raising as :func:`solve_lyapunov`'s gate does. Both squared norms
+    are quadratic forms in c, on members and rows scaled by powers of two to unit largest |D| entry."""
+    exponent = np.frexp(np.abs(d).max(axis=(1, 2)))[1]
+    v, d = np.ldexp(v, -exponent[:, None, None]), np.ldexp(d, -exponent[:, None, None])
+    x = np.stack((a @ v + v @ a.T + d, d)).reshape(2, len(d), -1)
+    forms = x @ x.swapaxes(1, 2)
 
-    Checked on each V and D scaled by a power of two to unit largest |D| entry,
-    where it cannot overflow; a residual that is not finite fails it.
-    """
-    d = np.reshape(d, (-1, *np.shape(d)[-2:]))
-    exponent = np.frexp(np.abs(d).max(axis=(1, 2)))[1][:, None, None]
-    residual, passed = _residual_gate(a, np.ldexp(np.reshape(v, d.shape), -exponent), np.ldexp(d, -exponent))
-    raise_first(~passed, NumericalFailureError, _RESIDUAL, residual)
+    def gate(c, peak) -> NDArray[np.float64]:
+        c = np.ldexp(c, exponent - np.frexp(peak)[1][:, None])
+        residual, passed = _gate(*np.sum(c @ forms * c, axis=2))
+        raise_first(~passed, NumericalFailureError, _RESIDUAL, residual)
+        return residual
+
+    return gate
 
 
-def _residual_gate(a, v, d):
-    """||A V + V A^T + D||_F over the stacks ``v`` and ``d``, and where it passes the gate."""
-    r = a @ v + v @ a.swapaxes(-1, -2) + d
-    residual = np.sqrt((r * r).sum(axis=(1, 2)))
-    return residual, residual <= RESIDUAL_RTOL * np.maximum(np.sqrt((d * d).sum(axis=(1, 2))), _TINY)
+def _gate(squared_residual, squared_diffusion):
+    """The residual norms, and where each is at most 1e-9 times its diffusion's norm."""
+    residual = np.sqrt(squared_residual)
+    return residual, residual <= RESIDUAL_RTOL * np.maximum(np.sqrt(squared_diffusion), _TINY)

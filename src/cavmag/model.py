@@ -26,9 +26,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .cvgaussian import CovarianceMatrix, clamp_negativity, pair_indicators
+from .cvgaussian import CovarianceMatrix, clamp_negativity, pair_indicators, pair_moments
 from .errors import NumericalFailureError
-from .linsys import check_residual, solve_lyapunov
+from .linsys import solve_lyapunov, superposition_gate
 
 HBAR = 1.054571817e-34  # J s, CODATA 2018
 KBOLTZ = 1.380649e-23  # J / K, exact SI value
@@ -160,7 +160,8 @@ class NoiseMoments:
 
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose-Einstein occupation of a mode at angular frequency ``omega`` > 0; 0.0 at T = 0."""
-    omega, temperature = float(omega), float(temperature)
+    omega = omega if type(omega) is float else _real("omega", omega)
+    temperature = temperature if type(temperature) is float else _real("temperature", temperature)
     if not (math.isfinite(omega) and omega > 0):
         raise ValueError("omega must be positive and finite")
     if not math.isfinite(temperature) or temperature < 0:
@@ -261,14 +262,6 @@ def build_diffusion(params: SystemParams) -> NDArray[np.float64]:
     return _stacks([params])[1][0]
 
 
-def _set_magnon_blocks(d, params: SystemParams, weights) -> NDArray[np.float64]:
-    """Write kappa_mj / kappa_a1 * weights[j] on the diagonal of magnon j's block of ``d`` (a stack's too)."""
-    for j, w in enumerate(weights):
-        mg = 4 + 2 * j
-        d[..., mg, mg] = d[..., mg + 1, mg + 1] = params.kappa_m[j] / params.kappa_a[0] * w
-    return d
-
-
 def _check_finite(*matrices) -> None:
     if not all(np.isfinite(m).all() for m in matrices):
         raise NumericalFailureError("drift or diffusion matrix overflows at these parameters")
@@ -288,30 +281,28 @@ def steady_state_cm(params: SystemParams) -> CovarianceMatrix:
     return CovarianceMatrix(_steady_states([params])[0], MODE_LABELS)
 
 
-def thermal_steady_state(params: SystemParams):
-    """Steady-state covariance entries of ``params`` as a function of temperature: a
-    sequence of temperatures gives the (k, 8, 8) stack of their V(T).
-
-    V(T) = V0 + n1(T) W1 + n2(T) W2 on the fixed drift: V0 solves T = 0, Wj the
-    diffusion 2 kappa_mj / kappa_a1 on magnon j's block. Each V(T) is gated against D(T),
-    every entry in the one-point order of operations.
-    """
+def thermal_pair_moments(params: SystemParams, pairs):
+    """Steady-state moments of mode ``pairs`` (:func:`pair_moments`) as a function of temperature: (k, 10, pairs)
+    for k temperatures. V(T) = V0 + n1(T) W1 + n2(T) W2 (V0 at T = 0, Wj for 2 kappa_mj / kappa_a1 on magnon j),
+    so a temperature costs c . q, c = (1, n1, n2), and the two forms of :func:`superposition_gate`."""
     (a,), (d0,) = _stacks([params.replace(temperature=0.0)])  # the drift does not depend on T
-    dj = [_set_magnon_blocks(np.zeros((8, 8)), params, e) for e in ((2.0, 0.0), (0.0, 2.0))]
-    _check_finite(a, d0, *dj)
+    rates, d = np.array(params.kappa_m) / params.kappa_a[0], np.zeros((3, 8, 8))
+    d[0], d[[1, 1, 2, 2], [4, 5, 6, 7], [4, 5, 6, 7]] = d0, np.repeat(2.0 * rates, 2)
+    _check_finite(a, d)
     # Gated only within V(T): a lone Wj can miss the gate where a direct solve passes.
-    v0, w1, w2 = solve_lyapunov(a, np.stack((d0, *dj)), gate=False)
+    v = solve_lyapunov(a, d, gate=False)
+    gate, (q0, q1, q2), d0_peak = superposition_gate(a, v, d), pair_moments(v, pairs), np.abs(d0).max()
+    omega1, omega2 = params.omega_m
 
-    def covariance(temperatures) -> NDArray[np.float64]:
-        n = np.array([[thermal_occupation(omega, t) for omega in params.omega_m] for t in temperatures])
-        with np.errstate(over="ignore", invalid="ignore"):  # as the one-point Python floats
-            d = _set_magnon_blocks(np.repeat(d0[None], len(n), 0), params, (2.0 * n + 1.0).T)
-        _check_finite(d)
-        v = v0 + n[:, :1, None] * w1 + n[:, 1:, None] * w2
-        check_residual(a, v, d)
-        return v
+    def moments(temperatures) -> NDArray[np.float64]:
+        c = np.array([(1.0, thermal_occupation(omega1, t), thermal_occupation(omega2, t)) for t in temperatures])
+        with np.errstate(over="ignore", invalid="ignore"):  # D(T) differs from D0 only on magnon diagonals
+            peak = np.maximum(np.maximum.reduce(rates * (2.0 * c[:, 1:] + 1.0), axis=1), d0_peak)
+        _check_finite(peak)
+        gate(c, peak)
+        return q0 + c[:, 1:2, None] * q1 + c[:, 2:, None] * q2
 
-    return covariance
+    return moments
 
 
 # Modes of the four reported pairs in field order: the cavities, the

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .cvgaussian import clamp_negativity, pair_indicators
+from .cvgaussian import _closed_form, clamp_negativity
 from .errors import CavmagError, NoEntanglementError
 from .model import _PAIRS, BASELINE, OUTPUT_COLUMNS, EntanglementReport, SystemParams
-from .model import _real, entanglement_columns, entanglement_report, thermal_steady_state
+from .model import _real, entanglement_columns, entanglement_report, thermal_pair_moments
 
 DEFAULT_RESOLUTION_2D = 61
 DEFAULT_RESOLUTION_1D = 121
@@ -121,6 +121,13 @@ def parse_config(text: str) -> list[tuple[str, float]]:
 # sweep definition and grid
 
 
+def _instance(role: str, value, kind: type):
+    """``value``; ValueError unless it is a ``kind``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{role} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 def _sequence(role: str, items, what: str) -> tuple:
     """``items`` as a tuple; ValueError for a string or a non-iterable, where a sequence belongs."""
     kind = "a string" if isinstance(items, (str, bytes)) else type(items).__name__
@@ -165,9 +172,9 @@ class SweepSpec:
     name: str = ""
 
     def __post_init__(self):
-        axes = (self.axis1,) if self.axis2 is None else (self.axis1, self.axis2)
-        if not (isinstance(self.base, SystemParams) and all(isinstance(a, SweepAxis) for a in axes)):
-            raise ValueError("a sweep needs a SystemParams base and SweepAxis axes (axis2 may be None)")
+        _instance("base", self.base, SystemParams)
+        for axis in (self.axis1,) if self.axis2 is None else (self.axis1, self.axis2):
+            _instance("axis", axis, SweepAxis)
         outputs = _sequence("outputs", self.outputs, "column names")
         if len(outputs) == 0:
             raise ValueError("at least one output column is required")
@@ -175,9 +182,7 @@ class SweepSpec:
             raise ValueError("output columns must be unique")
         unknown = [c for c in outputs if c not in OUTPUT_COLUMNS]
         if unknown:
-            raise ValueError(
-                f"unknown output columns {unknown}; valid columns: {', '.join(OUTPUT_COLUMNS)}"
-            )
+            raise ValueError(f"unknown output columns {unknown}; valid columns: {', '.join(OUTPUT_COLUMNS)}")
         if self.axis2 is not None and self.axis2.path == self.axis1.path:
             raise ValueError("axis2 must sweep a different parameter path than axis1")
         if not (isinstance(self.name, str) and self.name.isprintable()):
@@ -372,9 +377,7 @@ def _preset_axis(axis: tuple | None, n: int) -> SweepAxis | None:
     return SweepAxis(path, span[0] if len(span) == 1 else tuple(np.linspace(*span, n)))
 
 
-def figure_preset(
-    name: str, resolution: int | None = None, base: SystemParams | None = None
-) -> SweepSpec:
+def figure_preset(name: str, resolution: int | None = None, base: SystemParams | None = None) -> SweepSpec:
     """Named sweep covering one of the standard figure panels.
 
     ``resolution`` overrides the default number of points per continuous
@@ -383,24 +386,18 @@ def figure_preset(
     built-in operating point; preset-pinned values are applied on top of
     it, so only the absolute frequency and linewidth scale carry over.
     """
-    if name not in PRESETS:
+    if _instance("preset name", name, str) not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
     integral = isinstance(resolution, numbers.Integral) and not isinstance(resolution, bool)
     if resolution is not None and (not integral or resolution < 1):
         raise ValueError("resolution must be a positive integer")
     preset = PRESETS[name]
     n = resolution or (DEFAULT_RESOLUTION_1D if preset.lines else DEFAULT_RESOLUTION_2D)
-    base = base if base is not None else BASELINE
+    base = BASELINE if base is None else _instance("base", base, SystemParams)
     params = base.replace(omega_a=base.omega_drive, omega_m=base.omega_drive, theta=0.0)
     for path, value in (("kappa_m", 0.2),) + preset.pins:
         params = apply_parameter(params, path, value)
-    return SweepSpec(
-        base=params,
-        axis1=_preset_axis(preset.axis1, n),
-        axis2=_preset_axis(preset.axis2, n),
-        outputs=preset.outputs,
-        name=name,
-    )
+    return SweepSpec(params, _preset_axis(preset.axis1, n), _preset_axis(preset.axis2, n), preset.outputs, name)
 
 
 # ---------------------------------------------------------------------------
@@ -419,35 +416,32 @@ def _bisection_tree(lo: float, hi: float, depth: int) -> list[float]:
     return [mid, *_bisection_tree(lo, mid, depth - 1), *_bisection_tree(mid, hi, depth - 1)]
 
 
-def find_temperature_threshold(
-    params: SystemParams, t_max: float = 2.0, tol: float = 1e-3
-) -> float | None:
+def find_temperature_threshold(params: SystemParams, t_max: float = 2.0, tol: float = 1e-3) -> float | None:
     """Temperature at which the magnon-pair entanglement vanishes.
 
     Bisects E_mm(T) = 0 over [0, t_max] to an accuracy of ``tol`` kelvin
     (E_mm is non-increasing in temperature). Returns None when
     entanglement still survives at ``t_max``. Costs one Schur factorisation
-    (:func:`thermal_steady_state`) and one ``pair_indicators`` call per round:
-    3 levels of the bisection tree (the first round also 0 and ``t_max``),
-    then walked step by step, bit for bit the one-step bisection. A round that
-    raises is walked again one temperature per call, raising as that bisection.
+    (:func:`thermal_pair_moments`) and one closed-form call on the magnon pair's
+    moments per round: 3 levels of the bisection tree (the first round also 0 and
+    ``t_max``), then walked step by step, bit for bit the one-step bisection. A round
+    that raises is walked again one temperature per call, raising as that bisection.
 
     Raises
     ------
     NoEntanglementError
         If E_mm is already zero at T = 0, where no threshold exists.
     """
-    t_max, tol = _real("t_max", t_max), _real("tol", tol)
+    params, t_max, tol = _instance("params", params, SystemParams), _real("t_max", t_max), _real("tol", tol)
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError("t_max must be positive and finite")
     if not (math.isfinite(tol) and 0 < tol < t_max):
         raise ValueError("tol must satisfy 0 < tol < t_max")
 
-    covariance = thermal_steady_state(params)
+    moments = thermal_pair_moments(params, _PAIRS[1:2])
 
     def entangled(temperatures) -> list[bool]:
-        indicators = pair_indicators(covariance(temperatures), _PAIRS[1:2])[:, 0]
-        return (clamp_negativity(indicators) > 0.0).tolist()
+        return (clamp_negativity(_closed_form(moments(temperatures))[:, 0]) > 0.0).tolist()
 
     def round_of(temperatures):
         try:

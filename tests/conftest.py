@@ -24,6 +24,7 @@ STAGES_UNCALLED = dict.fromkeys(
         "_stacks",
         "_real_schur",
         "pair_indicators",
+        "_closed_form",
         "negativity_indicators",
         "symplectic_spectra",
     ),

@@ -37,16 +37,16 @@ from scipy.linalg import expm
 
 from cavmag.cvgaussian import (
     CovarianceMatrix,
+    _closed_form,
     _omega,
     clamp_negativity,
     negativity_indicators,
-    pair_indicators,
     partial_transpose,
     reduce,
 )
 from cavmag.errors import NoEntanglementError, NumericalFailureError, UnstableSystemError
-from cavmag.linsys import _UNSTABLE, _scale_diffusions, _square_matrix
-from cavmag.model import R_MAX, SystemParams, steady_state_cm, thermal_occupation, thermal_steady_state
+from cavmag.linsys import _UNSTABLE, _scale_diffusions, _square_matrix, solve_lyapunov
+from cavmag.model import R_MAX, SystemParams, steady_state_cm, thermal_occupation, thermal_pair_moments
 from cavmag.sweep import COLOR_ANCHORS, NAN_FILL, SweepGrid, _fmt, _rect, _text, _tick_label, _write_svg, _write_text
 
 
@@ -439,16 +439,35 @@ def threshold_by_full_solves(params: SystemParams, t_max: float, tol: float) -> 
 def threshold_by_steps(params: SystemParams, t_max: float, tol: float) -> float | None:
     """Magnon-pair survival temperature, one temperature per closed-form call.
 
-    The library's own route (the superposed V(T) of ``thermal_steady_state`` and
-    ``pair_indicators``) walked one step at a time, with no tree rounds: what the
+    The library's own route (the magnon pair's moments from ``thermal_pair_moments`` and
+    their closed form) walked one step at a time, with no tree rounds: what the
     library's search returns or raises, bit for bit and message for message.
     """
-    covariance = thermal_steady_state(params)
+    moments = thermal_pair_moments(params, ((2, 3),))
 
     def entangled(temperature: float) -> bool:
-        return clamp_negativity(pair_indicators(covariance([temperature]), ((2, 3),))[0, 0]) > 0.0
+        return clamp_negativity(_closed_form(moments([temperature]))[0, 0]) > 0.0
 
     return _bisect(entangled, t_max, tol)
+
+
+def thermal_members(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The drift A, the diffusions (D0, D1, D2) and their ungated solutions (V0, W1, W2) that
+    the library's thermal route superposes: D0 at T = 0 and Dj = 2 kappa_mj / kappa_a1 on magnon
+    j's block, built entry by entry."""
+    d = np.zeros((3, 8, 8))
+    d[0] = diffusion_by_point(params.replace(temperature=0.0))
+    for j in range(2):
+        d[1 + j, 4 + 2 * j, 4 + 2 * j] = d[1 + j, 5 + 2 * j, 5 + 2 * j] = params.kappa_m[j] / params.kappa_a[0] * 2.0
+    a = drift_by_point(params)
+    return a, d, solve_lyapunov(a, d, gate=False)
+
+
+def assembled_state(params: SystemParams, members: np.ndarray, temperature: float) -> np.ndarray:
+    """V(T) = V0 + n1(T) W1 + n2(T) W2 as one 8x8 matrix, from :func:`thermal_members`'s
+    solutions: the superposition that the library evaluates without assembling it."""
+    n1, n2 = (thermal_occupation(omega, temperature) for omega in params.omega_m)
+    return members[0] + n1 * members[1] + n2 * members[2]
 
 
 # ---------------------------------------------------------------------------

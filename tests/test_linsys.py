@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.linalg import schur, solve_continuous_lyapunov
 
 from cavmag import linsys
 from cavmag.errors import NearSingularError, NumericalFailureError, UnstableSystemError
-from cavmag.linsys import check_residual, solve_lyapunov, stability
+from cavmag.linsys import solve_lyapunov, stability, superposition_gate
 
 from conftest import random_stable_system
 from oracles import integrate_lyapunov_oracle
@@ -138,7 +139,7 @@ class TestSolveLyapunov:
         monkeypatch.setattr(linsys, "_back_substitute", off_by_a_millionth)
         v = solve_lyapunov(a, d, gate=False)
         with pytest.raises(NumericalFailureError, match="residual"):
-            check_residual(a, v, d)
+            superposition_gate(a, v[None], d[None])(np.ones((1, 1)), [np.max(np.abs(d))])
         with pytest.raises(NumericalFailureError, match="residual"):
             solve_lyapunov(a, d)
 
@@ -335,34 +336,74 @@ class TestDiffusionChecksAreScaleRelative:
 
 
 class TestCheckResidual:
+    """The residual gate of a superposition (``superposition_gate``), at any power-of-two scale."""
+
+    @staticmethod
+    def gate(a, v, d, scales, perturbed=0.0):
+        """Gate the rows c = 2^e (1, perturbed), one per scale e, of the members (V, D) and (1e-6 V, 0)."""
+        gate = superposition_gate(a, np.stack((v, 1e-6 * v)), np.stack((d, np.zeros_like(d))))
+        scales, c = np.array(scales), np.ones((len(scales), 2))
+        c[:, 1] = perturbed
+        return gate(np.ldexp(c, scales[:, None]), np.ldexp(np.max(np.abs(d)), scales))
+
     def test_passes_a_solution_at_any_power_of_two_scale(self):
         # At 2^1000 the unscaled A V + V A^T and ||D||_F overflow.
         rng = np.random.default_rng(62)
         a, d = random_stable_system(rng)
         v = solve_lyapunov(a, d)
         for exponent in (-1000, 0, 1000):
-            check_residual(a, np.ldexp(v, exponent), np.ldexp(d, exponent))
+            self.gate(a, v, d, [exponent])
+            v_scaled, d_scaled = np.ldexp(v, exponent), np.ldexp(d, exponent)
+            superposition_gate(a, v_scaled[None], d_scaled[None])(np.ones((1, 1)), [np.max(np.abs(d_scaled))])
 
     def test_rejects_a_perturbed_solution_at_any_power_of_two_scale(self):
         rng = np.random.default_rng(63)
         a, d = random_stable_system(rng)
-        v = solve_lyapunov(a, d) * (1.0 + 1e-6)
+        v = solve_lyapunov(a, d)
         for exponent in (-1000, 0, 1000):
             with pytest.raises(NumericalFailureError, match="residual"):
-                check_residual(a, np.ldexp(v, exponent), np.ldexp(d, exponent))
+                self.gate(a, v, d, [exponent], perturbed=1.0)
 
     def test_checks_each_member_of_a_stack_at_its_own_scale(self):
         rng = np.random.default_rng(65)
         a, d = random_stable_system(rng)
         v = solve_lyapunov(a, d)
-        exponents = np.array([-1000, 0, 1000])[:, None, None]
-        check_residual(a, np.ldexp(v, exponents), np.ldexp(d, exponents))
-        perturbed = np.ldexp(v * (1.0 + 1e-6), exponents)
+        scales = [-1000, 0, 1000]
+        residuals = self.gate(a, v, d, scales)
+        assert residuals[0] == residuals[1] == residuals[2]  # scaled by powers of two, exactly
         for k in range(3):
-            vs = np.ldexp(v, exponents)
-            vs[k] = perturbed[k]
             with pytest.raises(NumericalFailureError, match="residual"):
-                check_residual(a, vs, np.ldexp(d, exponents))
+                self.gate(a, v, d, scales, perturbed=np.eye(3)[k])
+
+
+    def test_the_forms_are_the_residual_of_the_assembled_sum(self):
+        # Members that solve nothing, so each row's residual is of the order of its D and the
+        # forms must match the assembled 8x8 residual to rounding, cross terms and scaling included.
+        rng = np.random.default_rng(66)
+        a, _ = random_stable_system(rng)
+        v = rng.normal(size=(3, 8, 8))
+        v = v + v.swapaxes(1, 2)
+        d = np.stack([random_stable_system(rng)[1] for _ in range(3)]) * [[[1.0]], [[1e-9]], [[1e9]]]
+        c = np.ldexp(rng.uniform(0.1, 1.0, (6, 3)), rng.integers(-900, 900, (6, 1)))
+        peaks = np.max(np.abs(np.tensordot(c, d, 1)), axis=(1, 2))
+        recorded = []
+        with mock.patch.object(linsys, "raise_first", lambda failed, error, message, residual: recorded.append(residual)):
+            superposition_gate(a, v, d)(c, peaks)
+        for k, row in enumerate(c):
+            scale = -math.frexp(peaks[k])[1]
+            v_sum, d_sum = np.ldexp(np.tensordot(row, v, 1), scale), np.ldexp(np.tensordot(row, d, 1), scale)
+            assert recorded[0][k] == pytest.approx(frobenius(a @ v_sum + v_sum @ a.T + d_sum), rel=1e-12)
+
+    def test_a_sum_passes_where_its_members_do_not(self):
+        # (V + E, D) and (-E, 0): each member misses the gate by far, their sum is the solution.
+        rng = np.random.default_rng(67)
+        a, d = random_stable_system(rng)
+        v = solve_lyapunov(a, d)
+        gate = superposition_gate(a, np.stack((v * (1.0 + 1e-6), -1e-6 * v)), np.stack((d, np.zeros_like(d))))
+        gate(np.ones((1, 2)), [np.max(np.abs(d))])
+        for c in ([[1.0, 0.0]], [[1.0, 0.5]]):
+            with pytest.raises(NumericalFailureError, match="residual"):
+                gate(np.array(c), [np.max(np.abs(d))])
 
 
 class TestIntegrationOracle:

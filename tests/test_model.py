@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 from cavmag.cvgaussian import (
     SEPARABLE_SLACK,
     CovarianceMatrix,
+    _closed_form,
     clamp_negativity,
     log_negativity,
     negativity_indicators,
     pair_indicators,
+    pair_moments,
     reduce,
     symplectic_eigenvalues,
 )
@@ -37,12 +40,20 @@ from cavmag.model import (
     noise_moments,
     steady_state_cm,
     thermal_occupation,
-    thermal_steady_state,
+    thermal_pair_moments,
 )
 from cavmag.sweep import PRESET_NAMES, _grid_points, apply_parameter, figure_preset
 
 from conftest import outcome, state_nu_min
-from oracles import ReducedParams, diffusion_by_point, drift_by_point, tmsv_cm, vmm_analytic
+from oracles import (
+    ReducedParams,
+    assembled_state,
+    diffusion_by_point,
+    drift_by_point,
+    thermal_members,
+    tmsv_cm,
+    vmm_analytic,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -153,6 +164,28 @@ class TestThermalOccupation:
     def test_invalid_arguments(self, omega, temperature):
         with pytest.raises(ValueError):
             thermal_occupation(omega, temperature)
+
+    @pytest.mark.parametrize(
+        "omega,temperature,message",
+        [
+            # An integer beyond the float range reads as infinite, not as an OverflowError.
+            (10**400, 1.0, "omega must be positive and finite"),
+            (1e10, 10**400, "temperature must be nonnegative and finite"),
+            ("1e10", 1.0, "omega must be a real number, not str"),
+            (1e10, "0.1", "temperature must be a real number, not str"),
+            (True, 1.0, "omega must be a real number, not bool"),
+            (1e10, np.True_, "temperature must be a real number, not bool"),
+            (1e10, None, "temperature must be a real number, not NoneType"),
+        ],
+    )
+    def test_only_real_numbers_other_than_bools(self, omega, temperature, message):
+        with pytest.raises(ValueError, match=message):
+            thermal_occupation(omega, temperature)
+
+    def test_numbers_of_other_types_are_read_as_floats(self):
+        expected = thermal_occupation(TWO_PI * 1e10, 0.1)
+        assert thermal_occupation(np.float64(TWO_PI * 1e10), np.float32(0.1)) == pytest.approx(expected, rel=1e-7)
+        assert thermal_occupation(10**10, 1) == thermal_occupation(1e10, 1.0)
 
 
 class TestNoiseMoments:
@@ -456,18 +489,24 @@ class TestStackedBuild:
             assert str(batch.value) == str(one_point.value)
 
 
+# The box of the thermal route's tests: T out to 1e300 K, kappa_m down to 1e-9 kappa_a.
+THERMAL_BOX = dict(
+    kappa_a2=st.floats(0.3, 3.0),
+    kappa_m_exp=st.tuples(st.floats(-9.0, 1.0), st.floats(-9.0, 1.0)),
+    g=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+    exceptional=st.booleans(),
+    detunings=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+    drive_ghz=st.tuples(st.floats(5.0, 15.0), st.floats(5.0, 15.0)),
+    r=st.floats(0.0, 3.0),
+    theta=st.floats(-math.pi, math.pi),
+    temperature=st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(0.0, 1e300)),
+)
+
+
 class TestThermalSteadyState:
-    @given(
-        kappa_a2=st.floats(0.3, 3.0),
-        kappa_m_exp=st.tuples(st.floats(-9.0, 1.0), st.floats(-9.0, 1.0)),
-        g=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
-        exceptional=st.booleans(),
-        detunings=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
-        drive_ghz=st.tuples(st.floats(5.0, 15.0), st.floats(5.0, 15.0)),
-        r=st.floats(0.0, 3.0),
-        theta=st.floats(-math.pi, math.pi),
-        temperature=st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(0.0, 1e300)),
-    )
+    """The steady state as a function of temperature, read as pair moments (``thermal_pair_moments``)."""
+
+    @given(**THERMAL_BOX)
     @settings(max_examples=150)
     # A nearly decoupled, detuned second magnon with kappa_m2 = 1e-7: W2
     # alone misses the residual gate by 4x, V(0) passes it like the direct solve.
@@ -485,54 +524,94 @@ class TestThermalSteadyState:
     def test_superposition_matches_the_direct_solve(self, temperature, **box):
         params = box_params(**box, temperature=temperature)
         direct = outcome(lambda: steady_state_cm(params).entries)
-        superposed = outcome(lambda: thermal_steady_state(params)([temperature])[0])
+        superposed = outcome(lambda: thermal_pair_moments(params, model._PAIRS)([temperature])[0])
         if isinstance(direct, np.ndarray) and isinstance(superposed, np.ndarray):
-            assert np.max(np.abs(superposed - direct)) <= 1e-12 * np.max(np.abs(direct))
+            expected = pair_moments(direct[None], model._PAIRS)[0]
+            assert np.max(np.abs(superposed - expected)) <= 1e-12 * np.max(np.abs(direct))
         elif isinstance(direct, CavmagError) and isinstance(superposed, CavmagError):
             assert type(superposed) is type(direct)
         else:
             # Two routes may fall on either side of the residual gate only
             # where the one that passes is within a factor 10 of it.
-            passed = direct if isinstance(direct, np.ndarray) else superposed
-            failed = superposed if passed is direct else direct
+            if isinstance(direct, np.ndarray):
+                passed, failed = direct, superposed
+            else:
+                passed, failed = assembled_state(params, thermal_members(params)[2], temperature), direct
             assert isinstance(failed, NumericalFailureError) and "residual" in str(failed)
             assert relative_residual(params, passed) > 1e-10
 
+    @given(**THERMAL_BOX)
+    @settings(max_examples=150)
+    def test_forms_and_moments_equal_the_assembled_state(self, temperature, **box):
+        # The gate's residual is its two quadratic forms; the moments are c . q. Both must
+        # equal what the assembled 8x8 V(T) and D(T) give, gate passed or not.
+        params = box_params(**box, temperature=temperature)
+        forms, raise_first = [], linsys.raise_first
+
+        def record(failed, error, message, *values):
+            if message != linsys._RESIDUAL:
+                raise_first(failed, error, message, *values)
+            forms.append(values[0])
+
+        with mock.patch.object(linsys, "raise_first", record):
+            moments = outcome(lambda: thermal_pair_moments(params, model._PAIRS)([temperature])[0])
+        if isinstance(moments, CavmagError):
+            # Only a drift or bath that overflows, or an unsolvable drift, stops the route.
+            with pytest.raises(type(moments)):
+                steady_state_cm(params)
+            return
+        a, _, members = thermal_members(params)
+        v, d = assembled_state(params, members, temperature), build_diffusion(params)
+        exponent = math.frexp(float(np.max(np.abs(d))))[1]
+        v, d = np.ldexp(v, -exponent), np.ldexp(d, -exponent)
+        residual = np.linalg.norm(a @ v + v @ a.T + d)
+        # The rounding of V(T)'s sum and of either residual, eps * (2 ||A|| ||V|| + ||D||)
+        # (at most 0.36 of it over 7000 random points, kappa_m at its extremes included).
+        rounding = np.finfo(float).eps * (2.0 * np.linalg.norm(a) * np.linalg.norm(v) + np.linalg.norm(d))
+        assert abs(forms[0][0] - residual) <= 2.0 * rounding
+        expected = pair_moments(np.ldexp(v, exponent)[None], model._PAIRS)[0]
+        assert np.max(np.abs(moments - expected)) <= 1e-12 * np.max(np.abs(expected))
+
     def test_zero_temperature_is_the_direct_solve_exactly(self):
         params = valid_params(r=0.7, g=(4.0 * BASELINE.kappa_a[0], 6.0 * BASELINE.kappa_a[0]))
-        assert np.array_equal(thermal_steady_state(params)([0.0])[0], steady_state_cm(params).entries)
+        moments = thermal_pair_moments(params, model._PAIRS)([0.0])
+        assert np.array_equal(moments, pair_moments(steady_state_cm(params).entries[None], model._PAIRS))
 
     def test_a_stack_is_its_temperatures_one_by_one(self):
-        covariance = thermal_steady_state(valid_params(r=0.7))
+        moments = thermal_pair_moments(valid_params(r=0.7), model._PAIRS)
         temperatures = [0.0, 0.05, 0.3, 2.0, 1e300]
-        assert np.array_equal(covariance(temperatures), np.stack([covariance([t])[0] for t in temperatures]))
+        assert np.array_equal(moments(temperatures), np.concatenate([moments([t]) for t in temperatures]))
 
     def test_each_temperature_is_gated_against_its_own_diffusion(self, monkeypatch):
-        gated = []
+        gated, superposition_gate = [], model.superposition_gate
 
         def record(a, v, d):
-            gated.append((a, v, d))
+            gate = superposition_gate(a, v, d)
+            return lambda c, peak: gated.append((a, d, c, peak)) or gate(c, peak)
 
-        monkeypatch.setattr(model, "check_residual", record)
-        covariance = thermal_steady_state(BASELINE)
+        monkeypatch.setattr(model, "superposition_gate", record)
+        moments = thermal_pair_moments(BASELINE, model._PAIRS)
         for temperature in (0.0, 0.3, 1e300):
-            v = covariance([temperature])
-            a, gated_v, (d,) = gated[-1]
+            moments([temperature])
+            a, members, (c,), (peak,) = gated[-1]
             params = BASELINE.replace(temperature=temperature)
+            d = build_diffusion(params)
             assert np.array_equal(a, build_drift(params))
-            assert np.array_equal(d, build_diffusion(params))
-            assert gated_v is v
+            assert list(c) == [1.0, *(thermal_occupation(omega, temperature) for omega in params.omega_m)]
+            assert peak == np.max(np.abs(d))
+            # D(T) = D0 + n1 D1 + n2 D2, to the rounding of the sum.
+            assert np.allclose(np.tensordot(c, members, 1), d, rtol=4e-16, atol=0.0)
         assert len(gated) == 3
 
     def test_overflowing_bath_raises_the_steady_state_error(self):
-        covariance = thermal_steady_state(BASELINE)
+        moments = thermal_pair_moments(BASELINE, model._PAIRS)
         with pytest.raises(NumericalFailureError) as excinfo:
-            covariance([1.7e308])
+            moments([1.7e308])
         assert str(excinfo.value) == "drift or diffusion matrix overflows at these parameters"
 
     def test_overflowing_drift_raises_before_any_temperature(self):
         with pytest.raises(NumericalFailureError, match="overflows"):
-            thermal_steady_state(valid_params(kappa_a=(1e-301, 1e-301)))
+            thermal_pair_moments(valid_params(kappa_a=(1e-301, 1e-301)), model._PAIRS)
 
 
 class TestEntanglementReport:
@@ -753,6 +832,12 @@ class TestClosedFormPairs:
         assert closed[2] <= SEPARABLE_SLACK and closed[3] <= SEPARABLE_SLACK
         rep = entanglement_report(params)
         assert rep.E_a1m1 == rep.E_a2m2 == 0.0 and rep.N_am == closed[2]
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_pair_indicators_are_the_closed_form_of_the_moments(self, name):
+        v = model._steady_states(_grid_points(figure_preset(name, 7)))
+        expected = _closed_form(pair_moments(v, model._PAIRS))
+        assert pair_indicators(v, model._PAIRS).tobytes() == expected.tobytes()
 
     def test_round_off_below_the_vacuum_is_no_entanglement(self):
         params = box_params(1.875, (1.0, -4.25), (0.0, 0.0), True, (0.0, 2.0, 1.0, 25.0), (5.0, 5.0), 0.0, 0.0, 0.0)

@@ -44,7 +44,7 @@ from conftest import STAGES_UNCALLED, outcome, state_nu_min
 from oracles import color_by_cell, threshold_by_full_solves, threshold_by_steps
 
 # One batch of points: one closed-form call for its pairs, and no spectrum of its states.
-ONE_BATCH = dict(pair_indicators=1, symplectic_spectra=0)
+ONE_BATCH = dict(pair_indicators=1, _closed_form=1, symplectic_spectra=0)
 
 UNIT = BASELINE.kappa_a[0]
 
@@ -504,6 +504,17 @@ class TestFigurePresets:
         with pytest.raises(ValueError, match="fig2a"):
             figure_preset("nope")
 
+    @pytest.mark.parametrize(
+        "args,kwargs,message",
+        [((["fig2c"],), {}, "preset name must be a str, not list"),
+         ((b"fig2c",), {}, "preset name must be a str, not bytes"),
+         (("fig4", 3), dict(base=1.0), "base must be a SystemParams, not float"),
+         (("fig4",), dict(base=dataclasses.asdict(BASELINE)), "base must be a SystemParams, not dict")],
+    )
+    def test_a_name_or_base_of_the_wrong_type_is_a_value_error(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            figure_preset(*args, **kwargs)
+
     def test_resolution_override(self):
         spec = figure_preset("fig2a", resolution=7)
         assert len(spec.axis1.values) == 7
@@ -562,7 +573,7 @@ class TestTemperatureThreshold:
         threshold = find_temperature_threshold(params, 2.0, tol)
         # The search ends once lo and hi are adjacent floats: 56 calls, where
         # the step count from tol alone is over a thousand.
-        assert calls["pair_indicators"] < 60
+        assert calls["_closed_form"] < 60
         assert threshold == find_temperature_threshold(params, 2.0, 1e-300)
         assert threshold == threshold_by_full_solves(params, 2.0, tol)
         assert threshold == pytest.approx(0.848, abs=5e-3)
@@ -579,6 +590,9 @@ class TestTemperatureThreshold:
         for bad in (dict(t_max=True), dict(t_max="2"), dict(tol=None), dict(tol="0.1"), dict(t_max=None)):
             with pytest.raises(ValueError, match="must be a real number"):
                 find_temperature_threshold(BASELINE, **bad)
+        for params in (1.0, None, dataclasses.asdict(BASELINE)):
+            with pytest.raises(ValueError, match="params must be a SystemParams"):
+                find_temperature_threshold(params)
 
     def test_equals_the_per_step_solve_bisection(self):
         # The survival-curve setting: t_max 3 K, tol 1e-3 K.
@@ -635,7 +649,7 @@ class TestTemperatureThreshold:
         self.failing_at(monkeypatch, {2.25: NumericalFailureError("off the path")})
         assert find_temperature_threshold(params, 3.0, 1e-3) == expected
         with pytest.raises(NumericalFailureError, match="off the path"):
-            model.thermal_steady_state(params)([2.25])
+            model.thermal_pair_moments(params, ((2, 3),))([2.25])
 
     def test_visited_failure_raises_as_the_one_step_search(self, monkeypatch):
         # The round's call raises at 2.25 K (unvisited) before any matrix check; the one-step
@@ -673,7 +687,7 @@ class TestTemperatureThreshold:
         assert find_temperature_threshold(BASELINE.replace(r=0.4), 3.0, 1e-3) is not None
         # Probes at 0 and t_max, then ceil(log2(3 / 1e-3)) = 12 steps, 3 tree levels per
         # closed-form call: the probes ride with the first round, so 4 calls.
-        assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, _stacks=1, _real_schur=1, pair_indicators=4)
+        assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, _stacks=1, _real_schur=1, _closed_form=4)
 
 
 class TestEmitCsv:
