@@ -231,8 +231,8 @@ def _pair_readout(pairs: tuple, dim: int) -> NDArray[np.float64]:
 def pair_moments(v, pairs) -> NDArray[np.float64]:
     """Moments of mode pairs (i, j) of a stack (k, 2n, 2n) of states, (k, 10, pairs) in the order of
     :func:`_pair_readout`: each half a sum of two entries of V, so linear in V and in any summation order."""
-    v = np.asarray(v, dtype=float)
-    return (v.reshape(len(v), -1) @ _pair_readout(tuple(map(tuple, pairs)), v.shape[-1])).reshape(len(v), 10, -1)
+    v, pairs, dim = np.asarray(v, dtype=float), tuple(map(tuple, pairs)), np.shape(v)[-1]
+    return (v.reshape(len(v), dim * dim) @ _pair_readout(pairs, dim)).reshape(len(v), 10, len(pairs))
 
 
 def _closed_form(q) -> NDArray[np.float64]:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import NDArray
@@ -85,34 +86,21 @@ class SystemParams:
     theta: float
     temperature: float
 
-    def __post_init__(self):
-        for name in ("omega_a", "omega_m", "omega_drive", "kappa_a", "kappa_m", "g"):
-            pair = getattr(self, name)
-            # A pair of floats, as replace() passes on, is kept rather than copied.
-            if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is float):
-                if isinstance(pair, (str, bytes)) or not hasattr(pair, "__iter__"):
-                    raise ValueError(f"{name} must hold two numbers, not {type(pair).__name__}")
-                pair = tuple(_real(name, x) for x in pair)
-            if len(pair) != 2:
-                raise ValueError(f"{name} must hold exactly two values")
-            if not all(math.isfinite(x) for x in pair):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, pair)
-        for name in ("omega_a", "omega_m", "kappa_a", "kappa_m"):
-            if any(x <= 0 for x in getattr(self, name)):
-                raise ValueError(f"{name} must be strictly positive")
-        if any(x < 0 for x in self.g):
-            raise ValueError("coupling rates must be nonnegative")
-        for name in ("r", "theta", "temperature"):
+    def __post_init__(self):  # a float, or a pair of floats as replace() passes on, is kept as it is
+        for name, (pair, refused, refusal) in _FIELD_RULES.items():
             value = getattr(self, name)
-            value = value if type(value) is float else _real(name, value)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
-        if self.r < 0:
-            raise ValueError("squeezing parameter r must be nonnegative")
-        if self.temperature < 0:
-            raise ValueError("temperature must be nonnegative")
+            if not pair and type(value) is not float:
+                object.__setattr__(self, name, value := _real(name, value))
+            elif pair and not (type(value) is tuple and len(value) == 2 and type(value[0]) is type(value[1]) is float):
+                if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+                    raise ValueError(f"{name} must hold two numbers, not {type(value).__name__}")
+                if len(value := tuple(_real(name, x) for x in value)) != 2:
+                    raise ValueError(f"{name} must hold exactly two values")
+                object.__setattr__(self, name, value)
+            first, second = value if pair else (value, value)
+            if not (refused < first < math.inf and refused < second < math.inf):
+                finite = math.isfinite(first) and math.isfinite(second)
+                raise ValueError(refusal if finite else f"{name} must be finite")
 
     @property
     def delta_a(self) -> tuple[float, float]:
@@ -123,7 +111,25 @@ class SystemParams:
         return tuple(w - w_drive for w, w_drive in zip(self.omega_m, self.omega_drive))
 
     def replace(self, **changes) -> "SystemParams":
-        return replace(self, **changes)
+        """A new instance with ``changes``, through the constructor; TypeError for a name that is not a field."""
+        values = tuple(map(changes.pop, _FIELD_RULES, _field_values(self)))  # changes keeps names of no field
+        return SystemParams(*values, **changes)
+
+
+# The input contract of SystemParams, walked in field order: whether a field holds a pair, the largest value
+# it refuses besides non-finite ones (-5e-324 is the largest negative float), and that refusal's message.
+_FIELD_RULES = {
+    "omega_a": (True, 0.0, "omega_a must be strictly positive"),
+    "omega_m": (True, 0.0, "omega_m must be strictly positive"),
+    "omega_drive": (True, -math.inf, None),
+    "kappa_a": (True, 0.0, "kappa_a must be strictly positive"),
+    "kappa_m": (True, 0.0, "kappa_m must be strictly positive"),
+    "g": (True, -5e-324, "coupling rates must be nonnegative"),
+    "r": (False, -5e-324, "squeezing parameter r must be nonnegative"),
+    "theta": (False, -math.inf, None),
+    "temperature": (False, -5e-324, "temperature must be nonnegative"),
+}
+_field_values = operator.attrgetter(*_FIELD_RULES)
 
 
 def _resonant_baseline() -> SystemParams:
@@ -296,6 +302,7 @@ def thermal_pair_moments(params: SystemParams, pairs):
 
     def moments(temperatures) -> NDArray[np.float64]:
         c = np.array([(1.0, thermal_occupation(omega1, t), thermal_occupation(omega2, t)) for t in temperatures])
+        c = c.reshape(-1, 3)  # (0, 3) for no temperatures
         with np.errstate(over="ignore", invalid="ignore"):  # D(T) differs from D0 only on magnon diagonals
             peak = np.maximum(np.maximum.reduce(rates * (2.0 * c[:, 1:] + 1.0), axis=1), d0_peak)
         _check_finite(peak)

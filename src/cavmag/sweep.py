@@ -77,8 +77,7 @@ def _known_path(path: str) -> str:
 def apply_parameter(params: SystemParams, path: str, value: float) -> SystemParams:
     """Return a copy of ``params`` with one named knob set to ``value``."""
     setter = PARAMETER_PATHS[_known_path(path)]
-    value = _real(path, value)
-    if not math.isfinite(value):
+    if not math.isfinite(value := _real(path, value)):
         raise ValueError(f"value for {path!r} must be finite")
     return setter(params, value)
 
@@ -248,9 +247,7 @@ def _provenance_lines(spec: SweepSpec) -> tuple[str, ...]:
     for name in ("omega_a", "omega_m", "omega_drive", "kappa_a", "kappa_m", "g"):
         first, second = getattr(p, name)
         lines.append(f"base.{name} = ({_fmt(first)}, {_fmt(second)}) rad/s")
-    lines.append(f"base.r = {_fmt(p.r)}")
-    lines.append(f"base.theta = {_fmt(p.theta)}")
-    lines.append(f"base.temperature = {_fmt(p.temperature)} K")
+    lines += [f"base.r = {_fmt(p.r)}", f"base.theta = {_fmt(p.theta)}", f"base.temperature = {_fmt(p.temperature)} K"]
     return tuple(lines)
 
 
@@ -483,7 +480,7 @@ def emit_csv(grid: SweepGrid, destination) -> None:
     always ``true`` (every valid drift is stable) and kept for the file
     format. Bytes are identical across repeated runs of the same spec.
     """
-    spec = grid.spec
+    spec = _instance("grid", grid, SweepGrid).spec
     header = ["axis1"] + (["axis2"] if spec.axis2 else []) + list(spec.outputs) + ["stable"]
     # Each axis and output value is formatted once, as by _fmt (axis values are finite).
     axes = (axis.values for axis in (spec.axis1, spec.axis2) if axis)
@@ -605,11 +602,10 @@ def emit_heatmap(grid: SweepGrid, column: str | None, destination) -> None:
     Raises ValueError for one-dimensional grids; use
     :func:`emit_lineplot` for those.
     """
-    spec = grid.spec
+    spec = _instance("grid", grid, SweepGrid).spec
     if spec.axis2 is None:
         raise ValueError("heatmap requires a two-axis grid; use emit_lineplot for lines")
-    if column is None:
-        column = spec.outputs[0]
+    column = spec.outputs[0] if column is None else column
     if column not in spec.outputs:
         raise ValueError(f"column {column!r} is not among the grid outputs {spec.outputs}")
     values = grid.value_array(column)
@@ -663,21 +659,18 @@ def emit_lineplot(grid: SweepGrid, destination, columns: tuple[str, ...] | None 
     three-coupling comparison) one polyline is drawn per second-axis
     value, labeled in the legend. Non-finite samples break the polyline.
     """
-    spec = grid.spec
+    spec = _instance("grid", grid, SweepGrid).spec
     columns = (spec.outputs[0],) if columns is None else _sequence("columns", columns, "column names")
     for column in columns:
         if column not in spec.outputs:
             raise ValueError(f"column {column!r} is not among the grid outputs {spec.outputs}")
 
-    series: list[tuple[str, np.ndarray]] = []
-    for column in columns:
-        values = grid.value_array(column)
-        if spec.axis2 is None:
-            series.append((column, values))
-        else:
-            for j, second in enumerate(spec.axis2.values):
-                label = f"{column} @ {spec.axis2.path}={_tick_label(second)}"
-                series.append((label, values[:, j]))
+    values = {column: grid.value_array(column) for column in columns}
+    if spec.axis2 is None:
+        series = list(values.items())
+    else:
+        series = [(f"{column} @ {spec.axis2.path}={_tick_label(second)}", data[:, j])
+                  for column, data in values.items() for j, second in enumerate(spec.axis2.values)]
     title = f"{spec.name or 'sweep'}: {', '.join(columns)}"
     render_lines(spec.axis1.values, series, title, spec.axis1.path, destination)
 

@@ -13,6 +13,10 @@ second way to the numbers it computes.
 The CSV and heatmap emitters as they were written cell by cell, each
 value formatted and each colour interpolated in scalar Python, are the
 byte oracle of the library's array-at-a-time emitters.
+The input checks of ``SystemParams`` as three staged loops (the pairs'
+types, lengths and finiteness, then their signs, then the scalars), as
+they were written before the one table of field rules, are the oracle of
+its input contract.
 ``tmsv_cm`` is an exact known state (the two-mode squeezed vacuum) for
 the covariance-matrix algebra.
 
@@ -29,6 +33,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -468,6 +473,54 @@ def assembled_state(params: SystemParams, members: np.ndarray, temperature: floa
     solutions: the superposition that the library evaluates without assembling it."""
     n1, n2 = (thermal_occupation(omega, temperature) for omega in params.omega_m)
     return members[0] + n1 * members[1] + n2 * members[2]
+
+
+# ---------------------------------------------------------------------------
+# SystemParams' input checks, stage by stage
+
+
+def _real_number(name: str, value) -> float:
+    """``value`` as a float, +-inf beyond its range; ValueError unless a real number other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def staged_field_checks(values: dict) -> dict:
+    """The fields ``SystemParams(**values)`` stores, or the error it raises, by the staged checks:
+    every pair's type, length and finiteness, then the pairs' signs, then every scalar's type and
+    finiteness, then the signs of r and temperature."""
+    values = dict(values)
+    for name in ("omega_a", "omega_m", "omega_drive", "kappa_a", "kappa_m", "g"):
+        pair = values[name]
+        if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is float):
+            if isinstance(pair, (str, bytes)) or not hasattr(pair, "__iter__"):
+                raise ValueError(f"{name} must hold two numbers, not {type(pair).__name__}")
+            pair = tuple(_real_number(name, x) for x in pair)
+        if len(pair) != 2:
+            raise ValueError(f"{name} must hold exactly two values")
+        if not all(math.isfinite(x) for x in pair):
+            raise ValueError(f"{name} must be finite")
+        values[name] = pair
+    for name in ("omega_a", "omega_m", "kappa_a", "kappa_m"):
+        if any(x <= 0 for x in values[name]):
+            raise ValueError(f"{name} must be strictly positive")
+    if any(x < 0 for x in values["g"]):
+        raise ValueError("coupling rates must be nonnegative")
+    for name in ("r", "theta", "temperature"):
+        value = values[name]
+        value = value if type(value) is float else _real_number(name, value)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        values[name] = value
+    if values["r"] < 0:
+        raise ValueError("squeezing parameter r must be nonnegative")
+    if values["temperature"] < 0:
+        raise ValueError("temperature must be nonnegative")
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -50,6 +52,7 @@ from oracles import (
     assembled_state,
     diffusion_by_point,
     drift_by_point,
+    staged_field_checks,
     thermal_members,
     tmsv_cm,
     vmm_analytic,
@@ -142,6 +145,120 @@ class TestSystemParams:
     def test_scalar_rate_is_rejected(self):
         with pytest.raises((ValueError, TypeError)):
             valid_params(kappa_a=1.0)
+
+
+def _fields(params: SystemParams) -> dict:
+    return {field.name: getattr(params, field.name) for field in dataclasses.fields(params)}
+
+
+def _stored_or_error(construct):
+    """Each stored field as (type, repr), so that -0.0, nan and numpy scalars stay apart; or the
+    type and message of the error."""
+    try:
+        values = construct()
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc), str(exc)
+    return {name: (type(value), repr(value)) for name, value in values.items()}
+
+
+# Inputs that a field may be handed: numbers of every kind at and beyond the edges of the rules,
+# other types, and containers of the wrong length or kind.
+HOSTILE = [
+    True, False, np.True_, "1.0", "", b"1", None, 10**400, -(10**400), 1.5 * 10**300, math.nan,
+    math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, -1.0, -1, 0, 2.5, 7, 1.7e308, -1.7e308,
+    np.float32(0.5), np.float32(-0.5), np.float32(np.inf), np.int64(3), np.int64(-3), np.float64(-0.0),
+    1 + 2j, complex(1.0, 0.0), np.complex128(1.0), np.array(1.5), np.array(-1.5), np.array([1.5]),
+    np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]), np.array([-1.0, 2.0]), np.array([[1.0, 2.0]]),
+    [], [1.0], [1.0, 2.0], [1.0, 2.0, 3.0], (1.0,), (1.0, 2.0), (2.0, 1.0, 0.5), {"a": 1.0, "b": 2.0},
+]
+
+
+def _hostile_values():
+    """HOSTILE, and each entry in a pair with a valid number either way round, doubled, alone in a
+    list, and in an array where numpy can hold it."""
+    yield from HOSTILE
+    for x in HOSTILE:
+        yield from ((x, 1.0), (1.0, x), [x, x], [x])
+        try:
+            yield np.array([x, 1.0])
+        except (OverflowError, ValueError, TypeError):  # no array holds it
+            pass
+
+
+class TestFieldRules:
+    """The one walk over model._FIELD_RULES against the staged checks of oracles.staged_field_checks."""
+
+    def test_the_rules_are_the_fields_in_order(self):
+        assert list(model._FIELD_RULES) == [field.name for field in dataclasses.fields(SystemParams)]
+
+    @pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(SystemParams)])
+    def test_each_input_meets_the_staged_checks(self, name):
+        refused = 0
+        for value in _hostile_values():
+            changed = {**_fields(BASELINE), name: value}
+            expected = _stored_or_error(lambda: staged_field_checks(changed))
+            assert _stored_or_error(lambda: _fields(SystemParams(**changed))) == expected, (name, value)
+            refused += isinstance(expected, tuple)
+        assert 0 < refused < len(list(_hostile_values()))
+
+    def test_several_faults_raise_the_first_faulty_field_in_field_order(self):
+        def construct(changes, check=lambda values: _fields(SystemParams(**values))):
+            return _stored_or_error(lambda: check({**_fields(BASELINE), **changes}))
+
+        faults = [math.nan, "x", -1.0, (-1.0, 1.0), (1.0, math.inf), np.array([1.0, 2.0, 3.0])]
+        alone = {(name, k): construct({name: fault}) for name in model._FIELD_RULES for k, fault in enumerate(faults)}
+        refused = [key for key, result in alone.items() if isinstance(result, tuple)]  # in field order
+        assert len(refused) > 40
+        for (first, i), (second, j) in itertools.combinations(refused, 2):
+            if first != second:
+                both = {first: faults[i], second: faults[j]}
+                assert construct(both) == alone[first, i], both
+                assert construct(both, staged_field_checks)[0] is alone[first, i][0]
+
+    def test_values_that_are_kept_as_they_are(self):
+        p = SystemParams(**_fields(BASELINE))
+        assert all(getattr(p, name) is getattr(BASELINE, name) for name in model._FIELD_RULES)
+        negative_zero = valid_params(r=-0.0, g=(-0.0, 0.0), temperature=-0.0)
+        assert math.copysign(1.0, negative_zero.r) == math.copysign(1.0, negative_zero.g[0]) == -1.0
+
+
+class TestReplace:
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {},
+            {"r": 0.3},
+            {"temperature": 2, "theta": np.float32(0.25)},
+            {"g": [1.0, np.int64(2)], "kappa_m": np.array([3.0, 4.0])},
+            {name: getattr(BASELINE, name) for name in model._FIELD_RULES},
+        ],
+    )
+    def test_equals_the_constructor_on_the_same_fields(self, changes):
+        expected = SystemParams(**{**_fields(BASELINE), **changes})
+        result = BASELINE.replace(**changes)
+        assert result == expected and result is not BASELINE
+        assert _stored_or_error(lambda: _fields(result)) == _stored_or_error(lambda: _fields(expected))
+        assert result == dataclasses.replace(BASELINE, **changes)
+
+    @pytest.mark.parametrize("changes", [{"kappa": 1.0}, {"r": 0.3, "delta_a": (0.0, 0.0)}])
+    def test_a_name_that_is_not_a_field_is_a_type_error(self, changes):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            BASELINE.replace(**changes)
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"kappa_m": (0.0, 1.0)}, "kappa_m must be strictly positive"),
+            ({"g": (1.0, -2.0)}, "coupling rates must be nonnegative"),
+            ({"omega_drive": "10"}, "omega_drive must hold two numbers, not str"),
+            ({"r": -0.5}, "squeezing parameter r must be nonnegative"),
+            ({"theta": math.inf}, "theta must be finite"),
+            ({"temperature": True}, "temperature must be a real number, not bool"),
+        ],
+    )
+    def test_a_bad_value_raises_its_field_message(self, changes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BASELINE.replace(**changes)
 
 
 class TestThermalOccupation:
@@ -577,6 +694,11 @@ class TestThermalSteadyState:
         moments = thermal_pair_moments(params, model._PAIRS)([0.0])
         assert np.array_equal(moments, pair_moments(steady_state_cm(params).entries[None], model._PAIRS))
 
+    @pytest.mark.parametrize("temperatures", [[], (), np.empty(0)])
+    def test_no_temperatures_give_an_empty_stack(self, temperatures):
+        moments = thermal_pair_moments(valid_params(r=0.7), model._PAIRS)(temperatures)
+        assert moments.shape == (0, 10, len(model._PAIRS)) and moments.dtype == float
+
     def test_a_stack_is_its_temperatures_one_by_one(self):
         moments = thermal_pair_moments(valid_params(r=0.7), model._PAIRS)
         temperatures = [0.0, 0.05, 0.3, 2.0, 1e300]
@@ -838,6 +960,12 @@ class TestClosedFormPairs:
         v = model._steady_states(_grid_points(figure_preset(name, 7)))
         expected = _closed_form(pair_moments(v, model._PAIRS))
         assert pair_indicators(v, model._PAIRS).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim,pairs", [(8, ((2, 3),)), (8, model._PAIRS), (4, ((0, 1),))])
+    def test_an_empty_stack_gives_empty_moments_and_indicators(self, dim, pairs):
+        v = np.zeros((0, dim, dim))
+        assert pair_moments(v, pairs).shape == (0, 10, len(pairs))
+        assert pair_indicators(v, pairs).shape == (0, len(pairs))
 
     def test_round_off_below_the_vacuum_is_no_entanglement(self):
         params = box_params(1.875, (1.0, -4.25), (0.0, 0.0), True, (0.0, 2.0, 1.0, 25.0), (5.0, 5.0), 0.0, 0.0, 0.0)

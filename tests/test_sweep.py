@@ -690,6 +690,17 @@ class TestTemperatureThreshold:
         assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, _stacks=1, _real_schur=1, _closed_form=4)
 
 
+@pytest.mark.parametrize(
+    "emit",
+    [lambda g, out: emit_csv(g, out), lambda g, out: emit_heatmap(g, None, out), emit_lineplot],
+    ids=["emit_csv", "emit_heatmap", "emit_lineplot"],
+)
+@pytest.mark.parametrize("grid", [1.0, None, "grid", tiny_spec()])
+def test_emitters_refuse_what_is_not_a_grid(emit, grid):
+    with pytest.raises(ValueError, match=f"^grid must be a SweepGrid, not {type(grid).__name__}$"):
+        emit(grid, io.StringIO())
+
+
 class TestEmitCsv:
     def test_layout_and_formatting(self):
         grid = run_sweep(tiny_spec(axis1=SweepAxis("r", (0.0, 1.0))))
