@@ -22,12 +22,12 @@ import numpy as np
 
 from ._version import __version__
 from .errors import CavmagError, NoEntanglementError
-from .model import BASELINE, SystemParams, entanglement_report
+from .model import BASELINE, SystemParams, _floats, entanglement_report
 from .sweep import (
     PRESET_NAMES,
     PRESETS,
     _fmt,
-    _grid_points,
+    _grid_fields,
     _write_text,
     apply_parameter,
     emit_csv,
@@ -140,8 +140,8 @@ def _effective_params(args, presets=(), replaced=()) -> SystemParams:
         for name in presets:
             # One point per continuous axis stands for the grid: a path the
             # preset pins or sweeps is overridden in every cell.
-            cells = [_grid_points(figure_preset(name, 1, p)) for p in (params, changed)]
-            if changed != params and cells[0] == cells[1]:
+            cells = [np.broadcast_arrays(*_floats(_grid_fields(figure_preset(name, 1, p)))) for p in (params, changed)]
+            if changed != params and np.array_equal(*cells):
                 raise ValueError(f"parameter {path!r} has no effect on preset {name}")
         params = changed
     return params

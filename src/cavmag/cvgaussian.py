@@ -220,10 +220,10 @@ def _pair_readout(pairs: tuple, dim: int) -> NDArray[np.float64]:
     a_k = X_k + i Y_k, the symmetrized moments <a_i^+ a_i> / 2 = a and <a_j^+ a_j> / 2 = b,
     then the real parts and after them the imaginary parts of <a_i a_j> / 2 = mu,
     <a_i^+ a_j> / 2 = beta and the single-mode squeezing moments <a_i a_i> / 2, <a_j a_j> / 2."""
-    ti, tj = (np.kron(np.eye(dim // 2), (1.0, 1.0j))[list(k)] for k in zip(*pairs))
+    ti, tj = (np.kron(np.eye(dim // 2), (1.0, 1.0j))[list(k)] for k in tuple(zip(*pairs)) or ([], []))
     forms = ((ti.conj(), ti), (tj.conj(), tj), (ti, tj), (ti.conj(), tj), (ti, ti), (tj, tj))
     z = np.stack([0.5 * x[:, :, None] * y[:, None, :] for x, y in forms])  # (6, pairs, dim, dim)
-    out = np.concatenate((z.real, z[2:].imag)).transpose(2, 3, 0, 1).reshape(dim * dim, -1)
+    out = np.concatenate((z.real, z[2:].imag)).transpose(2, 3, 0, 1).reshape(dim * dim, 10 * len(pairs))
     out.flags.writeable = False
     return out
 

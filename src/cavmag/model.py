@@ -22,7 +22,10 @@ import math
 import numbers
 import operator
 import sys
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
+from typing import ClassVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -85,6 +88,7 @@ class SystemParams:
     r: float
     theta: float
     temperature: float
+    shape: ClassVar[tuple] = ()  # a point is a batch of shape (); a _Fields record holds its own
 
     def __post_init__(self):  # a float, or a pair of floats as replace() passes on, is kept as it is
         for name, (pair, refused, refusal) in _FIELD_RULES.items():
@@ -92,11 +96,7 @@ class SystemParams:
             if not pair and type(value) is not float:
                 object.__setattr__(self, name, value := _real(name, value))
             elif pair and not (type(value) is tuple and len(value) == 2 and type(value[0]) is type(value[1]) is float):
-                if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
-                    raise ValueError(f"{name} must hold two numbers, not {type(value).__name__}")
-                if len(value := tuple(_real(name, x) for x in value)) != 2:
-                    raise ValueError(f"{name} must hold exactly two values")
-                object.__setattr__(self, name, value)
+                object.__setattr__(self, name, value := _pair(name, value))
             first, second = value if pair else (value, value)
             if not (refused < first < math.inf and refused < second < math.inf):
                 finite = math.isfinite(first) and math.isfinite(second)
@@ -130,6 +130,56 @@ _FIELD_RULES = {
     "temperature": (False, -5e-324, "temperature must be nonnegative"),
 }
 _field_values = operator.attrgetter(*_FIELD_RULES)
+
+
+def _pair(name: str, value, member=_real) -> tuple:
+    """The two members of a pair field's ``value``, each through ``member``. ValueError for a string, an
+    unordered container (a set or a mapping: its order is no pair's), a non-iterable, or other than two members."""
+    if isinstance(value, (str, bytes, Set, Mapping)) or not hasattr(value, "__iter__"):
+        raise ValueError(f"{name} must hold two numbers, not {type(value).__name__}")
+    if len(value := tuple(member(name, x) for x in value)) != 2:
+        raise ValueError(f"{name} must hold exactly two values")
+    return value
+
+
+def _floats(fields) -> tuple:
+    """The 15 floats of a SystemParams or a :class:`_Fields` record in field order, pairs unpacked."""
+    return sum((value if type(value) is tuple else (value,) for value in _field_values(fields)), ())
+
+
+def _fields_of(floats) -> dict:
+    """The fields by name from their 15 ``floats`` in field order: a pair takes two."""
+    floats = iter(floats)
+    return {name: (next(floats), next(floats)) if pair else next(floats) for name, (pair, _, _) in _FIELD_RULES.items()}
+
+
+class _Fields(SimpleNamespace):
+    """The fields of SystemParams at a batch of points: each float an array, all broadcasting to ``shape``.
+    A pair is a tuple of two arrays, so the rows of ``sweep.PARAMETER_PATHS`` read ``p.kappa_a[0]`` and call
+    ``p.replace(...)`` on a record as on a SystemParams. An array keeps the shape it is given: in a grid, a
+    value that one axis sets varies along that axis only."""
+
+    @classmethod
+    def of(cls, points) -> "_Fields":
+        """The fields of the SystemParams ``points`` (read once), as arrays of shape (k,)."""
+        rows = np.array([_floats(p) for p in points]).reshape(-1, 15)
+        return cls(shape=rows.shape[:1], **_fields_of(rows.T))
+
+    def replace(self, **changes) -> "_Fields":
+        """A new record with ``changes``, a number or an array per float, broadcast against this one. Where a
+        changed float breaks its rule in ``_FIELD_RULES``, the first such point in row-major order raises what
+        its SystemParams raises: the first bad field in field order, with the same message."""
+        values, bad = vars(self).copy(), False
+        for name, value in changes.items():
+            pair, refused, _ = _FIELD_RULES[name]
+            values[name] = _pair(name, value, lambda _, x: np.asarray(x)) if pair else np.asarray(value)
+            for x in values[name] if pair else (values[name],):
+                bad = bad | ~((refused < x) & (x < math.inf))
+        fields = _Fields(**{**values, "shape": np.broadcast_shapes(self.shape, np.shape(bad))})
+        if np.any(bad):  # the same comparisons refuse the first bad point's SystemParams
+            i = np.broadcast_to(bad, fields.shape).argmax()
+            SystemParams(**_fields_of(np.broadcast_to(x, fields.shape).flat[i] for x in _floats(fields)))
+        return fields
 
 
 def _resonant_baseline() -> SystemParams:
@@ -200,72 +250,80 @@ def noise_moments(params: SystemParams) -> NoiseMoments:
 def _layouts() -> tuple[NDArray[np.intp], NDArray[np.intp]]:
     """Flat 8x8 drift and diffusion layouts: the column of each entry in its value matrix.
 
-    Drift columns: 0, v = (ka, km, g, da, dm)_j / kappa_a1 for j = 1, 2, then -v. Each 2x2
+    Drift columns: v = (ka, km, g, da, dm)_j / kappa_a1 for j = 1, 2, then 0, then -v. Each 2x2
     diagonal block is -kappa + detuning rotation; the beamsplitter coupling enters as +g
     on the X-row/y-column, -g on the Y-row/x-column and back.
-    Diffusion columns: 0, ka_j (2N + 1), km_j (2 N_mj + 1), c_xx, -c_xx, c_xy, with
+    Diffusion columns: ka_j (2N + 1), km_j (2 N_mj + 1), c_xx, c_xy, -c_xx, 0, with
     (c_xx, c_xy) = sqrt(ka1 ka2) (2 Re M, 2 Im M): at theta = 0 the cavities' X-X
     correlation is +sinh(2r) and Y-Y -sinh(2r). The vacuum fixed point is V = I/2.
     """
-    a, d = np.zeros((2, 8, 8), dtype=np.intp)
+    a, d = np.full((8, 8), 10, dtype=np.intp), np.full((8, 8), 7, dtype=np.intp)
     for j in range(2):
-        ka, km, g, da, dm = range(1 + j, 11, 2)
+        ka, km, g, da, dm = range(j, 10, 2)
         ca, mg = 2 * j, 4 + 2 * j  # cavity and magnon block offsets
-        a[ca, ca] = a[ca + 1, ca + 1] = ka + 10
-        a[ca, ca + 1], a[ca + 1, ca] = da, da + 10
-        a[mg, mg] = a[mg + 1, mg + 1] = km + 10
-        a[mg, mg + 1], a[mg + 1, mg] = dm, dm + 10
+        a[ca, ca] = a[ca + 1, ca + 1] = ka + 11
+        a[ca, ca + 1], a[ca + 1, ca] = da, da + 11
+        a[mg, mg] = a[mg + 1, mg + 1] = km + 11
+        a[mg, mg + 1], a[mg + 1, mg] = dm, dm + 11
         a[ca, mg + 1] = a[mg, ca + 1] = g
-        a[ca + 1, mg] = a[mg + 1, ca] = g + 10
-        d[ca, ca] = d[ca + 1, ca + 1] = 1 + j
-        d[mg, mg] = d[mg + 1, mg + 1] = 3 + j
-    d[0, 2] = d[2, 0] = 5
+        a[ca + 1, mg] = a[mg + 1, ca] = g + 11
+        d[ca, ca] = d[ca + 1, ca + 1] = j
+        d[mg, mg] = d[mg + 1, mg + 1] = 2 + j
+    d[0, 2] = d[2, 0] = 4
     d[1, 3] = d[3, 1] = 6
-    d[0, 3] = d[3, 0] = d[1, 2] = d[2, 1] = 7
+    d[0, 3] = d[3, 0] = d[1, 2] = d[2, 1] = 5
     return a.ravel(), d.ravel()
 
 
 _DRIFT_LAYOUT, _DIFFUSION_LAYOUT = _layouts()
-_NO_DRIVE = (0.0,) * 6
 
 
-def _stacks(points) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Drift and diffusion stacks of ``points``, (k, 8, 8) each, normalized by each kappa_a1.
+def _per_key(function, found: dict, *keys) -> NDArray:
+    """``function`` at each point of the broadcast arrays ``keys``, or at the floats of one SystemParams, in
+    row-major order, as an array of their shape and the result's. ``found`` keeps its values by key, so it runs
+    once per distinct key. A key holds the floats' signs too: 0.0 and -0.0 are two (r = -0.0 gives Re M = -0.0)."""
+    one = not isinstance(keys[0], np.ndarray)
+    points = [keys] if one else np.broadcast(*keys)
+    values = np.array([found[key] if (key := (*point, *map(math.copysign, (1.0, 1.0), point))) in found
+                       else found.setdefault(key, function(*point)) for point in points])
+    return values[0] if one else values.reshape(points.shape + values.shape[1:])
 
-    Each stack is one ``take`` from a value matrix with a column per distinct entry (see
-    :func:`_layouts`), every value in the one-point order of operations. sinh, cosh and
-    expm1 stay in ``math`` (numpy's differ in the last bit), once per distinct (r, theta)
-    and (omega_m, T); the first r above :data:`R_MAX` raises. Keys carry the signs: 0.0 and
-    -0.0 are one dict key, yet r = -0.0 gives Re M = -0.0. Overflows become inf or nan.
+
+def _stacks(fields) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Drift and diffusion stacks, (k, 8, 8) each and normalized by each kappa_a1, of the points of ``fields``
+    in row-major order: a :class:`_Fields` record, or one point's SystemParams (shape ()).
+
+    Each stack is one ``take`` from a value matrix with a column per distinct entry (see :func:`_layouts`),
+    every value in the one-point order of operations. The fields' floats, each at its own shape, and the
+    noise moments broadcast to the batch in one input matrix. sinh, cosh and expm1 stay in ``math``
+    (numpy's differ in the last bit), once per distinct (r, theta) and (omega_m, T) (:func:`_per_key`);
+    the first r above :data:`R_MAX` raises. Overflows become inf or nan.
     """
-    drive_keys = [(p.r, p.theta, math.copysign(1.0, p.r), math.copysign(1.0, p.theta)) for p in points]
-    drive = {key: _drive_moments(*key[:2]) for key in dict.fromkeys(drive_keys)}
-    bath_keys = [(omega, p.temperature) for p in points for omega in p.omega_m]
-    bath = {key: thermal_occupation(*key) for key in dict.fromkeys(bath_keys)}
-    noise = np.array([drive[key] for key in drive_keys])  # complex (k, 2): N, M
-    n_bath = np.array([bath[key] for key in bath_keys]).reshape(-1, 2)
-    # (kappa_a, kappa_m, g, omega_a, omega_m) less (0, 0, 0, omega_drive, omega_drive), as one
-    # subtraction: x - 0.0 is x bit for bit, so the rates keep their one-point values.
-    f = np.array([p.kappa_a + p.kappa_m + p.g + p.omega_a + p.omega_m + _NO_DRIVE + p.omega_drive * 2
-                  for p in points])
-    zero = np.zeros((len(points), 1))
+    drive, bath = _per_key(_drive_moments, {}, fields.r, fields.theta), {}  # complex N, M
+    (wa1, wa2), (wm1, wm2), (wd1, wd2) = fields.omega_a, fields.omega_m, fields.omega_drive
+    # Columns: (kappa_a, kappa_m, g, delta_a, delta_m) for j = 1, 2, then 0, N, N, n_bath1, n_bath2, Re M, Im M.
+    f = np.zeros(fields.shape + (17,))
+    rates = (*fields.kappa_a, *fields.kappa_m, *fields.g, wa1 - wd1, wa2 - wd2, wm1 - wd1, wm2 - wd2)
+    for column, x in enumerate(rates):
+        f[..., column] = x
+    f[..., 11:13], f[..., 15:] = drive[..., :1].real, drive[..., 1:].view(float)
+    f[..., 13], f[..., 14] = (_per_key(thermal_occupation, bath, omega, fields.temperature) for omega in fields.omega_m)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = (f[:, :10] - f[:, 10:]) / f[:, :1]  # (ka, km, g, da, dm)
-        c = np.sqrt(v[:, :1] * v[:, 1:2]) * 2.0 * noise[:, 1:].view(float)  # (c_xx, c_xy)
-        cavity, magnon = v[:, :2] * (2.0 * noise[:, :1].real + 1.0), v[:, 2:4] * (2.0 * n_bath + 1.0)
-        d = np.concatenate((zero, cavity, magnon, c[:, :1], -c[:, :1], c[:, 1:]), 1)
-    a = np.concatenate((zero, v, -v), 1)
-    return a.take(_DRIFT_LAYOUT, 1).reshape(-1, 8, 8), d.take(_DIFFUSION_LAYOUT, 1).reshape(-1, 8, 8)
+        v = f[..., :11] / f[..., :1]
+        c = np.sqrt(v[..., :1] * v[..., 1:2]) * 2.0 * f[..., 15:]  # (c_xx, c_xy)
+        d = np.concatenate((v[..., :4] * (2.0 * f[..., 11:15] + 1.0), c, -c[..., :1], v[..., 10:]), -1)
+    a = np.concatenate((v, -v), -1)
+    return a.take(_DRIFT_LAYOUT, -1).reshape(-1, 8, 8), d.take(_DIFFUSION_LAYOUT, -1).reshape(-1, 8, 8)
 
 
 def build_drift(params: SystemParams) -> NDArray[np.float64]:
     """Drift matrix of the linearized dynamics, normalized by kappa_a1 (see :func:`_layouts`)."""
-    return _stacks([params])[0][0]
+    return _stacks(params)[0][0]
 
 
 def build_diffusion(params: SystemParams) -> NDArray[np.float64]:
     """Diffusion matrix of the input noise, normalized by kappa_a1 (see :func:`_layouts`)."""
-    return _stacks([params])[1][0]
+    return _stacks(params)[1][0]
 
 
 def _check_finite(*matrices) -> None:
@@ -273,10 +331,10 @@ def _check_finite(*matrices) -> None:
         raise NumericalFailureError("drift or diffusion matrix overflows at these parameters")
 
 
-def _steady_states(points) -> NDArray[np.float64]:
-    """Steady-state covariances of ``points`` from one stacked build and one Lyapunov call,
+def _steady_states(fields: _Fields) -> NDArray[np.float64]:
+    """Steady-state covariances of the points of ``fields`` from one stacked build and one Lyapunov call,
     which factorises each byte-distinct drift once."""
-    a, d = _stacks(points)
+    a, d = _stacks(fields)
     _check_finite(a, d)
     return solve_lyapunov(a, d)
 
@@ -284,14 +342,14 @@ def _steady_states(points) -> NDArray[np.float64]:
 def steady_state_cm(params: SystemParams) -> CovarianceMatrix:
     """Steady-state covariance matrix of the four modes cavity1, cavity2, magnon1, magnon2.
     Raises NumericalFailureError where the drift or diffusion overflows."""
-    return CovarianceMatrix(_steady_states([params])[0], MODE_LABELS)
+    return CovarianceMatrix(_steady_states(params)[0], MODE_LABELS)
 
 
 def thermal_pair_moments(params: SystemParams, pairs):
     """Steady-state moments of mode ``pairs`` (:func:`pair_moments`) as a function of temperature: (k, 10, pairs)
     for k temperatures. V(T) = V0 + n1(T) W1 + n2(T) W2 (V0 at T = 0, Wj for 2 kappa_mj / kappa_a1 on magnon j),
     so a temperature costs c . q, c = (1, n1, n2), and the two forms of :func:`superposition_gate`."""
-    (a,), (d0,) = _stacks([params.replace(temperature=0.0)])  # the drift does not depend on T
+    (a,), (d0,) = _stacks(params.replace(temperature=0.0))  # the drift does not depend on T
     rates, d = np.array(params.kappa_m) / params.kappa_a[0], np.zeros((3, 8, 8))
     d[0], d[[1, 1, 2, 2], [4, 5, 6, 7], [4, 5, 6, 7]] = d0, np.repeat(2.0 * rates, 2)
     _check_finite(a, d)
@@ -344,14 +402,19 @@ def entanglement_columns(points) -> dict[str, NDArray[np.float64]]:
 
     Returns one array per :data:`OUTPUT_COLUMNS` entry, a value per point.
     E_aa: the two cavity modes; E_mm: the two magnon modes;
-    E_a1m1 / E_a2m2: each cavity with its own magnon. The four pairs of
-    all points go through one closed-form array call (`pair_indicators`).
-    No stability test is needed: every drift has A + A^T = -2 diag(kappa) / kappa_a1.
+    E_a1m1 / E_a2m2: each cavity with its own magnon. The points' fields
+    go through the one array route, :func:`_columns`.
     """
-    points = tuple(points)  # read more than once, so an iterator is taken whole here
-    if not points:
+    return _columns(_Fields.of(points))
+
+
+def _columns(fields: _Fields) -> dict[str, NDArray[np.float64]]:
+    """:func:`entanglement_columns` of the points of ``fields``, in row-major order. The four pairs of
+    all points go through one closed-form array call (`pair_indicators`). No stability test is
+    needed: every drift has A + A^T = -2 diag(kappa) / kappa_a1."""
+    if 0 in fields.shape:
         return {name: np.empty(0) for name in OUTPUT_COLUMNS}
-    indicators = pair_indicators(_steady_states(points), _PAIRS)
+    indicators = pair_indicators(_steady_states(fields), _PAIRS)
     e = clamp_negativity(indicators)
     ratio = np.divide(e[:, 1], e[:, 0], out=np.full(len(e), math.nan), where=e[:, 0] > 0.0)
     return dict(zip(OUTPUT_COLUMNS, (*e.T, ratio, indicators[:, 2])))
@@ -359,4 +422,4 @@ def entanglement_columns(points) -> dict[str, NDArray[np.float64]]:
 
 def entanglement_report(params: SystemParams) -> EntanglementReport:
     """:func:`entanglement_columns` of one point, as a record."""
-    return EntanglementReport(*(column.item() for column in entanglement_columns([params]).values()))
+    return EntanglementReport(*(column.item() for column in _columns(params).values()))

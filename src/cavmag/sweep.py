@@ -21,8 +21,8 @@ import numpy as np
 from ._version import __version__
 from .cvgaussian import _closed_form, clamp_negativity
 from .errors import CavmagError, NoEntanglementError
-from .model import _PAIRS, BASELINE, OUTPUT_COLUMNS, EntanglementReport, SystemParams
-from .model import _real, entanglement_columns, entanglement_report, thermal_pair_moments
+from .model import _PAIRS, BASELINE, OUTPUT_COLUMNS, EntanglementReport, SystemParams, _Fields
+from .model import _columns, _real, entanglement_report, thermal_pair_moments
 
 DEFAULT_RESOLUTION_2D = 61
 DEFAULT_RESOLUTION_1D = 121
@@ -251,21 +251,22 @@ def _provenance_lines(spec: SweepSpec) -> tuple[str, ...]:
     return tuple(lines)
 
 
-def _grid_points(spec: SweepSpec) -> list[SystemParams]:
-    """Parameters of every cell of the lattice, in row-major order. The axes hold checked
-    paths and values, so each cell goes straight to its rows of :data:`PARAMETER_PATHS`."""
-    set1 = PARAMETER_PATHS[spec.axis1.path]
-    points = [set1(spec.base, v) for v in spec.axis1.values]
-    if spec.axis2 is not None:
-        set2, values2 = PARAMETER_PATHS[spec.axis2.path], spec.axis2.values
-        points = [set2(p, v) for p in points for v in values2]
-    return points
+def _grid_fields(spec: SweepSpec) -> _Fields:
+    """The fields of every cell of the lattice, shaped like it: axis 1's row of :data:`PARAMETER_PATHS` on the
+    base with the axis values as a column, then axis 2's row with its values as a row, so each cell holds the
+    base with both rows applied in turn. Each row's ``replace`` checks its record as SystemParams checks a
+    point; the first bad cell in row-major order raises that point's error."""
+    fields = _Fields.of([spec.base])
+    with np.errstate(over="ignore"):  # a product beyond the float range is inf, which the check refuses
+        fields = PARAMETER_PATHS[spec.axis1.path](fields, np.array(spec.axis1.values)[:, None])
+        if spec.axis2 is not None:
+            fields = PARAMETER_PATHS[spec.axis2.path](fields, np.array(spec.axis2.values))
+    return fields
 
 
 def run_sweep(spec: SweepSpec) -> SweepGrid:
     """Evaluate the sweep lattice and return the assembled grid."""
-    columns = entanglement_columns(_grid_points(spec))
-    return SweepGrid(spec=spec, columns=columns, provenance=_provenance_lines(spec))
+    return SweepGrid(spec=spec, columns=_columns(_grid_fields(spec)), provenance=_provenance_lines(spec))
 
 
 # ---------------------------------------------------------------------------

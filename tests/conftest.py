@@ -58,7 +58,7 @@ def outcome(compute):
 
 def state_nu_min(points) -> np.ndarray:
     """Smallest symplectic eigenvalue of each point's solved steady state, from its full spectrum."""
-    return cvgaussian.symplectic_spectra(model._steady_states(points))[:, 0]
+    return cvgaussian.symplectic_spectra(model._steady_states(model._Fields.of(points)))[:, 0]
 
 
 def local_rotation(phi1: float, phi2: float) -> np.ndarray:

@@ -52,7 +52,8 @@ from cavmag.cvgaussian import (
 from cavmag.errors import NoEntanglementError, NumericalFailureError, UnstableSystemError
 from cavmag.linsys import _UNSTABLE, _scale_diffusions, _square_matrix, solve_lyapunov
 from cavmag.model import R_MAX, SystemParams, steady_state_cm, thermal_occupation, thermal_pair_moments
-from cavmag.sweep import COLOR_ANCHORS, NAN_FILL, SweepGrid, _fmt, _rect, _text, _tick_label, _write_svg, _write_text
+from cavmag.sweep import COLOR_ANCHORS, NAN_FILL, PARAMETER_PATHS, SweepGrid, SweepSpec, _fmt, _rect, _text
+from cavmag.sweep import _tick_label, _write_svg, _write_text
 
 
 def drift_by_point(params: SystemParams) -> np.ndarray:
@@ -473,6 +474,22 @@ def assembled_state(params: SystemParams, members: np.ndarray, temperature: floa
     solutions: the superposition that the library evaluates without assembling it."""
     n1, n2 = (thermal_occupation(omega, temperature) for omega in params.omega_m)
     return members[0] + n1 * members[1] + n2 * members[2]
+
+
+# ---------------------------------------------------------------------------
+# the grid build, one SystemParams per cell
+
+
+def grid_points(spec: SweepSpec) -> list[SystemParams]:
+    """Parameters of every cell of the lattice, in row-major order: axis 1's row of ``PARAMETER_PATHS``
+    on the base, one SystemParams per value, then axis 2's row on each of those. The first cell whose
+    constructor refuses it raises."""
+    set1 = PARAMETER_PATHS[spec.axis1.path]
+    points = [set1(spec.base, v) for v in spec.axis1.values]
+    if spec.axis2 is not None:
+        set2, values2 = PARAMETER_PATHS[spec.axis2.path], spec.axis2.values
+        points = [set2(p, v) for p in points for v in values2]
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from cavmag.linsys import solve_lyapunov
 from cavmag.model import BASELINE, entanglement_report, steady_state_cm
 from cavmag.sweep import (
     PRESET_NAMES,
-    _grid_points,
     emit_csv,
     figure_preset,
     find_temperature_threshold,
@@ -27,6 +26,7 @@ from cavmag.sweep import (
 )
 from oracles import (
     ReducedParams,
+    grid_points,
     integrate_lyapunov_oracle,
     tmsv_cm,
     vam_analytic,
@@ -227,7 +227,7 @@ def test_criterion_10_physicality_and_determinism(preset_grids):
         grid = preset_grids[name]
         for column in ("E_aa", "E_mm", "E_a1m1", "E_a2m2", "N_am"):
             assert np.all(np.isfinite(grid.value_array(column)))
-        worst = min(worst, float(state_nu_min(_grid_points(grid.spec)).min()))
+        worst = min(worst, float(state_nu_min(grid_points(grid.spec)).min()))
         total_cells += grid.value_array("E_aa").size
         first, second = io.StringIO(), io.StringIO()
         emit_csv(grid, first)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import itertools
 import math
@@ -44,7 +45,7 @@ from cavmag.model import (
     thermal_occupation,
     thermal_pair_moments,
 )
-from cavmag.sweep import PRESET_NAMES, _grid_points, apply_parameter, figure_preset
+from cavmag.sweep import PRESET_NAMES, _grid_fields, apply_parameter, figure_preset
 
 from conftest import outcome, state_nu_min
 from oracles import (
@@ -52,6 +53,7 @@ from oracles import (
     assembled_state,
     diffusion_by_point,
     drift_by_point,
+    grid_points,
     staged_field_checks,
     thermal_members,
     tmsv_cm,
@@ -170,6 +172,7 @@ HOSTILE = [
     1 + 2j, complex(1.0, 0.0), np.complex128(1.0), np.array(1.5), np.array(-1.5), np.array([1.5]),
     np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]), np.array([-1.0, 2.0]), np.array([[1.0, 2.0]]),
     [], [1.0], [1.0, 2.0], [1.0, 2.0, 3.0], (1.0,), (1.0, 2.0), (2.0, 1.0, 0.5), {"a": 1.0, "b": 2.0},
+    {1.0, 2.0}, frozenset({3.0}), {2.0: 1.0}.keys(),
 ]
 
 
@@ -193,13 +196,28 @@ class TestFieldRules:
 
     @pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(SystemParams)])
     def test_each_input_meets_the_staged_checks(self, name):
+        # The one intended difference: a pair field refuses an unordered container (a set or a mapping)
+        # as such, where the staged checks read it in its iteration order.
+        pair = model._FIELD_RULES[name][0]
         refused = 0
         for value in _hostile_values():
             changed = {**_fields(BASELINE), name: value}
             expected = _stored_or_error(lambda: staged_field_checks(changed))
+            if pair and isinstance(value, (collections.abc.Set, collections.abc.Mapping)):
+                expected = (ValueError, f"{name} must hold two numbers, not {type(value).__name__}")
             assert _stored_or_error(lambda: _fields(SystemParams(**changed))) == expected, (name, value)
             refused += isinstance(expected, tuple)
         assert 0 < refused < len(list(_hostile_values()))
+
+    @pytest.mark.parametrize("value", [{3.0, 1.0}, frozenset({3.0, 1.0}), {3.0: 1.0, 1.0: 3.0}, {3.0: 1.0}.keys()])
+    @pytest.mark.parametrize("name", ["omega_a", "kappa_m", "g"])
+    def test_an_unordered_container_is_no_pair(self, name, value):
+        message = f"{name} must hold two numbers, not {type(value).__name__}"
+        for build in (BASELINE.replace, model._Fields.of([BASELINE]).replace):
+            with pytest.raises(ValueError) as error:
+                build(**{name: value})
+            assert str(error.value) == message
+        assert BASELINE.replace(**{name: [3.0, 1.0]}) == BASELINE.replace(**{name: np.array([3.0, 1.0])})
 
     def test_several_faults_raise_the_first_faulty_field_in_field_order(self):
         def construct(changes, check=lambda values: _fields(SystemParams(**values))):
@@ -547,14 +565,17 @@ def relative_residual(params: SystemParams, v) -> float:
     return float(np.linalg.norm(a @ v + v @ a.T + d) / np.linalg.norm(d))
 
 
-def assert_stacks_match_the_per_point_builds(points):
-    """model._stacks of ``points`` equals the per-point builds byte for byte, with no warning."""
+def assert_stacks_match_the_per_point_builds(points, fields=None):
+    """model._stacks of ``fields`` (by default the record of ``points``), and of each point alone, equals the
+    per-point builds of ``points`` byte for byte, with no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a, d = model._stacks(points)
+        a, d = model._stacks(model._Fields.of(points) if fields is None else fields)
+        alone = [model._stacks(p) for p in points]
     assert a.shape == d.shape == (len(points), 8, 8)
     assert [x.tobytes() for x in a] == [drift_by_point(p).tobytes() for p in points]
     assert [x.tobytes() for x in d] == [diffusion_by_point(p).tobytes() for p in points]
+    assert [(x.tobytes(), y.tobytes()) for x, y in alone] == [(x.tobytes(), y.tobytes()) for x, y in zip(a, d)]
 
 
 # The wide box, out to r = R_MAX, T = 1e300 K and a cavity linewidth of 2 pi 1e-305 Hz,
@@ -586,7 +607,8 @@ class TestStackedBuild:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_every_preset_grid_is_bitwise_the_per_point_build(self, name):
-        assert_stacks_match_the_per_point_builds(_grid_points(figure_preset(name, resolution=5)))
+        spec = figure_preset(name, resolution=5)
+        assert_stacks_match_the_per_point_builds(grid_points(spec), _grid_fields(spec))
 
     def test_an_overflowing_member_raises_the_typed_error_without_a_warning(self):
         tiny = apply_parameter(BASELINE, "kappa_a_hz", 1e-302)
@@ -600,7 +622,7 @@ class TestStackedBuild:
         points = [tiny, BASELINE, valid_params(r=2.0 * R_MAX), valid_params(r=R_MAX), valid_params(r=3.0 * R_MAX)]
         with pytest.raises(NumericalFailureError) as one_point:
             noise_moments(points[2])
-        for build in (model._stacks, entanglement_columns):
+        for build in (lambda points: model._stacks(model._Fields.of(points)), entanglement_columns):
             with pytest.raises(NumericalFailureError) as batch:
                 build(points)
             assert str(batch.value) == str(one_point.value)
@@ -883,7 +905,7 @@ class TestEntanglementReports:
 
         monkeypatch.setattr(linsys, "_real_schur", counted)
         monkeypatch.setattr(model, "solve_lyapunov", lambda *args: solves.append(args) or solve_lyapunov(*args))
-        assert np.array_equal(model._steady_states(points), per_point)
+        assert np.array_equal(model._steady_states(model._Fields.of(points)), per_point)
         assert len(solves) == 1
         assert [a.tobytes() for a in drifts] == [build_drift(points[i]).tobytes() for i in (0, 9)]
 
@@ -933,7 +955,7 @@ class TestClosedFormPairs:
     def test_equal_the_eigen_route_wherever_both_resolve(self, **box):
         params = box_params(**box)
         try:
-            v = model._steady_states([params])
+            v = model._steady_states(params)
         except CavmagError:
             return
         closed = outcome(lambda: pair_indicators(v, model._PAIRS)[0])
@@ -957,15 +979,16 @@ class TestClosedFormPairs:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_pair_indicators_are_the_closed_form_of_the_moments(self, name):
-        v = model._steady_states(_grid_points(figure_preset(name, 7)))
+        v = model._steady_states(_grid_fields(figure_preset(name, 7)))
         expected = _closed_form(pair_moments(v, model._PAIRS))
         assert pair_indicators(v, model._PAIRS).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("dim,pairs", [(8, ((2, 3),)), (8, model._PAIRS), (4, ((0, 1),))])
+    @pytest.mark.parametrize("dim,pairs", [(8, ((2, 3),)), (8, model._PAIRS), (4, ((0, 1),)), (8, ()), (4, [])])
     def test_an_empty_stack_gives_empty_moments_and_indicators(self, dim, pairs):
-        v = np.zeros((0, dim, dim))
-        assert pair_moments(v, pairs).shape == (0, 10, len(pairs))
-        assert pair_indicators(v, pairs).shape == (0, len(pairs))
+        for k in (0, 3):  # no states, or three vacuum states
+            v = np.tile(np.eye(dim) / 2, (k, 1, 1))
+            assert pair_moments(v, pairs).shape == (k, 10, len(pairs))
+            assert pair_indicators(v, pairs).shape == (k, len(pairs))
 
     def test_round_off_below_the_vacuum_is_no_entanglement(self):
         params = box_params(1.875, (1.0, -4.25), (0.0, 0.0), True, (0.0, 2.0, 1.0, 25.0), (5.0, 5.0), 0.0, 0.0, 0.0)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
+import itertools
 import math
 import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -26,6 +29,7 @@ from cavmag.sweep import (
     SweepAxis,
     SweepGrid,
     SweepSpec,
+    _grid_fields,
     apply_parameter,
     color_for,
     emit_csv,
@@ -41,7 +45,7 @@ from cavmag.sweep import (
 from cavmag.model import entanglement_report
 
 from conftest import STAGES_UNCALLED, outcome, state_nu_min
-from oracles import color_by_cell, threshold_by_full_solves, threshold_by_steps
+from oracles import color_by_cell, grid_points, threshold_by_full_solves, threshold_by_steps
 
 # One batch of points: one closed-form call for its pairs, and no spectrum of its states.
 ONE_BATCH = dict(pair_indicators=1, _closed_form=1, symplectic_spectra=0)
@@ -349,6 +353,67 @@ class TestSummarizePoint:
             assert r > 4.4
             return
         assert e_aa == pytest.approx(2.0 * r, abs=1e-8)
+
+
+# Random valid bases: knobs of BASELINE set in turn, the absolute linewidth scale first.
+BASES = st.fixed_dictionaries({
+    "kappa_a_hz": st.floats(1e-3, 1e9),
+    "kappa_a2": st.floats(0.1, 10.0),
+    **dict.fromkeys(("kappa_m1", "kappa_m2"), st.floats(1e-9, 10.0)),
+    **dict.fromkeys(("g1", "g2"), st.one_of(st.just(-0.0), st.floats(0.0, 20.0))),
+    **dict.fromkeys(("delta_a1", "delta_a2", "delta_m1", "delta_m2"), st.floats(-5.0, 5.0)),
+    "r": st.one_of(st.just(-0.0), st.floats(0.0, 3.0)),
+    "theta": st.floats(-4.0, 4.0),
+    "temperature": st.one_of(st.just(-0.0), st.floats(0.0, 1e3)),
+}).map(lambda knobs: functools.reduce(lambda p, knob: apply_parameter(p, *knob), knobs.items(), BASELINE))
+# Axis values, good and bad for some path: negative, zero of either sign, subnormal, and large enough for a
+# product with a rate to overflow. Strictly monotone, as SweepAxis requires.
+AXIS_VALUES = st.lists(
+    st.one_of(st.sampled_from((-1.0, -0.0, 0.0, 5e-324, 0.5, 2.0, 1e300, 1.7e308)), st.floats(-3.0, 3.0)),
+    min_size=1, max_size=3, unique=True,
+).map(sorted)
+
+
+def stacks_or_error(build):
+    """The drift and diffusion bytes of ``build()``, or the type and message of what it raises; no warning."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, d = model._stacks(build())
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc), str(exc)
+    return a.tobytes(), d.tobytes()
+
+
+class TestGridBuild:
+    """The array-native grid build against the per-cell build of ``oracles.grid_points``."""
+
+    @given(base=BASES, values1=AXIS_VALUES, values2=AXIS_VALUES.map(lambda values: values[::-1]))
+    @settings(max_examples=25)
+    def test_every_path_pair_equals_the_per_cell_build(self, base, values1, values2):
+        # Each single-axis grid and each ordered pair of distinct paths: equal stacks bit for bit, or the same
+        # error, from the first bad cell in row-major order and its first bad field.
+        singles = [(path, None) for path in PARAMETER_PATHS]
+        for path1, path2 in singles + list(itertools.permutations(PARAMETER_PATHS, 2)):
+            spec = SweepSpec(base, SweepAxis(path1, values1), path2 and SweepAxis(path2, values2), ("E_mm",))
+            expected = stacks_or_error(lambda: model._Fields.of(grid_points(spec)))
+            assert stacks_or_error(lambda: _grid_fields(spec)) == expected, (path1, path2)
+
+    @pytest.mark.parametrize(
+        "axis1,axis2,error",
+        [
+            (("g", (0.0, -1.0)), None, "coupling rates must be nonnegative"),
+            (("r", (0.5, 1.0)), ("kappa_m", (-0.0, 1.0)), "kappa_m must be strictly positive"),
+            (("kappa_m1", (1.0, 2.0)), ("g2_over_g1", (1.0, 1.7e308)), "g must be finite"),
+            (("temperature", (1.0, 2.0)), ("omega_a_hz", (-1.0, 1.0)), "omega_a must be strictly positive"),
+        ],
+    )
+    def test_a_bad_cell_raises_what_its_system_params_raises(self, axis1, axis2, error):
+        spec = SweepSpec(ASYMMETRIC, SweepAxis(*axis1), axis2 and SweepAxis(*axis2), ("E_mm",))
+        for build in (lambda: grid_points(spec), lambda: _grid_fields(spec), lambda: run_sweep(spec)):
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert str(raised.value) == error
 
 
 class TestRunSweep:
