@@ -25,7 +25,6 @@ import sys
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
-from typing import ClassVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -88,7 +87,6 @@ class SystemParams:
     r: float
     theta: float
     temperature: float
-    shape: ClassVar[tuple] = ()  # a point is a batch of shape (); a _Fields record holds its own
 
     def __post_init__(self):  # a float, or a pair of floats as replace() passes on, is kept as it is
         for name, (pair, refused, refusal) in _FIELD_RULES.items():
@@ -133,8 +131,7 @@ _field_values = operator.attrgetter(*_FIELD_RULES)
 
 
 def _pair(name: str, value, member=_real) -> tuple:
-    """The two members of a pair field's ``value``, each through ``member``. ValueError for a string, an
-    unordered container (a set or a mapping: its order is no pair's), a non-iterable, or other than two members."""
+    """``value``'s two members through ``member``; ValueError unless an ordered iterable of two (a set has no order)."""
     if isinstance(value, (str, bytes, Set, Mapping)) or not hasattr(value, "__iter__"):
         raise ValueError(f"{name} must hold two numbers, not {type(value).__name__}")
     if len(value := tuple(member(name, x) for x in value)) != 2:
@@ -147,38 +144,37 @@ def _floats(fields) -> tuple:
     return sum((value if type(value) is tuple else (value,) for value in _field_values(fields)), ())
 
 
-def _fields_of(floats) -> dict:
-    """The fields by name from their 15 ``floats`` in field order: a pair takes two."""
-    floats = iter(floats)
-    return {name: (next(floats), next(floats)) if pair else next(floats) for name, (pair, _, _) in _FIELD_RULES.items()}
-
-
 class _Fields(SimpleNamespace):
-    """The fields of SystemParams at a batch of points: each float an array, all broadcasting to ``shape``.
-    A pair is a tuple of two arrays, so the rows of ``sweep.PARAMETER_PATHS`` read ``p.kappa_a[0]`` and call
-    ``p.replace(...)`` on a record as on a SystemParams. An array keeps the shape it is given: in a grid, a
-    value that one axis sets varies along that axis only."""
+    """The fields of SystemParams at a batch of points, each float a number or an array broadcasting to ``shape``,
+    a pair a tuple of two, so ``sweep.PARAMETER_PATHS`` rows read ``p.kappa_a[0]`` and call ``p.replace(...)`` on a
+    record as on a SystemParams. An array keeps its shape: in a grid, a value one axis sets varies along it only."""
+
+    @classmethod
+    def point(cls, params: SystemParams) -> "_Fields":
+        """The record of one point, its floats as they are: NumPy takes a number as an array of shape ()."""
+        return cls(shape=(1,), **dict(zip(_FIELD_RULES, _field_values(params))))
 
     @classmethod
     def of(cls, points) -> "_Fields":
         """The fields of the SystemParams ``points`` (read once), as arrays of shape (k,)."""
         rows = np.array([_floats(p) for p in points]).reshape(-1, 15)
-        return cls(shape=rows.shape[:1], **_fields_of(rows.T))
+        x = iter(rows.T)  # a pair takes two columns
+        fields = {name: (next(x), next(x)) if pair else next(x) for name, (pair, _, _) in _FIELD_RULES.items()}
+        return cls(shape=rows.shape[:1], **fields)
 
     def replace(self, **changes) -> "_Fields":
-        """A new record with ``changes``, a number or an array per float, broadcast against this one. Where a
-        changed float breaks its rule in ``_FIELD_RULES``, the first such point in row-major order raises what
-        its SystemParams raises: the first bad field in field order, with the same message."""
+        """A new record with ``changes`` (numbers or arrays) broadcast against this one. Its first point in row-major
+        order where a changed float breaks ``_FIELD_RULES`` raises what that point's SystemParams raises."""
         values, bad = vars(self).copy(), False
         for name, value in changes.items():
             pair, refused, _ = _FIELD_RULES[name]
-            values[name] = _pair(name, value, lambda _, x: np.asarray(x)) if pair else np.asarray(value)
-            for x in values[name] if pair else (values[name],):
+            values[name] = value = _pair(name, value, lambda _, x: np.asarray(x)) if pair else np.asarray(value)
+            for x in value if pair else (value,):
                 bad = bad | ~((refused < x) & (x < math.inf))
         fields = _Fields(**{**values, "shape": np.broadcast_shapes(self.shape, np.shape(bad))})
         if np.any(bad):  # the same comparisons refuse the first bad point's SystemParams
-            i = np.broadcast_to(bad, fields.shape).argmax()
-            SystemParams(**_fields_of(np.broadcast_to(x, fields.shape).flat[i] for x in _floats(fields)))
+            i, cell = np.broadcast_to(bad, fields.shape).argmax(), lambda x: np.broadcast_to(x, fields.shape).flat[i]
+            SystemParams(*(tuple(map(cell, x)) if type(x) is tuple else cell(x) for x in _field_values(fields)))
         return fields
 
 
@@ -232,19 +228,21 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def _drive_moments(r: float, theta: float) -> tuple[float, complex]:
-    """N = sinh(r)^2 and M = e^{i theta} sinh(r) cosh(r) of the squeezed drive, which
-    saturate |M|^2 = N (N + 1). Raises NumericalFailureError for r above :data:`R_MAX`."""
+def _drive_moments(r: float, theta: float) -> tuple[float, float, float]:
+    """N = sinh(r)^2 and the real and imaginary parts of M = e^{i theta} sinh(r) cosh(r) of the squeezed
+    drive, which saturate |M|^2 = N (N + 1). Raises NumericalFailureError for r above :data:`R_MAX`."""
     if r > R_MAX:
         raise NumericalFailureError(f"drive moments overflow at squeezing r = {r:.6g}")
     sh, ch = math.sinh(r), math.cosh(r)
-    return sh * sh, complex(math.cos(theta), math.sin(theta)) * sh * ch
+    m = complex(math.cos(theta), math.sin(theta)) * sh * ch
+    return sh * sh, m.real, m.imag
 
 
 def noise_moments(params: SystemParams) -> NoiseMoments:
     """The drive's moments (:func:`_drive_moments`) and each magnon bath's occupation."""
+    n, re_m, im_m = _drive_moments(params.r, params.theta)
     occupations = tuple(thermal_occupation(omega, params.temperature) for omega in params.omega_m)
-    return NoiseMoments(*_drive_moments(params.r, params.theta), occupations)
+    return NoiseMoments(n, complex(re_m, im_m), occupations)
 
 
 def _layouts() -> tuple[NDArray[np.intp], NDArray[np.intp]]:
@@ -278,37 +276,25 @@ def _layouts() -> tuple[NDArray[np.intp], NDArray[np.intp]]:
 _DRIFT_LAYOUT, _DIFFUSION_LAYOUT = _layouts()
 
 
-def _per_key(function, found: dict, *keys) -> NDArray:
-    """``function`` at each point of the broadcast arrays ``keys``, or at the floats of one SystemParams, in
-    row-major order, as an array of their shape and the result's. ``found`` keeps its values by key, so it runs
-    once per distinct key. A key holds the floats' signs too: 0.0 and -0.0 are two (r = -0.0 gives Re M = -0.0)."""
-    one = not isinstance(keys[0], np.ndarray)
-    points = [keys] if one else np.broadcast(*keys)
-    values = np.array([found[key] if (key := (*point, *map(math.copysign, (1.0, 1.0), point))) in found
-                       else found.setdefault(key, function(*point)) for point in points])
-    return values[0] if one else values.reshape(points.shape + values.shape[1:])
+# The noise moments at each point of their broadcast arguments, in row-major order, with sinh, cosh and expm1 of
+# ``math`` (numpy's differ in the last bit): on a grid, once per value of the per-axis arrays, not per cell.
+_DRIVE, _BATH = np.frompyfunc(_drive_moments, 2, 3), np.frompyfunc(thermal_occupation, 2, 1)
 
 
-def _stacks(fields) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Drift and diffusion stacks, (k, 8, 8) each and normalized by each kappa_a1, of the points of ``fields``
-    in row-major order: a :class:`_Fields` record, or one point's SystemParams (shape ()).
-
-    Each stack is one ``take`` from a value matrix with a column per distinct entry (see :func:`_layouts`),
-    every value in the one-point order of operations. The fields' floats, each at its own shape, and the
-    noise moments broadcast to the batch in one input matrix. sinh, cosh and expm1 stay in ``math``
-    (numpy's differ in the last bit), once per distinct (r, theta) and (omega_m, T) (:func:`_per_key`);
-    the first r above :data:`R_MAX` raises. Overflows become inf or nan.
-    """
-    drive, bath = _per_key(_drive_moments, {}, fields.r, fields.theta), {}  # complex N, M
+def _stacks(fields: _Fields) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Drift and diffusion stacks of the points of ``fields`` in row-major order, (k, 8, 8) each, normalized by
+    each kappa_a1: one ``take`` each from a value matrix with a column per distinct entry (see :func:`_layouts`),
+    every value in the one-point order of operations. The fields, each at its own shape, and the noise moments
+    broadcast into one input matrix. The first r above :data:`R_MAX` raises; overflows become inf or nan."""
     (wa1, wa2), (wm1, wm2), (wd1, wd2) = fields.omega_a, fields.omega_m, fields.omega_drive
-    # Columns: (kappa_a, kappa_m, g, delta_a, delta_m) for j = 1, 2, then 0, N, N, n_bath1, n_bath2, Re M, Im M.
-    f = np.zeros(fields.shape + (17,))
-    rates = (*fields.kappa_a, *fields.kappa_m, *fields.g, wa1 - wd1, wa2 - wd2, wm1 - wd1, wm2 - wd2)
-    for column, x in enumerate(rates):
-        f[..., column] = x
-    f[..., 11:13], f[..., 15:] = drive[..., :1].real, drive[..., 1:].view(float)
-    f[..., 13], f[..., 14] = (_per_key(thermal_occupation, bath, omega, fields.temperature) for omega in fields.omega_m)
+    f = np.empty(fields.shape + (17,))
     with np.errstate(over="ignore", invalid="ignore"):
+        n, re_m, im_m = _DRIVE(fields.r, fields.theta)
+        n1, n2 = (_BATH(omega, fields.temperature) for omega in fields.omega_m)
+        # Columns: (kappa_a, kappa_m, g, delta_a, delta_m) for j = 1, 2, then 0, N, N, n_bath1, n_bath2, Re M, Im M.
+        rates = (*fields.kappa_a, *fields.kappa_m, *fields.g, wa1 - wd1, wa2 - wd2, wm1 - wd1, wm2 - wd2)
+        for column, x in enumerate((*rates, 0.0, n, n, n1, n2, re_m, im_m)):
+            f[..., column] = x
         v = f[..., :11] / f[..., :1]
         c = np.sqrt(v[..., :1] * v[..., 1:2]) * 2.0 * f[..., 15:]  # (c_xx, c_xy)
         d = np.concatenate((v[..., :4] * (2.0 * f[..., 11:15] + 1.0), c, -c[..., :1], v[..., 10:]), -1)
@@ -318,12 +304,12 @@ def _stacks(fields) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
 
 def build_drift(params: SystemParams) -> NDArray[np.float64]:
     """Drift matrix of the linearized dynamics, normalized by kappa_a1 (see :func:`_layouts`)."""
-    return _stacks(params)[0][0]
+    return _stacks(_Fields.point(params))[0][0]
 
 
 def build_diffusion(params: SystemParams) -> NDArray[np.float64]:
     """Diffusion matrix of the input noise, normalized by kappa_a1 (see :func:`_layouts`)."""
-    return _stacks(params)[1][0]
+    return _stacks(_Fields.point(params))[1][0]
 
 
 def _check_finite(*matrices) -> None:
@@ -342,14 +328,14 @@ def _steady_states(fields: _Fields) -> NDArray[np.float64]:
 def steady_state_cm(params: SystemParams) -> CovarianceMatrix:
     """Steady-state covariance matrix of the four modes cavity1, cavity2, magnon1, magnon2.
     Raises NumericalFailureError where the drift or diffusion overflows."""
-    return CovarianceMatrix(_steady_states(params)[0], MODE_LABELS)
+    return CovarianceMatrix(_steady_states(_Fields.point(params))[0], MODE_LABELS)
 
 
 def thermal_pair_moments(params: SystemParams, pairs):
     """Steady-state moments of mode ``pairs`` (:func:`pair_moments`) as a function of temperature: (k, 10, pairs)
     for k temperatures. V(T) = V0 + n1(T) W1 + n2(T) W2 (V0 at T = 0, Wj for 2 kappa_mj / kappa_a1 on magnon j),
     so a temperature costs c . q, c = (1, n1, n2), and the two forms of :func:`superposition_gate`."""
-    (a,), (d0,) = _stacks(params.replace(temperature=0.0))  # the drift does not depend on T
+    (a,), (d0,) = _stacks(_Fields.point(params.replace(temperature=0.0)))  # the drift does not depend on T
     rates, d = np.array(params.kappa_m) / params.kappa_a[0], np.zeros((3, 8, 8))
     d[0], d[[1, 1, 2, 2], [4, 5, 6, 7], [4, 5, 6, 7]] = d0, np.repeat(2.0 * rates, 2)
     _check_finite(a, d)
@@ -398,20 +384,17 @@ OUTPUT_COLUMNS = tuple(field.name for field in fields(EntanglementReport))
 
 
 def entanglement_columns(points) -> dict[str, NDArray[np.float64]]:
-    """Solve for each point's steady state and quantify its entanglement.
+    """Solve for each point's steady state and quantify its entanglement (:func:`_columns` of their fields).
 
-    Returns one array per :data:`OUTPUT_COLUMNS` entry, a value per point.
-    E_aa: the two cavity modes; E_mm: the two magnon modes;
-    E_a1m1 / E_a2m2: each cavity with its own magnon. The points' fields
-    go through the one array route, :func:`_columns`.
+    Returns one array per :data:`OUTPUT_COLUMNS` entry, a value per point. E_aa: the two cavity modes;
+    E_mm: the two magnon modes; E_a1m1 / E_a2m2: each cavity with its own magnon.
     """
     return _columns(_Fields.of(points))
 
 
 def _columns(fields: _Fields) -> dict[str, NDArray[np.float64]]:
-    """:func:`entanglement_columns` of the points of ``fields``, in row-major order. The four pairs of
-    all points go through one closed-form array call (`pair_indicators`). No stability test is
-    needed: every drift has A + A^T = -2 diag(kappa) / kappa_a1."""
+    """:func:`entanglement_columns` of the points of ``fields``, in row-major order, from one closed-form pair call.
+    No stability test is needed: every drift has A + A^T = -2 diag(kappa) / kappa_a1."""
     if 0 in fields.shape:
         return {name: np.empty(0) for name in OUTPUT_COLUMNS}
     indicators = pair_indicators(_steady_states(fields), _PAIRS)
@@ -422,4 +405,4 @@ def _columns(fields: _Fields) -> dict[str, NDArray[np.float64]]:
 
 def entanglement_report(params: SystemParams) -> EntanglementReport:
     """:func:`entanglement_columns` of one point, as a record."""
-    return EntanglementReport(*(column.item() for column in _columns(params).values()))
+    return EntanglementReport(*(column.item() for column in _columns(_Fields.point(params)).values()))

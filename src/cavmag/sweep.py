@@ -256,7 +256,7 @@ def _grid_fields(spec: SweepSpec) -> _Fields:
     base with the axis values as a column, then axis 2's row with its values as a row, so each cell holds the
     base with both rows applied in turn. Each row's ``replace`` checks its record as SystemParams checks a
     point; the first bad cell in row-major order raises that point's error."""
-    fields = _Fields.of([spec.base])
+    fields = _Fields.point(spec.base)
     with np.errstate(over="ignore"):  # a product beyond the float range is inf, which the check refuses
         fields = PARAMETER_PATHS[spec.axis1.path](fields, np.array(spec.axis1.values)[:, None])
         if spec.axis2 is not None:
@@ -298,71 +298,24 @@ _LINEWIDTH = ("kappa_m", 0.01, 1.0)
 _COUPLING = ("g", 0.0, 10.0)
 
 PRESETS = {
-    "fig2a": Preset(
-        "magnon entanglement vs first-subsystem cavity and magnon detunings",
-        ("delta_a1", -1.0, 1.0),
-        ("delta_m1", -1.0, 1.0),
-        ("E_mm",),
-        _WARM + (("g", 5.0),),
-    ),
-    "fig2b": Preset(
-        "magnon entanglement vs second-subsystem cavity and magnon detunings",
-        ("delta_a2", -1.0, 1.0),
-        ("delta_m2", -1.0, 1.0),
-        ("E_mm",),
-        _WARM + (("g", 5.0),),
-    ),
-    "fig2c": Preset(
-        "magnon entanglement vs drive squeezing and bath temperature",
-        _SQUEEZING,
-        ("temperature", 0.0, 1.0),
-        ("E_mm",),
-        _COLD + (("g", 5.0),),
-    ),
-    "fig3a": Preset(
-        "magnon entanglement vs squeezing and coupling asymmetry g2/g1",
-        _SQUEEZING,
-        ("g2_over_g1", 0.0, 2.0),
-        ("E_mm",),
-        _WARM + (("g", 5.0),),
-    ),
-    "fig3b": Preset(
-        "transfer ratio E_mm/E_aa vs squeezing for three matched couplings",
-        _SQUEEZING,
-        ("g", (0.5, 1.0, 2.0)),
-        ("E_mm_over_E_aa", "E_aa", "E_mm"),
-        _WARM,
-        lines=True,
-    ),
-    "fig4": Preset(
-        "cavity-pair entanglement vs squeezing at zero coupling",
-        _SQUEEZING,
-        None,
-        ("E_aa",),
-        _COLD + (("g", 0.0),),
-        lines=True,
-    ),
-    "fig5a": Preset(
-        "cavity-pair entanglement vs linewidth ratio and coupling",
-        _LINEWIDTH,
-        _COUPLING,
-        ("E_aa",),
-        _COLD,
-    ),
-    "fig5b": Preset(
-        "magnon-pair entanglement vs linewidth ratio and coupling",
-        _LINEWIDTH,
-        _COUPLING,
-        ("E_mm",),
-        _COLD,
-    ),
-    "fig6": Preset(
-        "cavity-magnon negativity indicator vs linewidth ratio and coupling",
-        _LINEWIDTH,
-        _COUPLING,
-        ("N_am", "E_a1m1", "E_a2m2"),
-        _COLD,
-    ),
+    "fig2a": Preset("magnon entanglement vs first-subsystem cavity and magnon detunings",
+                    ("delta_a1", -1.0, 1.0), ("delta_m1", -1.0, 1.0), ("E_mm",), _WARM + (("g", 5.0),)),
+    "fig2b": Preset("magnon entanglement vs second-subsystem cavity and magnon detunings",
+                    ("delta_a2", -1.0, 1.0), ("delta_m2", -1.0, 1.0), ("E_mm",), _WARM + (("g", 5.0),)),
+    "fig2c": Preset("magnon entanglement vs drive squeezing and bath temperature",
+                    _SQUEEZING, ("temperature", 0.0, 1.0), ("E_mm",), _COLD + (("g", 5.0),)),
+    "fig3a": Preset("magnon entanglement vs squeezing and coupling asymmetry g2/g1",
+                    _SQUEEZING, ("g2_over_g1", 0.0, 2.0), ("E_mm",), _WARM + (("g", 5.0),)),
+    "fig3b": Preset("transfer ratio E_mm/E_aa vs squeezing for three matched couplings",
+                    _SQUEEZING, ("g", (0.5, 1.0, 2.0)), ("E_mm_over_E_aa", "E_aa", "E_mm"), _WARM, lines=True),
+    "fig4": Preset("cavity-pair entanglement vs squeezing at zero coupling",
+                   _SQUEEZING, None, ("E_aa",), _COLD + (("g", 0.0),), lines=True),
+    "fig5a": Preset("cavity-pair entanglement vs linewidth ratio and coupling",
+                    _LINEWIDTH, _COUPLING, ("E_aa",), _COLD),
+    "fig5b": Preset("magnon-pair entanglement vs linewidth ratio and coupling",
+                    _LINEWIDTH, _COUPLING, ("E_mm",), _COLD),
+    "fig6": Preset("cavity-magnon negativity indicator vs linewidth ratio and coupling",
+                   _LINEWIDTH, _COUPLING, ("N_am", "E_a1m1", "E_a2m2"), _COLD),
 }
 
 PRESET_NAMES = tuple(sorted(PRESETS))

@@ -571,7 +571,7 @@ def assert_stacks_match_the_per_point_builds(points, fields=None):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         a, d = model._stacks(model._Fields.of(points) if fields is None else fields)
-        alone = [model._stacks(p) for p in points]
+        alone = [model._stacks(model._Fields.point(p)) for p in points]
     assert a.shape == d.shape == (len(points), 8, 8)
     assert [x.tobytes() for x in a] == [drift_by_point(p).tobytes() for p in points]
     assert [x.tobytes() for x in d] == [diffusion_by_point(p).tobytes() for p in points]
@@ -955,7 +955,7 @@ class TestClosedFormPairs:
     def test_equal_the_eigen_route_wherever_both_resolve(self, **box):
         params = box_params(**box)
         try:
-            v = model._steady_states(params)
+            v = model._steady_states(model._Fields.of([params]))
         except CavmagError:
             return
         closed = outcome(lambda: pair_indicators(v, model._PAIRS)[0])
