@@ -5,8 +5,8 @@ diffusion matrix D, solves the continuous-time Lyapunov equation
 
     A V + V A^T + D = 0.
 
-The solver is the Bartels-Stewart method (Bartels & Stewart, CACM 1972): one real Schur
-form A = U R U^T per distinct drift serves its stability and condition checks and its Ds.
+The solver is the Bartels-Stewart method (Bartels & Stewart, CACM 1972) on a whole batch: one real
+Schur form A = U R U^T per distinct drift serves its stability and condition checks and its Ds.
 """
 
 from __future__ import annotations
@@ -88,10 +88,13 @@ def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
         If the condition estimate ``||A||_1 / (2 |max Re lambda|)`` of
         the Lyapunov operator exceeds 1e12.
     NumericalFailureError
-        If a factorisation or back-substitution fails, at once, or a residual is above
-        that bound or not finite. Each distinct drift (equal bytes) is factorised once. A
-        failing batch raises stage by stage, each at its first failure in batch order:
-        the stability of every drift, then every condition estimate, then the residuals.
+        If a factorisation or a triangular solve fails, or a residual is above that bound or
+        not finite. Each distinct drift (equal bytes) is factorised once; the Ds go to and from
+        its Schur basis in one stacked product each, Q = U^T (-D) U and V = U Y U^T, around one
+        LAPACK trsyl per D: the operations of scipy's ``solve_continuous_lyapunov``, bitwise.
+        A failing batch raises stage by stage, each at its first failure in batch order: every
+        factorisation, stability and condition estimate before any triangular solve, then the
+        triangular solves, then the residuals.
     """
     paired = np.ndim(a) == 3
     a = _square_matrix(a, "drift matrix", 3 if paired else 2)
@@ -101,26 +104,23 @@ def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
         raise ValueError("drift and diffusion matrices must pair up with the same shape")
     d, exponents = _scale_diffusions(d.reshape(-1, *a.shape[-2:]))
     a, groups = a if paired else np.broadcast_to(a, d.shape), {}
-    for i, drift in enumerate(a):
-        groups.setdefault(drift.tobytes(), []).append(i)
-    norms = np.max(np.sum(np.abs(a), axis=1), axis=1)  # each ||A||_1, as np.linalg.norm sums it
-    v, tops, conds = np.zeros_like(d), [], []
-    for members in groups.values():
-        r, u = _real_schur(a[members[0]])
-        # LAPACK gives each 2x2 block of R equal diagonal entries, the real part
-        # of its eigenvalue pair, so diag(R) holds every Re lambda.
-        top = float(r.diagonal().max())
-        tops.append(top)
-        # The operator V -> A V + V A^T has the eigenvalue 2 max Re lambda
-        # (an eigenvalue plus its conjugate) and a norm of order ||A||.
-        conds.append(float(norms[members[0]]) / (2.0 * abs(top)) if top < 0.0 else math.inf)
-        if conds[-1] <= CONDITION_LIMIT:
-            for k in members:
-                v[k] = _back_substitute(r, u, -d[k])
+    owner = [groups.setdefault(drift.tobytes(), i) for i, drift in enumerate(a)]  # the first D of each D's drift
+    factors = {i: _real_schur(a[i]) for i in groups.values()}
+    norms = np.max(np.sum(np.abs(a), axis=1), axis=1).tolist()  # each ||A||_1, as np.linalg.norm sums it
+    # LAPACK gives each 2x2 block of R equal diagonal entries, the real part
+    # of its eigenvalue pair, so diag(R) holds every Re lambda.
+    tops = [float(r.diagonal().max()) for r, _ in factors.values()]
+    # The operator V -> A V + V A^T has the eigenvalue 2 max Re lambda
+    # (an eigenvalue plus its conjugate) and a norm of order ||A||.
+    conds = [norms[i] / (2.0 * abs(top)) if top < 0.0 else math.inf for i, top in zip(factors, tops)]
     if max(conds) > CONDITION_LIMIT:  # an unstable drift's estimate is infinite
         tops, conds = np.array(tops), np.array(conds)
         raise_first(tops >= 0.0, UnstableSystemError, _UNSTABLE, tops)
         raise_first(conds > CONDITION_LIMIT, NearSingularError, _SINGULAR, conds)
+    u = factors[0][1] if len(factors) == 1 else np.array([factors[i][1] for i in owner])
+    q = u.swapaxes(-1, -2) @ (-d @ u)
+    y = np.array([_triangular_solve(factors[i][0], q_k) for i, q_k in zip(owner, q)])
+    v = u @ y @ u.swapaxes(-1, -2)
     v = 0.5 * (v + v.swapaxes(1, 2))
     if gate:
         r = a @ v + v @ a.swapaxes(-1, -2) + d
@@ -144,14 +144,12 @@ def _real_schur(a):
     return r, u
 
 
-def _back_substitute(r, u, q) -> NDArray[np.float64]:
-    """X with A X + X A^T = Q for A = U R U^T, by the operations of scipy's
-    ``solve_continuous_lyapunov`` in its order, so X equals its result bitwise."""
-    y, scale, info = dtrsyl(r, r, u.T.dot(q.dot(u)), tranb="T")
+def _triangular_solve(r, q) -> NDArray[np.float64]:
+    """Y with R Y + Y R^T = Q for the quasi-triangular R of a real Schur form, scaled as scipy scales it."""
+    y, scale, info = dtrsyl(r, r, q, tranb="T")
     if info != 0:
         raise NumericalFailureError(f"Lyapunov back-substitution failed (trsyl info {info})")
-    y *= scale
-    return u.dot(y).dot(u.T)
+    return y if scale == 1.0 else y * scale  # 1.0 unless Y would overflow; skips a no-op product
 
 
 def superposition_gate(a, v, d):

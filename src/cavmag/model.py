@@ -220,12 +220,13 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         raise ValueError("temperature must be nonnegative and finite")
     if temperature == 0.0:
         return 0.0
-    # divide by temperature last: KBOLTZ * temperature underflows for subnormal temperatures
-    x = (HBAR * omega / KBOLTZ) / temperature
+    # divide by temperature last: KBOLTZ * temperature underflows for subnormal temperatures;
+    # where HBAR * omega underflows instead, divide omega by the temperature first
+    x = (HBAR * omega / KBOLTZ) / temperature or (HBAR / KBOLTZ) * (omega / temperature)
     if x > 700.0:
         # exp would overflow; the occupation is far below double precision
         return 0.0
-    return 1.0 / math.expm1(x)
+    return 1.0 / math.expm1(x) if x else math.inf  # beyond float range: callers' finiteness checks refuse it
 
 
 def _drive_moments(r: float, theta: float) -> tuple[float, float, float]:

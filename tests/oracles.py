@@ -1,8 +1,11 @@
 """Independent routes that the tests compare the library against.
 
 The per-point drift and diffusion builds that the stacked builder
-replaced, closed-form steady-state covariance blocks in the resonant
-matched regime, a direct quadrature of the Lyapunov integral, and the
+replaced, the Lyapunov solve one D at a time (each similarity transform
+of the Bartels-Stewart method as its own pair of products, in scipy's
+order: the bitwise oracle of the library's stacked transforms),
+closed-form steady-state covariance blocks in the resonant matched
+regime, a direct quadrature of the Lyapunov integral, and the
 threshold bisection one step at a time: with the full Lyapunov equation
 solved at every step, or with one call of the library's closed form per
 step (the reference for its search by tree rounds), and two routes to the
@@ -38,7 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
+from scipy.linalg.lapack import dtrsyl
 
 from cavmag.cvgaussian import (
     CovarianceMatrix,
@@ -346,6 +350,28 @@ def symplectic_eigenvalues_by_invariants(cm: CovarianceMatrix) -> np.ndarray:
     if hi_sq <= 0.0:
         return np.array([0.0, 0.0])
     return np.sqrt([max(2.0 * det_v / (delta + root), 0.0), hi_sq])
+
+
+def back_substitute(r, u, q) -> np.ndarray:
+    """X with A X + X A^T = Q for A = U R U^T, by the operations of scipy's
+    ``solve_continuous_lyapunov`` in its order, so X equals its result bitwise."""
+    y, scale, info = dtrsyl(r, r, u.T.dot(q.dot(u)), tranb="T")
+    if info != 0:
+        raise NumericalFailureError(f"Lyapunov back-substitution failed (trsyl info {info})")
+    y *= scale
+    return u.dot(y).dot(u.T)
+
+
+def lyapunov_by_cell(a, d) -> np.ndarray:
+    """``solve_lyapunov(a, d)`` for (k, n, n) stacks of drifts and Ds, one D at a time and ungated:
+    each D scaled by a power of two to unit largest |entry|, solved in its drift's real Schur basis
+    (scipy's, factorised per D) by :func:`back_substitute`, symmetrized and scaled back."""
+    v = np.empty_like(d, dtype=float)
+    for k, (drift, diffusion) in enumerate(zip(a, d)):
+        exponent = math.frexp(float(np.max(np.abs(diffusion))))[1]
+        x = back_substitute(*schur(drift, output="real"), -np.ldexp(diffusion, -exponent))
+        v[k] = np.ldexp(0.5 * (x + x.T), exponent)
+    return v
 
 
 def integrate_lyapunov_oracle(a, d, horizon: float, step: float) -> np.ndarray:

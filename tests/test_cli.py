@@ -117,6 +117,19 @@ class TestPoint:
         assert out == ""
         assert err == "error: drift or diffusion matrix overflows at these parameters\n"
 
+    @pytest.mark.parametrize(
+        "hz, kelvin, code",
+        [("1e-300", "1e-300", EXIT_OK), ("5e-324", "5e-324", EXIT_OK), ("5e-324", "1e300", EXIT_NO_STEADY_STATE)],
+    )
+    def test_underflowing_quantum_energy_exits_0_or_3(self, capsys, hz, kelvin, code):
+        # hbar omega underflows to 0 at these frequencies: the occupation is finite, or beyond float range.
+        status, out, err = run(capsys, "point", "--param", f"omega_a_hz={hz}", "--param", f"temperature={kelvin}")
+        assert status == code
+        if code == EXIT_OK:
+            assert err == "" and report_value(out, "E_mm") == "0"
+        else:
+            assert out == "" and err == "error: drift or diffusion matrix overflows at these parameters\n"
+
     def test_malformed_param(self, capsys):
         code, _, err = run(capsys, "point", "--param", "r0.4")
         assert code == EXIT_USAGE
@@ -410,6 +423,12 @@ class TestThreshold:
 
     def test_overflowing_ceiling_exits_3(self, capsys):
         code, out, err = run(capsys, "threshold", "--r", "0.4", "--tmax", "1.7e308")
+        assert (code, out) == (EXIT_NO_STEADY_STATE, "")
+        assert err == "error: drift or diffusion matrix overflows at these parameters\n"
+
+    @pytest.mark.parametrize("hz", ["1e-300", "5e-324"])
+    def test_underflowing_quantum_energy_exits_3(self, capsys, hz):
+        code, out, err = run(capsys, "threshold", "--r", "0.5", "--tmax", "3", "--param", f"omega_a_hz={hz}")
         assert (code, out) == (EXIT_NO_STEADY_STATE, "")
         assert err == "error: drift or diffusion matrix overflows at these parameters\n"
 

@@ -6,6 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import schur, solve_continuous_lyapunov
 
 from cavmag import linsys
@@ -13,7 +15,7 @@ from cavmag.errors import NearSingularError, NumericalFailureError, UnstableSyst
 from cavmag.linsys import solve_lyapunov, stability, superposition_gate
 
 from conftest import random_stable_system
-from oracles import integrate_lyapunov_oracle
+from oracles import integrate_lyapunov_oracle, lyapunov_by_cell
 
 
 def frobenius(m):
@@ -98,6 +100,13 @@ class TestSolveLyapunov:
         with pytest.raises(NearSingularError, match="condition estimate 4.5"):
             solve_lyapunov(a, np.eye(2))
 
+    def test_overflowing_condition_estimate_is_near_singular(self):
+        # ||A||_1 / (2 |max Re lambda|) overflows to inf, which is no RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NearSingularError, match="condition estimate inf"):
+                solve_lyapunov(np.diag([-1e10, -1e-300]), np.eye(2))
+
     def test_asymmetric_diffusion_rejected(self):
         d = np.array([[1.0, 0.2], [0.0, 1.0]])
         with pytest.raises(ValueError):
@@ -120,10 +129,10 @@ class TestSolveLyapunov:
         assert np.array_equal(solve_lyapunov(a, np.ldexp(d, 1000)), np.ldexp(v, 1000))
 
     def test_non_finite_residual_fails_the_gate(self, monkeypatch):
-        def unconverged(r, u, q):
+        def unconverged(r, q):
             return np.full_like(q, np.nan)
 
-        monkeypatch.setattr(linsys, "_back_substitute", unconverged)
+        monkeypatch.setattr(linsys, "_triangular_solve", unconverged)
         with pytest.raises(NumericalFailureError, match="residual"):
             solve_lyapunov(-np.eye(2), np.eye(2))
 
@@ -131,12 +140,12 @@ class TestSolveLyapunov:
         rng = np.random.default_rng(64)
         a, d = random_stable_system(rng)
         assert np.array_equal(solve_lyapunov(a, d, gate=False), solve_lyapunov(a, d))
-        back_substitute = linsys._back_substitute
+        triangular_solve = linsys._triangular_solve
 
-        def off_by_a_millionth(r, u, q):
-            return back_substitute(r, u, q) * (1.0 + 1e-6)
+        def off_by_a_millionth(r, q):
+            return triangular_solve(r, q) * (1.0 + 1e-6)
 
-        monkeypatch.setattr(linsys, "_back_substitute", off_by_a_millionth)
+        monkeypatch.setattr(linsys, "_triangular_solve", off_by_a_millionth)
         v = solve_lyapunov(a, d, gate=False)
         with pytest.raises(NumericalFailureError, match="residual"):
             superposition_gate(a, v[None], d[None])(np.ones((1, 1)), [np.max(np.abs(d))])
@@ -152,6 +161,15 @@ class TestSolveLyapunov:
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailureError, match="trsyl info 1"):
                 solve_lyapunov(-np.eye(2), np.eye(2), gate=False)
+
+    def test_trsyl_scale_multiplies_the_solution(self, monkeypatch):
+        # As scipy's solve_continuous_lyapunov does, the solve multiplies trsyl's X by the scale it
+        # returns (1.0 but where X would overflow), here an exact power of two.
+        rng = np.random.default_rng(83)
+        a, d = random_stable_system(rng)
+        v, trsyl = solve_lyapunov(a, d, gate=False), linsys.dtrsyl
+        monkeypatch.setattr(linsys, "dtrsyl", lambda *args, **kwargs: (*trsyl(*args, **kwargs)[:1], 0.25, 0))
+        assert np.array_equal(solve_lyapunov(a, d, gate=False), 0.25 * v)
 
     def test_equals_scipy_bartels_stewart_bitwise(self):
         # The back-substitution repeats solve_continuous_lyapunov's
@@ -191,13 +209,13 @@ class TestStackedSolve:
         a, d = random_stable_system(np.random.default_rng(68))
         with pytest.raises(ValueError, match="positive semidefinite"):
             solve_lyapunov(a, np.stack([d, -d]))
-        back_substitute, calls = linsys._back_substitute, []
+        triangular_solve, calls = linsys._triangular_solve, []
 
-        def second_off_by_a_millionth(r, u, q):
+        def second_off_by_a_millionth(r, q):
             calls.append(q)
-            return back_substitute(r, u, q) * (1.0 + 1e-6 * (len(calls) == 2))
+            return triangular_solve(r, q) * (1.0 + 1e-6 * (len(calls) == 2))
 
-        monkeypatch.setattr(linsys, "_back_substitute", second_off_by_a_millionth)
+        monkeypatch.setattr(linsys, "_triangular_solve", second_off_by_a_millionth)
         with pytest.raises(NumericalFailureError, match="residual"):
             solve_lyapunov(a, np.stack([d, d, d]))
 
@@ -269,14 +287,18 @@ class TestPairedDriftStack:
         (a, c), (b, d), e = random_stable_system(rng), random_stable_system(rng), random_stable_system(rng)[1]
         singular = np.diag([-1e3] + [-1.1e-12] * 7)  # condition estimate 4.5e14
         unstable = np.diag([0.5] + [-1.0] * 7)
-        # D and E (not C) come back off by a millionth and two, as the solve passes them.
-        off = {(-linsys._scale_diffusions(x[None])[0][0]).tobytes(): k * 1e-6 for k, x in ((1, d), (2, e))}
-        back_substitute = linsys._back_substitute
+        # D and E (not C) come back off by a millionth and two, as the triangular solve sees them
+        # in their drift's Schur basis: recorded from their single solves.
+        triangular_solve, seen = linsys._triangular_solve, []
+        monkeypatch.setattr(linsys, "_triangular_solve", lambda r, q: seen.append(q.tobytes()) or triangular_solve(r, q))
+        for drift, x in ((b, d), (a, e)):
+            solve_lyapunov(drift, x)
+        off = dict(zip(seen, (1e-6, 2e-6)))
 
-        def off_by_millionths(r, u, q):
-            return back_substitute(r, u, q) * (1.0 + off.get(q.tobytes(), 0.0))
+        def off_by_millionths(r, q):
+            return triangular_solve(r, q) * (1.0 + off.get(q.tobytes(), 0.0))
 
-        monkeypatch.setattr(linsys, "_back_substitute", off_by_millionths)
+        monkeypatch.setattr(linsys, "_triangular_solve", off_by_millionths)
         # Every drift's stability, then every condition estimate, before any residual.
         with pytest.raises(UnstableSystemError):
             solve_lyapunov(np.stack([singular, a, unstable]), np.stack([c, d, e]))
@@ -312,6 +334,89 @@ class TestPairedDriftStack:
         monkeypatch.setattr(linsys, "dgees", unconverged)
         with pytest.raises(NumericalFailureError, match="gees info 3"):
             solve_lyapunov(-np.eye(2), np.eye(2))
+
+
+class TestStackedTransforms:
+    """The similarity transforms of a whole batch run as stacked products around one trsyl per D."""
+
+    SINGULAR = np.diag([-1e3] + [-1.1e-12] * 7)  # condition estimate 4.5e14
+    UNSTABLE = np.diag([0.5] + [-1.0] * 7)
+
+    @staticmethod
+    def drifts(rng, dim, count, rotating):
+        """Strictly stable drifts. A rotating one is -I/2 plus an antisymmetric part: its eigenvalues
+        come in pairs -1/2 +- i w (and one -1/2 at odd dim), so its real Schur form has 2x2 blocks."""
+        if not rotating:
+            return [random_stable_system(rng, dim=dim)[0] for _ in range(count)]
+        g = rng.normal(size=(count, dim, dim))
+        return list(g - g.swapaxes(1, 2) - 0.5 * np.eye(dim))
+
+    @given(
+        dim=st.integers(1, 8),
+        owner=st.lists(st.integers(0, 3), min_size=1, max_size=9),
+        exponents=st.lists(st.none() | st.integers(-1000, 1000), min_size=9, max_size=9),
+        rotating=st.booleans(),
+        gate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(dim=8, owner=[0] * 9, exponents=[0] * 9, rotating=False, gate=True, seed=76)  # one shared drift
+    @example(dim=8, owner=[0, 1, 2, 3], exponents=[0] * 9, rotating=False, gate=True, seed=77)  # all distinct
+    @example(dim=8, owner=[0, 1, 0, 2, 1, 0, 2], exponents=[0, 1000, -1000, None, 3, -3, 0, 0, 0],
+             rotating=True, gate=True, seed=78)  # mixed groups, 2x2 blocks, extreme and zero Ds
+    @example(dim=8, owner=[2], exponents=[0] * 9, rotating=True, gate=True, seed=79)  # k = 1
+    @example(dim=5, owner=[0, 1, 1, 0], exponents=[0] * 9, rotating=True, gate=False, seed=80)  # ungated
+    @settings(max_examples=150)
+    def test_equals_the_per_cell_oracle_bitwise(self, dim, owner, exponents, rotating, gate, seed):
+        rng = np.random.default_rng(seed)
+        drifts = self.drifts(rng, dim, max(owner) + 1, rotating)
+        if rotating and dim > 1:
+            assert all(np.any(np.diag(schur(x, output="real")[0], -1)) for x in drifts)
+        a = np.stack([drifts[k] for k in owner])
+        b = rng.normal(size=a.shape)
+        d = b @ b.swapaxes(1, 2)
+        for k, exponent in enumerate(exponents[: len(owner)]):
+            d[k] = np.zeros_like(d[k]) if exponent is None else np.ldexp(d[k], exponent)
+        expected = lyapunov_by_cell(a, d)
+        assert np.array_equal(solve_lyapunov(a, d, gate=gate), expected)
+        if len(set(owner)) == 1:  # the same batch with its drift given once
+            assert np.array_equal(solve_lyapunov(a[0], d, gate=gate), expected)
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Calls of the Schur factorisation and of LAPACK's trsyl within the solver."""
+        counts = {"_real_schur": 0, "dtrsyl": 0}
+        for name in counts:
+
+            def wrapper(*args, _original=getattr(linsys, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(linsys, name, wrapper)
+        return counts
+
+    @pytest.mark.parametrize("k", [1, 2, 64])
+    def test_a_shared_drift_stack_costs_one_schur_form_and_one_trsyl_per_cell(self, counted, k):
+        rng = np.random.default_rng(81)
+        a = random_stable_system(rng)[0]
+        ds = np.stack([random_stable_system(rng)[1] for _ in range(k)])
+        for drift in (a, np.stack([a] * k)):  # given once, and paired with each D
+            counted.update(_real_schur=0, dtrsyl=0)
+            solve_lyapunov(drift, ds)
+            assert counted == {"_real_schur": 1, "dtrsyl": k}
+
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    @pytest.mark.parametrize("bad, error", [(UNSTABLE, UnstableSystemError), (SINGULAR, NearSingularError)])
+    def test_a_bad_drift_anywhere_raises_before_any_trsyl(self, counted, where, bad, error):
+        rng = np.random.default_rng(82)
+        drifts = [random_stable_system(rng)[0] for _ in range(3)]
+        a = np.stack([drifts[k % 3] for k in range(7)])
+        a[where] = bad
+        ds = np.stack([random_stable_system(rng)[1] for _ in range(7)])
+        with pytest.raises(error):
+            solve_lyapunov(a, ds)
+        with pytest.raises(error):
+            solve_lyapunov(bad, ds)
+        assert counted["dtrsyl"] == 0
 
 
 class TestDiffusionChecksAreScaleRelative:

@@ -295,6 +295,23 @@ class TestThermalOccupation:
     def test_underflow_guard_returns_zero(self):
         assert thermal_occupation(TWO_PI * 1e10, 1e-9) == 0.0
 
+    @pytest.mark.parametrize("omega,temperature", [(TWO_PI * 1e-300, 1e-300), (5e-324, 5e-324), (1e-310, 1e-300)])
+    def test_underflowing_quantum_energy_divides_omega_by_the_temperature_first(self, omega, temperature):
+        # HBAR * omega underflows to 0 for these omega; the ratio hbar omega / (k T) does not.
+        assert HBAR * omega / KBOLTZ / temperature == 0.0
+        expected = 1.0 / math.expm1((HBAR / KBOLTZ) * (omega / temperature))
+        assert thermal_occupation(omega, temperature) == expected
+        assert math.isfinite(expected) and expected > 1e8
+
+    @pytest.mark.parametrize("omega,temperature", [(5e-324, 1e300), (5e-324, 1.0), (1e-320, 1e10)])
+    def test_occupation_beyond_float_range_is_infinite_and_refused_by_the_model(self, omega, temperature):
+        assert thermal_occupation(omega, temperature) == math.inf
+        params = BASELINE.replace(omega_m=(omega, omega), temperature=temperature)
+        assert noise_moments(params).magnon_occupation == (math.inf, math.inf)
+        for compute in (lambda: entanglement_report(params), lambda: thermal_pair_moments(params, [(2, 3)])([1.0])):
+            with pytest.raises(NumericalFailureError, match="overflows"):
+                compute()
+
     @pytest.mark.parametrize("omega,temperature", [(0.0, 0.1), (-1.0, 0.1), (1e10, -0.1)])
     def test_invalid_arguments(self, omega, temperature):
         with pytest.raises(ValueError):
