@@ -6,7 +6,7 @@ diffusion matrix D, solves the continuous-time Lyapunov equation
     A V + V A^T + D = 0.
 
 The solver is the Bartels-Stewart method (Bartels & Stewart, CACM 1972) on a whole batch: one real
-Schur form A = U R U^T per distinct drift serves its stability and condition checks and its Ds.
+Schur form A = U R U^T per drift serves its stability and condition checks and the Ds it broadcasts to.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ _SINGULAR = "Lyapunov operator is near singular (condition estimate {:.3e})"
 _TINY = np.finfo(float).tiny
 
 
-def _square_matrix(m, name: str, ndim: int = 2) -> NDArray[np.float64]:
+def _square_matrix(m, name: str, stack: bool = True) -> NDArray[np.float64]:
     a = np.asarray(m, dtype=float)
-    if a.ndim != ndim or a.shape[-1] != a.shape[-2] or a.size == 0:
+    if a.ndim < 2 or a.ndim > 2 and not stack or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise ValueError(f"{name} must be a nonempty square matrix")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must have finite entries")
@@ -38,14 +38,14 @@ def _square_matrix(m, name: str, ndim: int = 2) -> NDArray[np.float64]:
 
 
 def _scale_diffusions(d: NDArray[np.float64]):
-    """The stack ``d`` with each D scaled by a power of two to unit largest |entry|, and
+    """The batch ``d`` with each D scaled by a power of two to unit largest |entry|, and
     the exponents. Rejects an asymmetric or indefinite D, relative to that entry."""
-    peak = np.max(np.abs(d), axis=(1, 2))
+    peak = np.max(np.abs(d), axis=(-2, -1))
     exponent = np.frexp(peak)[1]
-    d, unit = np.ldexp(d, -exponent[:, None, None]), np.ldexp(peak, -exponent)
-    if np.any(np.max(np.abs(d - d.swapaxes(1, 2)), axis=(1, 2)) > 1e-12 * unit):
+    d, unit = np.ldexp(d, -exponent[..., None, None]), np.ldexp(peak, -exponent)
+    if np.any(np.max(np.abs(d - d.swapaxes(-1, -2)), axis=(-2, -1)) > 1e-12 * unit):
         raise ValueError("diffusion matrix must be symmetric")
-    min_eig = np.linalg.eigvalsh(0.5 * (d + d.swapaxes(1, 2)))[:, 0]
+    min_eig = np.linalg.eigvalsh(0.5 * (d + d.swapaxes(-1, -2)))[..., 0]
     indefinite = min_eig < -1e-10 * unit
     if np.any(indefinite):
         x = np.ldexp(min_eig, exponent)[indefinite][0]
@@ -56,7 +56,7 @@ def _scale_diffusions(d: NDArray[np.float64]):
 def stability(a) -> float:
     """Largest eigenvalue real part of a drift matrix, read off the diagonal of its real
     Schur form; the drift is strictly stable iff it is negative."""
-    return float(_real_schur(_square_matrix(a, "drift matrix"))[0].diagonal().max())
+    return float(_real_schur(_square_matrix(a, "drift matrix", stack=False))[0].diagonal().max())
 
 
 def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
@@ -65,18 +65,18 @@ def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
     Parameters
     ----------
     a:
-        Square real drift matrix, strictly stable (every eigenvalue real part below
-        zero), shared by every D; or a (k, n, n) stack of them, one per D of ``d``.
+        Square real drift matrix, strictly stable (every eigenvalue real part below zero), or
+        a (..., n, n) batch of them whose batch shape broadcasts to ``d``'s, a drift per D.
     d:
-        Symmetric positive semidefinite diffusion matrix of equal shape, or
-        a (k, n, n) stack of them.
+        Symmetric positive semidefinite diffusion matrix of the same size, or a (..., n, n)
+        batch of them.
     gate:
         False leaves the residual check to the caller, e.g. to :func:`superposition_gate`
         where the solves are members of a superposition that alone may miss it.
 
     Returns
     -------
-    V (or the stack of V), symmetrized as (V + V^T)/2, with residual norm
+    V, of ``d``'s shape, each symmetrized as (V + V^T)/2, with residual norm
     ``|| A V + V A^T + D ||_F <= 1e-9 * ||D||_F`` guaranteed, checked on D
     scaled by a power of two to unit largest entry, where it cannot overflow.
 
@@ -89,45 +89,41 @@ def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
         the Lyapunov operator exceeds 1e12.
     NumericalFailureError
         If a factorisation or a triangular solve fails, or a residual is above that bound or
-        not finite. Each distinct drift (equal bytes) is factorised once; the Ds go to and from
-        its Schur basis in one stacked product each, Q = U^T (-D) U and V = U Y U^T, around one
-        LAPACK trsyl per D: the operations of scipy's ``solve_continuous_lyapunov``, bitwise.
+        not finite. Each matrix of ``a`` is factorised once, in row-major order, the order of its
+        first D; the Ds go to and from its Schur basis in one broadcast product each, Q = U^T (-D) U
+        and V = U Y U^T, around one LAPACK trsyl per D: scipy's ``solve_continuous_lyapunov``, bitwise.
         A failing batch raises stage by stage, each at its first failure in batch order: every
         factorisation, stability and condition estimate before any triangular solve, then the
         triangular solves, then the residuals.
     """
-    paired = np.ndim(a) == 3
-    a = _square_matrix(a, "drift matrix", 3 if paired else 2)
-    single = np.ndim(d) == 2
-    d = _square_matrix(d, "diffusion matrix", 2 if single else 3)
-    if d.shape[-2:] != a.shape[-2:] or (paired and d.shape != a.shape):
-        raise ValueError("drift and diffusion matrices must pair up with the same shape")
-    d, exponents = _scale_diffusions(d.reshape(-1, *a.shape[-2:]))
-    a, groups = a if paired else np.broadcast_to(a, d.shape), {}
-    owner = [groups.setdefault(drift.tobytes(), i) for i, drift in enumerate(a)]  # the first D of each D's drift
-    factors = {i: _real_schur(a[i]) for i in groups.values()}
-    norms = np.max(np.sum(np.abs(a), axis=1), axis=1).tolist()  # each ||A||_1, as np.linalg.norm sums it
+    a, d = _square_matrix(a, "drift matrix"), _square_matrix(d, "diffusion matrix")
+    if (n := d.shape[-1]) != a.shape[-1] or a.ndim > d.ndim:
+        raise ValueError("drift matrices must broadcast to the diffusion matrices' shape")
+    norms = np.abs(a).sum(-2).max(-1).ravel().tolist()  # each ||A||_1, as np.linalg.norm sums it
+    owner = np.empty(d.shape[:-2], int)  # each D's drift: its index in a, broadcast to d, or ValueError
+    owner[...] = np.arange(len(norms)).reshape(a.shape[:-2])
+    d, exponents = _scale_diffusions(d)
+    triangular, u = zip(*map(_real_schur, a.reshape(-1, n, n)))
     # LAPACK gives each 2x2 block of R equal diagonal entries, the real part
     # of its eigenvalue pair, so diag(R) holds every Re lambda.
-    tops = [float(r.diagonal().max()) for r, _ in factors.values()]
+    tops = [float(r.diagonal().max()) for r in triangular]
     # The operator V -> A V + V A^T has the eigenvalue 2 max Re lambda
     # (an eigenvalue plus its conjugate) and a norm of order ||A||.
-    conds = [norms[i] / (2.0 * abs(top)) if top < 0.0 else math.inf for i, top in zip(factors, tops)]
+    conds = [norm / (2.0 * abs(top)) if top < 0.0 else math.inf for norm, top in zip(norms, tops)]
     if max(conds) > CONDITION_LIMIT:  # an unstable drift's estimate is infinite
         tops, conds = np.array(tops), np.array(conds)
         raise_first(tops >= 0.0, UnstableSystemError, _UNSTABLE, tops)
         raise_first(conds > CONDITION_LIMIT, NearSingularError, _SINGULAR, conds)
-    u = factors[0][1] if len(factors) == 1 else np.array([factors[i][1] for i in owner])
+    u = np.array(u).reshape(a.shape)
     q = u.swapaxes(-1, -2) @ (-d @ u)
-    y = np.array([_triangular_solve(factors[i][0], q_k) for i, q_k in zip(owner, q)])
-    v = u @ y @ u.swapaxes(-1, -2)
-    v = 0.5 * (v + v.swapaxes(1, 2))
+    y = np.array([_triangular_solve(triangular[i], q_k) for i, q_k in zip(owner.ravel().tolist(), q.reshape(-1, n, n))])
+    v = u @ y.reshape(q.shape) @ u.swapaxes(-1, -2)
+    v = 0.5 * (v + v.swapaxes(-1, -2))
     if gate:
         r = a @ v + v @ a.swapaxes(-1, -2) + d
-        residual, passed = _gate((r * r).sum(axis=(1, 2)), (d * d).sum(axis=(1, 2)))
+        residual, passed = _gate((r * r).sum(axis=(-2, -1)), (d * d).sum(axis=(-2, -1)))
         raise_first(~passed, NumericalFailureError, _RESIDUAL, residual)
-    v = np.ldexp(v, exponents[:, None, None])
-    return v[0] if single else v
+    return np.ldexp(v, exponents[..., None, None])
 
 
 @functools.cache

@@ -247,7 +247,7 @@ def noise_moments(params: SystemParams) -> NoiseMoments:
 
 
 def _layouts() -> tuple[NDArray[np.intp], NDArray[np.intp]]:
-    """Flat 8x8 drift and diffusion layouts: the column of each entry in its value matrix.
+    """The 8x8 drift and diffusion layouts: the column of each entry in its value matrix.
 
     Drift columns: v = (ka, km, g, da, dm)_j / kappa_a1 for j = 1, 2, then 0, then -v. Each 2x2
     diagonal block is -kappa + detuning rotation; the beamsplitter coupling enters as +g
@@ -271,7 +271,7 @@ def _layouts() -> tuple[NDArray[np.intp], NDArray[np.intp]]:
     d[0, 2] = d[2, 0] = 4
     d[1, 3] = d[3, 1] = 6
     d[0, 3] = d[3, 0] = d[1, 2] = d[2, 1] = 5
-    return a.ravel(), d.ravel()
+    return a, d
 
 
 _DRIFT_LAYOUT, _DIFFUSION_LAYOUT = _layouts()
@@ -283,29 +283,31 @@ _DRIVE, _BATH = np.frompyfunc(_drive_moments, 2, 3), np.frompyfunc(thermal_occup
 
 
 def _stacks(fields: _Fields) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Drift and diffusion stacks of the points of ``fields`` in row-major order, (k, 8, 8) each, normalized by
-    each kappa_a1: one ``take`` each from a value matrix with a column per distinct entry (see :func:`_layouts`),
-    every value in the one-point order of operations. The fields, each at its own shape, and the noise moments
-    broadcast into one input matrix. The first r above :data:`R_MAX` raises; overflows become inf or nan."""
+    """Drift and diffusion stacks of ``fields``, normalized by each kappa_a1: the diffusions at the record's shape,
+    (*shape, 8, 8), the drifts at the broadcast shape of the array fields they depend on. One ``take`` each from a
+    value matrix with a column per distinct entry (:func:`_layouts`), each value in the one-point order of operations,
+    the noise moments broadcast against the rates. The first r above :data:`R_MAX` raises; overflows give inf or nan."""
     (wa1, wa2), (wm1, wm2), (wd1, wd2) = fields.omega_a, fields.omega_m, fields.omega_drive
-    f = np.empty(fields.shape + (17,))
+    noise = np.zeros(fields.shape + (7,))
     with np.errstate(over="ignore", invalid="ignore"):
+        # Columns: (kappa_a, kappa_m, g, delta_a, delta_m) for j = 1, 2, then 0; N, N, n_bath1, n_bath2, Re M, Im M, 0.
+        rates = (*fields.kappa_a, *fields.kappa_m, *fields.g, wa1 - wd1, wa2 - wd2, wm1 - wd1, wm2 - wd2, 0.0)
+        f = np.empty(np.broadcast_shapes(*{x.shape for x in rates if hasattr(x, "shape")}) + (11,))
         n, re_m, im_m = _DRIVE(fields.r, fields.theta)
         n1, n2 = (_BATH(omega, fields.temperature) for omega in fields.omega_m)
-        # Columns: (kappa_a, kappa_m, g, delta_a, delta_m) for j = 1, 2, then 0, N, N, n_bath1, n_bath2, Re M, Im M.
-        rates = (*fields.kappa_a, *fields.kappa_m, *fields.g, wa1 - wd1, wa2 - wd2, wm1 - wd1, wm2 - wd2)
-        for column, x in enumerate((*rates, 0.0, n, n, n1, n2, re_m, im_m)):
+        for column, x in enumerate(rates):
             f[..., column] = x
-        v = f[..., :11] / f[..., :1]
-        c = np.sqrt(v[..., :1] * v[..., 1:2]) * 2.0 * f[..., 15:]  # (c_xx, c_xy)
-        d = np.concatenate((v[..., :4] * (2.0 * f[..., 11:15] + 1.0), c, -c[..., :1], v[..., 10:]), -1)
-    a = np.concatenate((v, -v), -1)
-    return a.take(_DRIFT_LAYOUT, -1).reshape(-1, 8, 8), d.take(_DIFFUSION_LAYOUT, -1).reshape(-1, 8, 8)
+        for column, x in enumerate((n, n, n1, n2, re_m, im_m)):
+            noise[..., column] = x
+        v = f / f[..., :1]
+        c = np.sqrt(v[..., :1] * v[..., 1:2]) * 2.0 * noise[..., 4:6]  # (c_xx, c_xy)
+        d = np.concatenate((v[..., :4] * (2.0 * noise[..., :4] + 1.0), c, -c[..., :1], noise[..., 6:]), -1)
+    return np.concatenate((v, -v), -1).take(_DRIFT_LAYOUT, -1), d.take(_DIFFUSION_LAYOUT, -1)
 
 
 def build_drift(params: SystemParams) -> NDArray[np.float64]:
     """Drift matrix of the linearized dynamics, normalized by kappa_a1 (see :func:`_layouts`)."""
-    return _stacks(_Fields.point(params))[0][0]
+    return _stacks(_Fields.point(params))[0]
 
 
 def build_diffusion(params: SystemParams) -> NDArray[np.float64]:
@@ -319,11 +321,10 @@ def _check_finite(*matrices) -> None:
 
 
 def _steady_states(fields: _Fields) -> NDArray[np.float64]:
-    """Steady-state covariances of the points of ``fields`` from one stacked build and one Lyapunov call,
-    which factorises each byte-distinct drift once."""
+    """Steady-state covariances of the points of ``fields``, (k, 8, 8), from one stacked build and one Lyapunov call."""
     a, d = _stacks(fields)
     _check_finite(a, d)
-    return solve_lyapunov(a, d)
+    return solve_lyapunov(a, d).reshape(-1, 8, 8)
 
 
 def steady_state_cm(params: SystemParams) -> CovarianceMatrix:
@@ -336,7 +337,7 @@ def thermal_pair_moments(params: SystemParams, pairs):
     """Steady-state moments of mode ``pairs`` (:func:`pair_moments`) as a function of temperature: (k, 10, pairs)
     for k temperatures. V(T) = V0 + n1(T) W1 + n2(T) W2 (V0 at T = 0, Wj for 2 kappa_mj / kappa_a1 on magnon j),
     so a temperature costs c . q, c = (1, n1, n2), and the two forms of :func:`superposition_gate`."""
-    (a,), (d0,) = _stacks(_Fields.point(params.replace(temperature=0.0)))  # the drift does not depend on T
+    a, (d0,) = _stacks(_Fields.point(params.replace(temperature=0.0)))  # the drift does not depend on T
     rates, d = np.array(params.kappa_m) / params.kappa_a[0], np.zeros((3, 8, 8))
     d[0], d[[1, 1, 2, 2], [4, 5, 6, 7], [4, 5, 6, 7]] = d0, np.repeat(2.0 * rates, 2)
     _check_finite(a, d)

@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -449,9 +450,11 @@ def emit_csv(grid: SweepGrid, destination) -> None:
 def _write_text(destination, text: str) -> None:
     if hasattr(destination, "write"):
         destination.write(text)
-        return
-    with open(destination, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    elif isinstance(destination, (str, os.PathLike)):
+        with open(destination, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        raise ValueError(f"destination must be a path or have a write method, not {type(destination).__name__}")
 
 
 # ---------------------------------------------------------------------------

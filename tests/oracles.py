@@ -386,8 +386,8 @@ def integrate_lyapunov_oracle(a, d, horizon: float, step: float) -> np.ndarray:
     ``step <= 0.01 / spectral_radius(a)``. Deliberately slow and simple;
     use :func:`cavmag.linsys.solve_lyapunov` for production work.
     """
-    a = _square_matrix(a, "drift matrix")
-    d = _square_matrix(d, "diffusion matrix")
+    a = _square_matrix(a, "drift matrix", stack=False)
+    d = _square_matrix(d, "diffusion matrix", stack=False)
     if a.shape != d.shape:
         raise ValueError("drift and diffusion matrices must have the same shape")
     _scale_diffusions(d[None])

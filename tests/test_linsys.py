@@ -39,6 +39,13 @@ class TestStability:
         with pytest.raises(ValueError):
             stability(np.array([[np.nan, 0.0], [0.0, -1.0]]))
 
+    @pytest.mark.parametrize(
+        "a", [-np.eye(2)[None], np.stack([-np.eye(2)] * 2), -np.ones(2)], ids=["stack-of-one", "stack", "1-d"]
+    )
+    def test_rejects_anything_but_one_matrix(self, a):
+        with pytest.raises(ValueError, match="drift matrix must be a nonempty square matrix"):
+            stability(a)
+
 
 class TestSolveLyapunov:
     def test_isotropic_balance(self):
@@ -220,11 +227,22 @@ class TestStackedSolve:
             solve_lyapunov(a, np.stack([d, d, d]))
 
     @pytest.mark.parametrize(
-        "d", [np.zeros((0, 2, 2)), np.eye(2)[None, None], np.ones((2, 2, 3)), np.ones((2, 3, 3))]
+        "d", [np.zeros((0, 2, 2)), np.ones((2, 2, 3)), np.ones((2, 3, 3))], ids=["empty", "non-square", "size"]
     )
     def test_malformed_stacks_rejected(self, d):
         with pytest.raises(ValueError):
             solve_lyapunov(-np.eye(2), d)
+
+    def test_a_stack_with_two_batch_axes_is_the_single_solves(self):
+        single = solve_lyapunov(-np.eye(2), np.eye(2))
+        assert np.array_equal(solve_lyapunov(-np.eye(2), np.eye(2)[None, None]), single[None, None])
+        rng = np.random.default_rng(84)
+        a = random_stable_system(rng)[0]
+        ds = np.stack([random_stable_system(rng)[1] for _ in range(6)]).reshape(2, 3, 8, 8)
+        stacked = solve_lyapunov(a, ds)
+        assert stacked.shape == ds.shape
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(stacked[i, j], solve_lyapunov(a, ds[i, j]))
 
     def test_schur_diagonal_reads_the_largest_real_part(self):
         # Every 2x2 block of LAPACK's real Schur form has both diagonal
@@ -259,12 +277,17 @@ class TestPairedDriftStack:
             for ak, dk, vk in zip(a, ds, stacked):
                 assert np.array_equal(vk, solve_lyapunov(ak, dk, gate=gate))
 
-    def test_each_distinct_drift_is_factorised_once_in_first_point_order(self, monkeypatch):
+    def test_each_drift_is_factorised_once_in_its_order(self, monkeypatch):
+        # A paired stack has one drift per D, equal or not: one Schur form each, in a's order.
         a, ds = self.mixed(np.random.default_rng(71))
         factorised, real_schur = [], linsys._real_schur
         monkeypatch.setattr(linsys, "_real_schur", lambda x: factorised.append(x.copy()) or real_schur(x))
         solve_lyapunov(a, ds)
-        assert [x.tobytes() for x in factorised] == [a[k].tobytes() for k in (0, 1, 3)]
+        assert [x.tobytes() for x in factorised] == [x.tobytes() for x in a]
+        # Drifts of shape (3, 1) broadcast over Ds of shape (3, 2): three Schur forms, in row-major order.
+        factorised.clear()
+        solve_lyapunov(a[:3, None], ds[:6].reshape(3, 2, 8, 8))
+        assert [x.tobytes() for x in factorised] == [x.tobytes() for x in a[:3]]
 
     @pytest.mark.parametrize(
         "a, d",
@@ -274,9 +297,10 @@ class TestPairedDriftStack:
             (np.stack([-np.eye(2)] * 2), np.stack([np.eye(3)] * 2)),
             (np.zeros((0, 2, 2)), np.zeros((0, 2, 2))),
             (-np.ones((2, 2, 3)), np.ones((2, 2, 3))),
-            (-np.eye(2)[None, None], np.eye(2)[None]),
+            (-np.eye(2)[None, None], np.eye(2)[None]),  # a drift batch of more axes than the Ds'
+            (np.stack([-np.eye(2)] * 2)[:, None], np.stack([np.eye(2)] * 2)[None]),  # (2, 1) on (1, 2)
         ],
-        ids=["single-d", "count", "size", "empty", "non-square", "4-d"],
+        ids=["single-d", "count", "size", "empty", "non-square", "4-d", "not-onto"],
     )
     def test_malformed_pairings_rejected(self, a, d):
         with pytest.raises(ValueError):
@@ -354,32 +378,38 @@ class TestStackedTransforms:
     @given(
         dim=st.integers(1, 8),
         owner=st.lists(st.integers(0, 3), min_size=1, max_size=9),
+        width=st.none() | st.integers(1, 3),
         exponents=st.lists(st.none() | st.integers(-1000, 1000), min_size=9, max_size=9),
         rotating=st.booleans(),
         gate=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(dim=8, owner=[0] * 9, exponents=[0] * 9, rotating=False, gate=True, seed=76)  # one shared drift
-    @example(dim=8, owner=[0, 1, 2, 3], exponents=[0] * 9, rotating=False, gate=True, seed=77)  # all distinct
-    @example(dim=8, owner=[0, 1, 0, 2, 1, 0, 2], exponents=[0, 1000, -1000, None, 3, -3, 0, 0, 0],
-             rotating=True, gate=True, seed=78)  # mixed groups, 2x2 blocks, extreme and zero Ds
-    @example(dim=8, owner=[2], exponents=[0] * 9, rotating=True, gate=True, seed=79)  # k = 1
-    @example(dim=5, owner=[0, 1, 1, 0], exponents=[0] * 9, rotating=True, gate=False, seed=80)  # ungated
+    @example(dim=8, owner=[0] * 9, width=None, exponents=[0] * 9, rotating=False, gate=True, seed=76)  # one drift
+    @example(dim=8, owner=[0, 1, 2, 3], width=None, exponents=[0] * 9, rotating=False, gate=True, seed=77)  # distinct
+    @example(dim=8, owner=[0, 1, 0, 2, 1, 0, 2], width=None, exponents=[0, 1000, -1000, None, 3, -3, 0, 0, 0],
+             rotating=True, gate=True, seed=78)  # repeated drifts, 2x2 blocks, extreme and zero Ds
+    @example(dim=8, owner=[2], width=None, exponents=[0] * 9, rotating=True, gate=True, seed=79)  # k = 1
+    @example(dim=5, owner=[0, 1, 1, 0], width=None, exponents=[0] * 9, rotating=True, gate=False, seed=80)  # ungated
+    @example(dim=8, owner=[0, 1, 2], width=3, exponents=[0, 1000, -1000, None, 3, -3, 0, 0, 0],
+             rotating=True, gate=True, seed=85)  # (3, 1) drifts over (3, 3) Ds
     @settings(max_examples=150)
-    def test_equals_the_per_cell_oracle_bitwise(self, dim, owner, exponents, rotating, gate, seed):
+    def test_equals_the_per_cell_oracle_bitwise(self, dim, owner, width, exponents, rotating, gate, seed):
         rng = np.random.default_rng(seed)
         drifts = self.drifts(rng, dim, max(owner) + 1, rotating)
         if rotating and dim > 1:
             assert all(np.any(np.diag(schur(x, output="real")[0], -1)) for x in drifts)
         a = np.stack([drifts[k] for k in owner])
+        if width is not None:  # a drift batch of shape (m, 1) broadcast over Ds of shape (m, width)
+            a = a[:, None].repeat(width, 1)
         b = rng.normal(size=a.shape)
-        d = b @ b.swapaxes(1, 2)
-        for k, exponent in enumerate(exponents[: len(owner)]):
-            d[k] = np.zeros_like(d[k]) if exponent is None else np.ldexp(d[k], exponent)
-        expected = lyapunov_by_cell(a, d)
-        assert np.array_equal(solve_lyapunov(a, d, gate=gate), expected)
+        d = b @ b.swapaxes(-1, -2)
+        cells = d.reshape(-1, dim, dim)  # a view of d
+        for k, exponent in enumerate(exponents[: len(cells)]):
+            cells[k] = np.zeros_like(cells[k]) if exponent is None else np.ldexp(cells[k], exponent)
+        expected = lyapunov_by_cell(a.reshape(cells.shape), cells).reshape(d.shape)
+        assert np.array_equal(solve_lyapunov(a if width is None else a[:, :1], d, gate=gate), expected)
         if len(set(owner)) == 1:  # the same batch with its drift given once
-            assert np.array_equal(solve_lyapunov(a[0], d, gate=gate), expected)
+            assert np.array_equal(solve_lyapunov(drifts[owner[0]], d, gate=gate), expected)
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -395,14 +425,17 @@ class TestStackedTransforms:
         return counts
 
     @pytest.mark.parametrize("k", [1, 2, 64])
-    def test_a_shared_drift_stack_costs_one_schur_form_and_one_trsyl_per_cell(self, counted, k):
+    def test_a_shared_drift_costs_one_schur_form_and_one_trsyl_per_cell(self, counted, k):
         rng = np.random.default_rng(81)
         a = random_stable_system(rng)[0]
         ds = np.stack([random_stable_system(rng)[1] for _ in range(k)])
-        for drift in (a, np.stack([a] * k)):  # given once, and paired with each D
+        for drift in (a, a[None]):  # given as (n, n) and as (1, n, n): both broadcast to every D
             counted.update(_real_schur=0, dtrsyl=0)
             solve_lyapunov(drift, ds)
             assert counted == {"_real_schur": 1, "dtrsyl": k}
+        counted.update(_real_schur=0, dtrsyl=0)
+        solve_lyapunov(np.stack([a] * k), ds)  # paired with each D, equal or not
+        assert counted == {"_real_schur": k, "dtrsyl": k}
 
     @pytest.mark.parametrize("where", [0, 3, 6])
     @pytest.mark.parametrize("bad, error", [(UNSTABLE, UnstableSystemError), (SINGULAR, NearSingularError)])

@@ -45,7 +45,7 @@ from cavmag.model import (
     thermal_occupation,
     thermal_pair_moments,
 )
-from cavmag.sweep import PRESET_NAMES, _grid_fields, apply_parameter, figure_preset
+from cavmag.sweep import PRESET_NAMES, _grid_fields, apply_parameter, figure_preset, run_sweep
 
 from conftest import outcome, state_nu_min
 from oracles import (
@@ -583,12 +583,13 @@ def relative_residual(params: SystemParams, v) -> float:
 
 
 def assert_stacks_match_the_per_point_builds(points, fields=None):
-    """model._stacks of ``fields`` (by default the record of ``points``), and of each point alone, equals the
-    per-point builds of ``points`` byte for byte, with no warning."""
+    """model._stacks of ``fields`` (by default the record of ``points``), its drifts broadcast to the cells, and of
+    each point alone, equals the per-point builds of ``points`` byte for byte, with no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         a, d = model._stacks(model._Fields.of(points) if fields is None else fields)
         alone = [model._stacks(model._Fields.point(p)) for p in points]
+    a, d = np.broadcast_to(a, d.shape).reshape(-1, 8, 8), d.reshape(-1, 8, 8)  # each cell's drift
     assert a.shape == d.shape == (len(points), 8, 8)
     assert [x.tobytes() for x in a] == [drift_by_point(p).tobytes() for p in points]
     assert [x.tobytes() for x in d] == [diffusion_by_point(p).tobytes() for p in points]
@@ -626,6 +627,18 @@ class TestStackedBuild:
     def test_every_preset_grid_is_bitwise_the_per_point_build(self, name):
         spec = figure_preset(name, resolution=5)
         assert_stacks_match_the_per_point_builds(grid_points(spec), _grid_fields(spec))
+
+    # Distinct drift values of each preset at resolution 7: r, theta and T change only the diffusion.
+    DRIFTS = {**dict.fromkeys(PRESET_NAMES, 49), "fig2c": 1, "fig4": 1, "fig3a": 7, "fig3b": 3}
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_each_preset_builds_and_factorises_one_drift_per_value(self, name, calls):
+        spec = figure_preset(name, resolution=7)
+        fields = _grid_fields(spec)
+        a, d = model._stacks(fields)
+        assert a[..., 0, 0].size == self.DRIFTS[name] and d.shape == (*fields.shape, 8, 8)
+        run_sweep(spec)
+        assert calls["_real_schur"] == self.DRIFTS[name]
 
     def test_an_overflowing_member_raises_the_typed_error_without_a_warning(self):
         tiny = apply_parameter(BASELINE, "kappa_a_hz", 1e-302)
@@ -905,8 +918,9 @@ class TestEntanglementReports:
         entanglement_report(BASELINE)
         assert [calls[name] for name in stages] == [2, 2, 0, 0]
 
-    def test_each_drift_is_solved_once_and_bitwise_per_point(self, monkeypatch):
-        # Two drifts, nine cells each: r and T change only the diffusion.
+    def test_one_solve_call_factorises_each_point_once_and_is_bitwise_per_point(self, monkeypatch):
+        # Two drifts, nine points each: r and T change only the diffusion. A list of points
+        # has one drift per point, so each point is factorised once, equal drifts or not.
         points = [
             p.replace(r=r, temperature=t)
             for p in self.grid_points()[5:7]
@@ -924,7 +938,7 @@ class TestEntanglementReports:
         monkeypatch.setattr(model, "solve_lyapunov", lambda *args: solves.append(args) or solve_lyapunov(*args))
         assert np.array_equal(model._steady_states(model._Fields.of(points)), per_point)
         assert len(solves) == 1
-        assert [a.tobytes() for a in drifts] == [build_drift(points[i]).tobytes() for i in (0, 9)]
+        assert [a.tobytes() for a in drifts] == [build_drift(p).tobytes() for p in points]
 
 
 class TestClosedFormPairs:

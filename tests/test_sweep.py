@@ -5,6 +5,7 @@ import functools
 import io
 import itertools
 import math
+import os
 import re
 import warnings
 import xml.etree.ElementTree as ET
@@ -375,14 +376,15 @@ AXIS_VALUES = st.lists(
 
 
 def stacks_or_error(build):
-    """The drift and diffusion bytes of ``build()``, or the type and message of what it raises; no warning."""
+    """The bytes of each cell's drift and diffusion from ``build()``, or the type and message of what it raises;
+    no warning. The drifts are broadcast to the cells, as the solve broadcasts them."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             a, d = model._stacks(build())
     except Exception as exc:  # noqa: BLE001 - the type is compared
         return type(exc), str(exc)
-    return a.tobytes(), d.tobytes()
+    return np.broadcast_to(a, d.shape).tobytes(), d.tobytes()
 
 
 class TestGridBuild:
@@ -755,15 +757,35 @@ class TestTemperatureThreshold:
         assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, _stacks=1, _real_schur=1, _closed_form=4)
 
 
-@pytest.mark.parametrize(
+EMITTERS = pytest.mark.parametrize(
     "emit",
     [lambda g, out: emit_csv(g, out), lambda g, out: emit_heatmap(g, None, out), emit_lineplot],
     ids=["emit_csv", "emit_heatmap", "emit_lineplot"],
 )
+
+
+@EMITTERS
 @pytest.mark.parametrize("grid", [1.0, None, "grid", tiny_spec()])
 def test_emitters_refuse_what_is_not_a_grid(emit, grid):
     with pytest.raises(ValueError, match=f"^grid must be a SweepGrid, not {type(grid).__name__}$"):
         emit(grid, io.StringIO())
+
+
+@EMITTERS
+def test_emitters_refuse_a_file_descriptor_and_leave_it_open(emit):
+    # open() takes an int (and True) as a descriptor to write to and then close: stdout, for True.
+    grid = run_sweep(tiny_spec(axis2=SweepAxis("temperature", (0.0, 0.1))))
+    read_end, write_end = os.pipe()
+    try:
+        for destination in (True, write_end, None, b"out.csv"):
+            message = f"^destination must be a path or have a write method, not {type(destination).__name__}$"
+            with pytest.raises(ValueError, match=message):
+                emit(grid, destination)
+        assert os.write(write_end, b"x") == 1 and os.read(read_end, 1) == b"x"
+        os.fstat(1)  # stdout is still open
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 class TestEmitCsv:
@@ -811,10 +833,12 @@ class TestEmitCsv:
     def test_writes_to_path(self, tmp_path):
         grid = run_sweep(tiny_spec(axis1=SweepAxis("r", (0.5,))))
         target = tmp_path / "out.csv"
-        emit_csv(grid, str(target))
-        content = target.read_text()
-        assert content.endswith("\n")
-        assert "axis1,E_mm,stable" in content
+        for destination in (str(target), target):  # a str and an os.PathLike
+            target.unlink(missing_ok=True)
+            emit_csv(grid, destination)
+            content = target.read_text()
+            assert content.endswith("\n")
+            assert "axis1,E_mm,stable" in content
 
     def test_markup_in_the_name_stays_on_its_provenance_line(self):
         buf = io.StringIO()
