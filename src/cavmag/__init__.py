@@ -31,7 +31,6 @@ from .model import (
     BASELINE,
     EntanglementReport,
     SystemParams,
-    entanglement_columns,
     entanglement_report,
     steady_state_cm,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "emit_csv",
     "emit_heatmap",
     "emit_lineplot",
-    "entanglement_columns",
     "entanglement_report",
     "figure_preset",
     "find_temperature_threshold",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NumericalFailureError, PairStructureError, UnphysicalStateError, raise_first
+from .errors import NumericalFailureError, PairStructureError, UnphysicalStateError, _instance, _sequence, raise_first
 
 # Tolerances used by this module. V is taken as known to SYMMETRY_RTOL of
 # its scale: it must be symmetric to that, and no eigenvalue may lie
@@ -112,9 +112,7 @@ def reduce(cm: CovarianceMatrix, modes) -> CovarianceMatrix:
     Keeps the rows and columns of the requested modes, in the order given,
     preserving the (X, Y) quadrature pair of each kept mode.
     """
-    if isinstance(modes, (str, bytes)):
-        raise ValueError(f"modes must be a sequence of mode indices, not {type(modes).__name__}")
-    kept = [_mode_index(k, cm.n_modes) for k in modes]
+    kept = [_mode_index(k, cm.n_modes) for k in _sequence("modes", modes, "mode indices")]
     if len(kept) == 0:
         raise ValueError("at least one mode must be kept")
     if len(set(kept)) != len(kept):
@@ -186,7 +184,7 @@ def symplectic_spectra(v) -> NDArray[np.float64]:
 
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> NDArray[np.float64]:
     """Symplectic eigenvalues of ``cm``, ascending; see :func:`symplectic_spectra`."""
-    return symplectic_spectra(cm.entries)
+    return symplectic_spectra(_instance("cm", cm, CovarianceMatrix).entries)
 
 
 # partial_transpose(cm, 0) as a row sign pattern: V_pt = P V P, so S_pt = P S.
@@ -279,7 +277,7 @@ def log_negativity(cm: CovarianceMatrix) -> float:
     """Logarithmic negativity E = max(0, -ln(2 nu_min)) of a two-mode
     Gaussian state: :func:`negativity_indicators` of ``cm``, clamped.
     Separable states return exactly 0.0."""
-    return float(clamp_negativity(negativity_indicators(cm.entries)))
+    return float(clamp_negativity(negativity_indicators(_instance("cm", cm, CovarianceMatrix).entries)))
 
 
 def clamp_negativity(indicators):

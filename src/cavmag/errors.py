@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the checks that raise them, shared across the package."""
 
 from __future__ import annotations
 
@@ -38,6 +38,21 @@ class NearSingularError(CavmagError, RuntimeError):
 
 class NoEntanglementError(CavmagError, RuntimeError):
     """A threshold search was started from a point with no entanglement."""
+
+
+def _instance(role: str, value, kind: type):
+    """``value``; ValueError unless it is a ``kind``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{role} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _sequence(role: str, items, what: str) -> tuple:
+    """``items`` as a tuple; ValueError for a string or a non-iterable, where a sequence belongs."""
+    kind = "a string" if isinstance(items, (str, bytes)) else type(items).__name__
+    if kind == "a string" or not hasattr(items, "__iter__"):
+        raise ValueError(f"{role} must be a sequence of {what}, not {kind}")
+    return tuple(items)
 
 
 def raise_first(failed, error, message: str, *values) -> None:

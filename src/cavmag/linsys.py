@@ -76,9 +76,8 @@ def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
 
     Returns
     -------
-    V, of ``d``'s shape, each symmetrized as (V + V^T)/2, with residual norm
-    ``|| A V + V A^T + D ||_F <= 1e-9 * ||D||_F`` guaranteed, checked on D
-    scaled by a power of two to unit largest entry, where it cannot overflow.
+    V, of ``d``'s shape, through the per-D checks of :func:`_checked`: each V symmetrized as (V + V^T)/2,
+    with ``|| A V + V A^T + D ||_F <= 1e-9 * ||D||_F`` (where ``gate``).
 
     Raises
     ------
@@ -88,13 +87,12 @@ def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
         If the condition estimate ``||A||_1 / (2 |max Re lambda|)`` of
         the Lyapunov operator exceeds 1e12.
     NumericalFailureError
-        If a factorisation or a triangular solve fails, or a residual is above that bound or
-        not finite. Each matrix of ``a`` is factorised once, in row-major order, the order of its
-        first D; the Ds go to and from its Schur basis in one broadcast product each, Q = U^T (-D) U
-        and V = U Y U^T, around one LAPACK trsyl per D: scipy's ``solve_continuous_lyapunov``, bitwise.
-        A failing batch raises stage by stage, each at its first failure in batch order: every
-        factorisation, stability and condition estimate before any triangular solve, then the
-        triangular solves, then the residuals.
+        If a factorisation or a triangular solve fails, or a residual is above that bound or not finite.
+        Each matrix of ``a`` is factorised once, in row-major order, the order of its first D; the Ds go to
+        and from its Schur basis in one broadcast product each, Q = U^T (-D) U and V = U Y U^T, around one
+        LAPACK trsyl per D: scipy's ``solve_continuous_lyapunov``, bitwise. A failing batch raises stage by
+        stage, each at its first failure in batch order: the D checks, then every factorisation, stability
+        and condition estimate before any triangular solve, then the triangular solves, then the residuals.
     """
     a, d = _square_matrix(a, "drift matrix"), _square_matrix(d, "diffusion matrix")
     if (n := d.shape[-1]) != a.shape[-1] or a.ndim > d.ndim:
@@ -102,27 +100,37 @@ def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
     norms = np.abs(a).sum(-2).max(-1).ravel().tolist()  # each ||A||_1, as np.linalg.norm sums it
     owner = np.empty(d.shape[:-2], int)  # each D's drift: its index in a, broadcast to d, or ValueError
     owner[...] = np.arange(len(norms)).reshape(a.shape[:-2])
+
+    def bartels_stewart(d, _):
+        triangular, u = zip(*map(_real_schur, a.reshape(-1, n, n)))
+        # LAPACK gives each 2x2 block of R equal diagonal entries, the real part
+        # of its eigenvalue pair, so diag(R) holds every Re lambda.
+        tops = [float(r.diagonal().max()) for r in triangular]
+        # The operator V -> A V + V A^T has the eigenvalue 2 max Re lambda
+        # (an eigenvalue plus its conjugate) and a norm of order ||A||.
+        conds = [norm / (2.0 * abs(top)) if top < 0.0 else math.inf for norm, top in zip(norms, tops)]
+        if max(conds) > CONDITION_LIMIT:  # an unstable drift's estimate is infinite
+            tops, conds = np.array(tops), np.array(conds)
+            raise_first(tops >= 0.0, UnstableSystemError, _UNSTABLE, tops)
+            raise_first(conds > CONDITION_LIMIT, NearSingularError, _SINGULAR, conds)
+        u = np.array(u).reshape(a.shape)
+        q = u.swapaxes(-1, -2) @ (-d @ u)
+        y = [_triangular_solve(triangular[i], q_k) for i, q_k in zip(owner.ravel().tolist(), q.reshape(-1, n, n))]
+        return u @ np.array(y).reshape(q.shape) @ u.swapaxes(-1, -2)
+
+    return _checked(a, d, bartels_stewart, gate)
+
+
+def _checked(a, d, solve, gate=True):
+    """The per-D checks of every route to V around ``solve(d, e)``, the Vs of the Ds ``d`` scaled by 2^-e to unit
+    largest |entry|: each D's symmetry and PSD tests (:func:`_scale_diffusions`) first, then, where ``gate``, each
+    symmetrized V's residual against its drift in ``a`` and its D, on that scale, where it cannot overflow."""
     d, exponents = _scale_diffusions(d)
-    triangular, u = zip(*map(_real_schur, a.reshape(-1, n, n)))
-    # LAPACK gives each 2x2 block of R equal diagonal entries, the real part
-    # of its eigenvalue pair, so diag(R) holds every Re lambda.
-    tops = [float(r.diagonal().max()) for r in triangular]
-    # The operator V -> A V + V A^T has the eigenvalue 2 max Re lambda
-    # (an eigenvalue plus its conjugate) and a norm of order ||A||.
-    conds = [norm / (2.0 * abs(top)) if top < 0.0 else math.inf for norm, top in zip(norms, tops)]
-    if max(conds) > CONDITION_LIMIT:  # an unstable drift's estimate is infinite
-        tops, conds = np.array(tops), np.array(conds)
-        raise_first(tops >= 0.0, UnstableSystemError, _UNSTABLE, tops)
-        raise_first(conds > CONDITION_LIMIT, NearSingularError, _SINGULAR, conds)
-    u = np.array(u).reshape(a.shape)
-    q = u.swapaxes(-1, -2) @ (-d @ u)
-    y = np.array([_triangular_solve(triangular[i], q_k) for i, q_k in zip(owner.ravel().tolist(), q.reshape(-1, n, n))])
-    v = u @ y.reshape(q.shape) @ u.swapaxes(-1, -2)
+    v = solve(d, exponents)
     v = 0.5 * (v + v.swapaxes(-1, -2))
     if gate:
         r = a @ v + v @ a.swapaxes(-1, -2) + d
-        residual, passed = _gate((r * r).sum(axis=(-2, -1)), (d * d).sum(axis=(-2, -1)))
-        raise_first(~passed, NumericalFailureError, _RESIDUAL, residual)
+        _gate((r * r).sum(axis=(-2, -1)), (d * d).sum(axis=(-2, -1)))
     return np.ldexp(v, exponents[..., None, None])
 
 
@@ -159,14 +167,14 @@ def superposition_gate(a, v, d):
 
     def gate(c, peak) -> NDArray[np.float64]:
         c = np.ldexp(c, exponent - np.frexp(peak)[1][:, None])
-        residual, passed = _gate(*np.sum(c @ forms * c, axis=2))
-        raise_first(~passed, NumericalFailureError, _RESIDUAL, residual)
-        return residual
+        return _gate(*np.sum(c @ forms * c, axis=2))
 
     return gate
 
 
 def _gate(squared_residual, squared_diffusion):
-    """The residual norms, and where each is at most 1e-9 times its diffusion's norm."""
+    """The residual norms; NumericalFailureError at the first above 1e-9 times its diffusion's norm."""
     residual = np.sqrt(squared_residual)
-    return residual, residual <= RESIDUAL_RTOL * np.maximum(np.sqrt(squared_diffusion), _TINY)
+    passed = residual <= RESIDUAL_RTOL * np.maximum(np.sqrt(squared_diffusion), _TINY)  # False for NaN
+    raise_first(~passed, NumericalFailureError, _RESIDUAL, residual)
+    return residual

@@ -30,8 +30,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cvgaussian import CovarianceMatrix, clamp_negativity, pair_indicators, pair_moments
-from .errors import NumericalFailureError
-from .linsys import solve_lyapunov, superposition_gate
+from .errors import NumericalFailureError, _instance
+from .linsys import _checked, solve_lyapunov, superposition_gate
 
 HBAR = 1.054571817e-34  # J s, CODATA 2018
 KBOLTZ = 1.380649e-23  # J / K, exact SI value
@@ -152,15 +152,7 @@ class _Fields(SimpleNamespace):
     @classmethod
     def point(cls, params: SystemParams) -> "_Fields":
         """The record of one point, its floats as they are: NumPy takes a number as an array of shape ()."""
-        return cls(shape=(1,), **dict(zip(_FIELD_RULES, _field_values(params))))
-
-    @classmethod
-    def of(cls, points) -> "_Fields":
-        """The fields of the SystemParams ``points`` (read once), as arrays of shape (k,)."""
-        rows = np.array([_floats(p) for p in points]).reshape(-1, 15)
-        x = iter(rows.T)  # a pair takes two columns
-        fields = {name: (next(x), next(x)) if pair else next(x) for name, (pair, _, _) in _FIELD_RULES.items()}
-        return cls(shape=rows.shape[:1], **fields)
+        return cls(shape=(1,), **dict(zip(_FIELD_RULES, _field_values(_instance("params", params, SystemParams)))))
 
     def replace(self, **changes) -> "_Fields":
         """A new record with ``changes`` (numbers or arrays) broadcast against this one. Its first point in row-major
@@ -178,26 +170,15 @@ class _Fields(SimpleNamespace):
         return fields
 
 
-def _resonant_baseline() -> SystemParams:
-    omega = 2.0 * math.pi * 10e9
-    kappa_a = 2.0 * math.pi * 5e6
-    return SystemParams(
-        omega_a=(omega, omega),
-        omega_m=(omega, omega),
-        omega_drive=(omega, omega),
-        kappa_a=(kappa_a, kappa_a),
-        kappa_m=(kappa_a / 5.0, kappa_a / 5.0),
-        g=(5.0 * kappa_a, 5.0 * kappa_a),
-        r=1.0,
-        theta=0.0,
-        temperature=0.0,
-    )
-
-
 # Matched resonant operating point: 10 GHz modes driven on resonance,
 # cavity linewidth 2*pi*5 MHz, magnon linewidth a fifth of that, both
 # couplings at five cavity linewidths, unit squeezing, zero temperature.
-BASELINE = _resonant_baseline()
+_OMEGA, _KAPPA = (2.0 * math.pi * 10e9,) * 2, 2.0 * math.pi * 5e6
+BASELINE = SystemParams(
+    omega_a=_OMEGA, omega_m=_OMEGA, omega_drive=_OMEGA,
+    kappa_a=(_KAPPA, _KAPPA), kappa_m=(_KAPPA / 5.0, _KAPPA / 5.0), g=(5.0 * _KAPPA, 5.0 * _KAPPA),
+    r=1.0, theta=0.0, temperature=0.0,
+)
 
 
 @dataclass(frozen=True)
@@ -252,24 +233,23 @@ def _layouts() -> tuple[NDArray[np.intp], NDArray[np.intp]]:
     Drift columns: v = (ka, km, g, da, dm)_j / kappa_a1 for j = 1, 2, then 0, then -v. Each 2x2
     diagonal block is -kappa + detuning rotation; the beamsplitter coupling enters as +g
     on the X-row/y-column, -g on the Y-row/x-column and back.
-    Diffusion columns: ka_j (2N + 1), km_j (2 N_mj + 1), c_xx, c_xy, -c_xx, 0, with
+    Diffusion columns: ka_j (2N + 1), km_j (2 N_mj + 1), c_xx, c_xy, 0, -c_xx, with
     (c_xx, c_xy) = sqrt(ka1 ka2) (2 Re M, 2 Im M): at theta = 0 the cavities' X-X
     correlation is +sinh(2r) and Y-Y -sinh(2r). The vacuum fixed point is V = I/2.
     """
-    a, d = np.full((8, 8), 10, dtype=np.intp), np.full((8, 8), 7, dtype=np.intp)
+    a, d = np.full((8, 8), 10, dtype=np.intp), np.full((8, 8), 6, dtype=np.intp)
+    # Both diagonals read (ka1, ka2, km1, km2) at columns 0-3, each twice: -kappa in the drift, kappa (2n + 1) in D.
+    np.fill_diagonal(d, np.arange(8) // 2)
+    np.fill_diagonal(a, d.diagonal() + 11)
     for j in range(2):
-        ka, km, g, da, dm = range(j, 10, 2)
+        g, da, dm = range(j + 4, 10, 2)
         ca, mg = 2 * j, 4 + 2 * j  # cavity and magnon block offsets
-        a[ca, ca] = a[ca + 1, ca + 1] = ka + 11
         a[ca, ca + 1], a[ca + 1, ca] = da, da + 11
-        a[mg, mg] = a[mg + 1, mg + 1] = km + 11
         a[mg, mg + 1], a[mg + 1, mg] = dm, dm + 11
         a[ca, mg + 1] = a[mg, ca + 1] = g
         a[ca + 1, mg] = a[mg + 1, ca] = g + 11
-        d[ca, ca] = d[ca + 1, ca + 1] = j
-        d[mg, mg] = d[mg + 1, mg + 1] = 2 + j
     d[0, 2] = d[2, 0] = 4
-    d[1, 3] = d[3, 1] = 6
+    d[1, 3] = d[3, 1] = 7
     d[0, 3] = d[3, 0] = d[1, 2] = d[2, 1] = 5
     return a, d
 
@@ -281,28 +261,43 @@ _DRIFT_LAYOUT, _DIFFUSION_LAYOUT = _layouts()
 # ``math`` (numpy's differ in the last bit): on a grid, once per value of the per-axis arrays, not per cell.
 _DRIVE, _BATH = np.frompyfunc(_drive_moments, 2, 3), np.frompyfunc(thermal_occupation, 2, 1)
 
+# The six members D_b of every diffusion, D = sum_b c_b D_b, as noise rows of :func:`_diffusions`: half the unit rows
+# of the vacuum, N, Re M, Im M, n1 and n2, with D_N added to the Re M and Im M rows. So each is PSD (a cavity block
+# [[2 ka1 I, C], [C^T, 2 ka2 I]] has C^T C = 4 ka1 ka2 I), and no entry exceeds a rate, so none overflows.
+_MEMBERS = np.eye(8)[[4, 0, 5, 6, 2, 3]] / 2
+_WEIGHTS = 4.0 * _MEMBERS.T  # a cell's c = noise row @ _WEIGHTS = 2 (1, N - Re M - Im M, Re M, Im M, n1, n2)
+_MEMBERS[1:4, :2], _WEIGHTS[5:7, 1] = 0.5, -2.0
 
-def _stacks(fields: _Fields) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+
+def _diffusions(v, noise):
+    """The diffusions of rates ``v`` (:func:`_layouts`' drift columns) at noise rows (N, N, n1, n2, vacuum, Re M, Im M,
+    0), broadcast: one ``take`` of ka_j (2N + vacuum), km_j (2 n_j + vacuum), c_xx, c_xy, 0 and -c_xx."""
+    c = np.sqrt(v[..., 1:2]) * 2.0 * noise[..., 5:]  # (c_xx, c_xy, 0): v = rates / kappa_a1 has v[0] = 1
+    return np.concatenate((v[..., :4] * (2.0 * noise[..., :4] + noise[..., 4:5]), c, -c[..., :1]), -1).take(
+        _DIFFUSION_LAYOUT, -1)
+
+
+def _stacks(fields: _Fields):
     """Drift and diffusion stacks of ``fields``, normalized by each kappa_a1: the diffusions at the record's shape,
     (*shape, 8, 8), the drifts at the broadcast shape of the array fields they depend on. One ``take`` each from a
     value matrix with a column per distinct entry (:func:`_layouts`), each value in the one-point order of operations,
-    the noise moments broadcast against the rates. The first r above :data:`R_MAX` raises; overflows give inf or nan."""
+    the noise moments broadcast against the rates; and a function giving each drift's :data:`_MEMBERS` and each cell's
+    weights on them (for the member route). The first r above :data:`R_MAX` raises; overflows give inf or nan."""
     (wa1, wa2), (wm1, wm2), (wd1, wd2) = fields.omega_a, fields.omega_m, fields.omega_drive
-    noise = np.zeros(fields.shape + (7,))
+    noise = np.zeros(fields.shape + (8,))
     with np.errstate(over="ignore", invalid="ignore"):
-        # Columns: (kappa_a, kappa_m, g, delta_a, delta_m) for j = 1, 2, then 0; N, N, n_bath1, n_bath2, Re M, Im M, 0.
+        # Columns: (kappa_a, kappa_m, g, delta_a, delta_m) for j = 1, 2, then 0.
         rates = (*fields.kappa_a, *fields.kappa_m, *fields.g, wa1 - wd1, wa2 - wd2, wm1 - wd1, wm2 - wd2, 0.0)
         f = np.empty(np.broadcast_shapes(*{x.shape for x in rates if hasattr(x, "shape")}) + (11,))
         n, re_m, im_m = _DRIVE(fields.r, fields.theta)
         n1, n2 = (_BATH(omega, fields.temperature) for omega in fields.omega_m)
         for column, x in enumerate(rates):
             f[..., column] = x
-        for column, x in enumerate((n, n, n1, n2, re_m, im_m)):
+        for column, x in enumerate((n, n, n1, n2, 1.0, re_m, im_m)):
             noise[..., column] = x
         v = f / f[..., :1]
-        c = np.sqrt(v[..., :1] * v[..., 1:2]) * 2.0 * noise[..., 4:6]  # (c_xx, c_xy)
-        d = np.concatenate((v[..., :4] * (2.0 * noise[..., :4] + 1.0), c, -c[..., :1], noise[..., 6:]), -1)
-    return np.concatenate((v, -v), -1).take(_DRIFT_LAYOUT, -1), d.take(_DIFFUSION_LAYOUT, -1)
+        a, d = np.concatenate((v, -v), -1).take(_DRIFT_LAYOUT, -1), _diffusions(v, noise)
+        return a, d, lambda: (_diffusions(v[..., None, :], _MEMBERS), noise @ _WEIGHTS)
 
 
 def build_drift(params: SystemParams) -> NDArray[np.float64]:
@@ -321,10 +316,21 @@ def _check_finite(*matrices) -> None:
 
 
 def _steady_states(fields: _Fields) -> NDArray[np.float64]:
-    """Steady-state covariances of the points of ``fields``, (k, 8, 8), from one stacked build and one Lyapunov call."""
-    a, d = _stacks(fields)
+    """Steady-state covariances of the points of ``fields``, (k, 8, 8), from one stacked build and one Lyapunov call.
+    Where a drift serves more cells than it has members, that call solves its members, and a cell's V sums their
+    solutions with its weights scaled by the power of two that scales its D; elsewhere it solves each cell's D. Either
+    way each cell gets a direct solve's checks and messages (:func:`linsys._checked`), so only a residual parts them."""
+    a, d, superposition = _stacks(fields)
     _check_finite(a, d)
-    return solve_lyapunov(a, d).reshape(-1, 8, 8)
+    if d.size <= len(_MEMBERS) * a.size:
+        return solve_lyapunov(a, d).reshape(-1, 8, 8)
+    members, rows = superposition()
+
+    def superposed(_, exponents):  # after the cells' D checks, as in a direct solve
+        responses = solve_lyapunov(a[..., None, :, :], members, gate=False)
+        return np.einsum("...b,...bij->...ij", np.ldexp(rows, -exponents[..., None]), responses)
+
+    return _checked(a, d, superposed).reshape(-1, 8, 8)
 
 
 def steady_state_cm(params: SystemParams) -> CovarianceMatrix:
@@ -337,7 +343,7 @@ def thermal_pair_moments(params: SystemParams, pairs):
     """Steady-state moments of mode ``pairs`` (:func:`pair_moments`) as a function of temperature: (k, 10, pairs)
     for k temperatures. V(T) = V0 + n1(T) W1 + n2(T) W2 (V0 at T = 0, Wj for 2 kappa_mj / kappa_a1 on magnon j),
     so a temperature costs c . q, c = (1, n1, n2), and the two forms of :func:`superposition_gate`."""
-    a, (d0,) = _stacks(_Fields.point(params.replace(temperature=0.0)))  # the drift does not depend on T
+    a, (d0,), _ = _stacks(_Fields.point(params.replace(temperature=0.0)))  # the drift does not depend on T
     rates, d = np.array(params.kappa_m) / params.kappa_a[0], np.zeros((3, 8, 8))
     d[0], d[[1, 1, 2, 2], [4, 5, 6, 7], [4, 5, 6, 7]] = d0, np.repeat(2.0 * rates, 2)
     _check_finite(a, d)
@@ -385,20 +391,10 @@ class EntanglementReport:
 OUTPUT_COLUMNS = tuple(field.name for field in fields(EntanglementReport))
 
 
-def entanglement_columns(points) -> dict[str, NDArray[np.float64]]:
-    """Solve for each point's steady state and quantify its entanglement (:func:`_columns` of their fields).
-
-    Returns one array per :data:`OUTPUT_COLUMNS` entry, a value per point. E_aa: the two cavity modes;
-    E_mm: the two magnon modes; E_a1m1 / E_a2m2: each cavity with its own magnon.
-    """
-    return _columns(_Fields.of(points))
-
-
 def _columns(fields: _Fields) -> dict[str, NDArray[np.float64]]:
-    """:func:`entanglement_columns` of the points of ``fields``, in row-major order, from one closed-form pair call.
-    No stability test is needed: every drift has A + A^T = -2 diag(kappa) / kappa_a1."""
-    if 0 in fields.shape:
-        return {name: np.empty(0) for name in OUTPUT_COLUMNS}
+    """One array per :data:`OUTPUT_COLUMNS` entry of the points of ``fields``, in row-major order, from one closed-form
+    pair call on their steady states. E_aa: the two cavity modes; E_mm: the two magnon modes; E_a1m1 / E_a2m2: each
+    cavity with its own magnon. No stability test is needed: every drift has A + A^T = -2 diag(kappa) / kappa_a1."""
     indicators = pair_indicators(_steady_states(fields), _PAIRS)
     e = clamp_negativity(indicators)
     ratio = np.divide(e[:, 1], e[:, 0], out=np.full(len(e), math.nan), where=e[:, 0] > 0.0)
@@ -406,5 +402,5 @@ def _columns(fields: _Fields) -> dict[str, NDArray[np.float64]]:
 
 
 def entanglement_report(params: SystemParams) -> EntanglementReport:
-    """:func:`entanglement_columns` of one point, as a record."""
+    """:func:`_columns` of one point, as a record."""
     return EntanglementReport(*(column.item() for column in _columns(_Fields.point(params)).values()))

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._version import __version__
 from .cvgaussian import _closed_form, clamp_negativity
-from .errors import CavmagError, NoEntanglementError
+from .errors import CavmagError, NoEntanglementError, _instance, _sequence
 from .model import _PAIRS, BASELINE, OUTPUT_COLUMNS, EntanglementReport, SystemParams, _Fields
 from .model import _columns, _real, entanglement_report, thermal_pair_moments
 
@@ -119,21 +119,6 @@ def parse_config(text: str) -> list[tuple[str, float]]:
 
 # ---------------------------------------------------------------------------
 # sweep definition and grid
-
-
-def _instance(role: str, value, kind: type):
-    """``value``; ValueError unless it is a ``kind``."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{role} must be a {kind.__name__}, not {type(value).__name__}")
-    return value
-
-
-def _sequence(role: str, items, what: str) -> tuple:
-    """``items`` as a tuple; ValueError for a string or a non-iterable, where a sequence belongs."""
-    kind = "a string" if isinstance(items, (str, bytes)) else type(items).__name__
-    if kind == "a string" or not hasattr(items, "__iter__"):
-        raise ValueError(f"{role} must be a sequence of {what}, not {kind}")
-    return tuple(items)
 
 
 @dataclass(frozen=True)
@@ -257,7 +242,7 @@ def _grid_fields(spec: SweepSpec) -> _Fields:
     base with the axis values as a column, then axis 2's row with its values as a row, so each cell holds the
     base with both rows applied in turn. Each row's ``replace`` checks its record as SystemParams checks a
     point; the first bad cell in row-major order raises that point's error."""
-    fields = _Fields.point(spec.base)
+    fields = _Fields.point(_instance("spec", spec, SweepSpec).base)
     with np.errstate(over="ignore"):  # a product beyond the float range is inf, which the check refuses
         fields = PARAMETER_PATHS[spec.axis1.path](fields, np.array(spec.axis1.values)[:, None])
         if spec.axis2 is not None:

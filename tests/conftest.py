@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, settings
 from cavmag import cvgaussian, linsys, model, sweep
 from cavmag.cvgaussian import CovarianceMatrix
 from cavmag.errors import CavmagError
+from oracles import fields_of
 
 settings.register_profile(
     "cavmag",
@@ -23,6 +24,7 @@ STAGES_UNCALLED = dict.fromkeys(
         "build_drift",
         "_stacks",
         "_real_schur",
+        "_triangular_solve",
         "pair_indicators",
         "_closed_form",
         "negativity_indicators",
@@ -58,7 +60,7 @@ def outcome(compute):
 
 def state_nu_min(points) -> np.ndarray:
     """Smallest symplectic eigenvalue of each point's solved steady state, from its full spectrum."""
-    return cvgaussian.symplectic_spectra(model._steady_states(model._Fields.of(points)))[:, 0]
+    return cvgaussian.symplectic_spectra(model._steady_states(fields_of(points)))[:, 0]
 
 
 def local_rotation(phi1: float, phi2: float) -> np.ndarray:

@@ -55,7 +55,8 @@ from cavmag.cvgaussian import (
 )
 from cavmag.errors import NoEntanglementError, NumericalFailureError, UnstableSystemError
 from cavmag.linsys import _UNSTABLE, _scale_diffusions, _square_matrix, solve_lyapunov
-from cavmag.model import R_MAX, SystemParams, steady_state_cm, thermal_occupation, thermal_pair_moments
+from cavmag.model import _FIELD_RULES, R_MAX, SystemParams, _columns, _Fields, _floats, steady_state_cm
+from cavmag.model import thermal_occupation, thermal_pair_moments
 from cavmag.sweep import COLOR_ANCHORS, NAN_FILL, PARAMETER_PATHS, SweepGrid, SweepSpec, _fmt, _rect, _text
 from cavmag.sweep import _tick_label, _write_svg, _write_text
 
@@ -378,9 +379,13 @@ def integrate_lyapunov_oracle(a, d, horizon: float, step: float) -> np.ndarray:
     """Steady-state covariance by direct quadrature, as an independent check.
 
     Approximates V = integral of e^{At} D e^{A^T t} over [0, horizon] with
-    composite Simpson quadrature, stepping the propagator by a single
-    matrix exponential per step. Truncation error decays like
-    exp(max_real_part * horizon).
+    composite Simpson quadrature on n = 2m steps of length h, from one matrix
+    exponential P = e^{Ah}: with f_k = P^k D P^kT, the rule is
+    h/3 (f_0 + 4 f_1 + 2 f_2 + ... + 4 f_{n-1} + f_n). The even terms f_{2j},
+    j < m, sum to G = sum_j Q^j D Q^jT with Q = P^2, and the odd ones to
+    P G P^T, so the sum is 4 P G P^T + 2 G - D + f_n, with G and Q^m by
+    binary doubling (:func:`_geometric_sum`): O(log n) products, not one per
+    step. Truncation error decays like exp(max_real_part * horizon).
 
     Preconditions: ``horizon >= 10 / |max_real_part|`` and
     ``step <= 0.01 / spectral_radius(a)``. Deliberately slow and simple;
@@ -417,19 +422,20 @@ def integrate_lyapunov_oracle(a, d, horizon: float, step: float) -> np.ndarray:
         n_steps += 1
     h = horizon / n_steps
     propagator = expm(a * h)
-    phi = np.eye(a.shape[0])
-    acc = d.copy()
-    for k in range(1, n_steps + 1):
-        phi = propagator @ phi
-        f = phi @ d @ phi.T
-        if k == n_steps:
-            acc += f
-        elif k % 2 == 1:
-            acc += 4.0 * f
-        else:
-            acc += 2.0 * f
-    v = acc * (h / 3.0)
+    g, last = _geometric_sum(propagator @ propagator, d, n_steps // 2)
+    v = (4.0 * propagator @ g @ propagator.T + 2.0 * g - d + last @ d @ last.T) * (h / 3.0)
     return 0.5 * (v + v.T)
+
+
+def _geometric_sum(q, d, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """G(m) = sum_{j<m} Q^j D Q^jT and Q^m, by binary doubling over the bits of m, most significant first:
+    G(2k) = G(k) + Q^k G(k) Q^kT, then for a set bit G(2k + 1) = D + Q G(2k) Q^T."""
+    g, power = np.zeros_like(d), np.eye(len(d))  # G(0) and Q^0
+    for bit in bin(m)[2:]:
+        g, power = g + power @ g @ power.T, power @ power
+        if bit == "1":
+            g, power = d + q @ g @ q.T, q @ power
+    return g, power
 
 
 def _bisect(entangled, t_max: float, tol: float) -> float | None:
@@ -504,6 +510,20 @@ def assembled_state(params: SystemParams, members: np.ndarray, temperature: floa
 
 # ---------------------------------------------------------------------------
 # the grid build, one SystemParams per cell
+
+
+def fields_of(points) -> _Fields:
+    """The record of the SystemParams ``points`` (read once): each field an array of shape (k,), a pair two of them,
+    so each point has its own drift."""
+    rows = np.array([_floats(p) for p in points]).reshape(-1, 15)
+    x = iter(rows.T)  # a pair takes two columns
+    fields = {name: (next(x), next(x)) if pair else next(x) for name, (pair, _, _) in _FIELD_RULES.items()}
+    return _Fields(shape=rows.shape[:1], **fields)
+
+
+def columns_of(points) -> dict[str, np.ndarray]:
+    """The output columns of a list of points, one value per point: the library's array route on their record."""
+    return _columns(fields_of(points))
 
 
 def grid_points(spec: SweepSpec) -> list[SystemParams]:

@@ -133,7 +133,7 @@ class TestReduce:
         one = reduce(tmsv_cm(r), (0,))
         assert np.allclose(one.entries, 0.5 * COSH_08 * np.eye(2), atol=1e-15)
 
-    @pytest.mark.parametrize("modes", [(), (0, 0), (2,), (-1,), (0.7,), (1.0,), (True,), "01", b"\x00\x01"])
+    @pytest.mark.parametrize("modes", [(), (0, 0), (2,), (-1,), (0.7,), (1.0,), (True,), "01", b"\x00\x01", True, 1, None])
     def test_bad_mode_lists_rejected(self, modes):
         with pytest.raises(ValueError):
             reduce(tmsv_cm(0.3), modes)

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cavmag.cvgaussian import (
@@ -38,21 +38,22 @@ from cavmag.model import (
     SystemParams,
     build_diffusion,
     build_drift,
-    entanglement_columns,
     entanglement_report,
     noise_moments,
     steady_state_cm,
     thermal_occupation,
     thermal_pair_moments,
 )
-from cavmag.sweep import PRESET_NAMES, _grid_fields, apply_parameter, figure_preset, run_sweep
+from cavmag.sweep import PRESET_NAMES, SweepAxis, SweepSpec, _grid_fields, apply_parameter, figure_preset, run_sweep
 
 from conftest import outcome, state_nu_min
 from oracles import (
     ReducedParams,
     assembled_state,
+    columns_of,
     diffusion_by_point,
     drift_by_point,
+    fields_of,
     grid_points,
     staged_field_checks,
     thermal_members,
@@ -213,7 +214,7 @@ class TestFieldRules:
     @pytest.mark.parametrize("name", ["omega_a", "kappa_m", "g"])
     def test_an_unordered_container_is_no_pair(self, name, value):
         message = f"{name} must hold two numbers, not {type(value).__name__}"
-        for build in (BASELINE.replace, model._Fields.of([BASELINE]).replace):
+        for build in (BASELINE.replace, fields_of([BASELINE]).replace):
             with pytest.raises(ValueError) as error:
                 build(**{name: value})
             assert str(error.value) == message
@@ -587,8 +588,8 @@ def assert_stacks_match_the_per_point_builds(points, fields=None):
     each point alone, equals the per-point builds of ``points`` byte for byte, with no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a, d = model._stacks(model._Fields.of(points) if fields is None else fields)
-        alone = [model._stacks(model._Fields.point(p)) for p in points]
+        a, d, _ = model._stacks(fields_of(points) if fields is None else fields)
+        alone = [model._stacks(model._Fields.point(p))[:2] for p in points]
     a, d = np.broadcast_to(a, d.shape).reshape(-1, 8, 8), d.reshape(-1, 8, 8)  # each cell's drift
     assert a.shape == d.shape == (len(points), 8, 8)
     assert [x.tobytes() for x in a] == [drift_by_point(p).tobytes() for p in points]
@@ -635,24 +636,26 @@ class TestStackedBuild:
     def test_each_preset_builds_and_factorises_one_drift_per_value(self, name, calls):
         spec = figure_preset(name, resolution=7)
         fields = _grid_fields(spec)
-        a, d = model._stacks(fields)
+        a, d, _ = model._stacks(fields)
         assert a[..., 0, 0].size == self.DRIFTS[name] and d.shape == (*fields.shape, 8, 8)
         run_sweep(spec)
         assert calls["_real_schur"] == self.DRIFTS[name]
+        # A drift that serves 7 cells solves its 6 members; one that serves one cell solves that cell's D.
+        assert calls["_triangular_solve"] == (6 * self.DRIFTS[name] if self.DRIFTS[name] < 49 else 49)
 
     def test_an_overflowing_member_raises_the_typed_error_without_a_warning(self):
         tiny = apply_parameter(BASELINE, "kappa_a_hz", 1e-302)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalFailureError, match="drift or diffusion matrix overflows"):
-                entanglement_columns([BASELINE, tiny, valid_params(r=0.3)])
+                columns_of([BASELINE, tiny, valid_params(r=0.3)])
 
     def test_the_first_squeezing_above_r_max_raises_the_one_point_message(self):
         tiny = apply_parameter(BASELINE, "kappa_a_hz", 1e-302)
         points = [tiny, BASELINE, valid_params(r=2.0 * R_MAX), valid_params(r=R_MAX), valid_params(r=3.0 * R_MAX)]
         with pytest.raises(NumericalFailureError) as one_point:
             noise_moments(points[2])
-        for build in (lambda points: model._stacks(model._Fields.of(points)), entanglement_columns):
+        for build in (lambda points: model._stacks(fields_of(points)), columns_of):
             with pytest.raises(NumericalFailureError) as batch:
                 build(points)
             assert str(batch.value) == str(one_point.value)
@@ -670,6 +673,103 @@ THERMAL_BOX = dict(
     theta=st.floats(-math.pi, math.pi),
     temperature=st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(0.0, 1e300)),
 )
+
+
+# Shared-drift grids: an r x T lattice on a point with theta != 0, omega_m1 != omega_m2 and kappa_a2 != kappa_a1,
+# r <= 4 and T up to 1e6 K, of 1 to 28 cells, so on both sides of the switch to the members at 7 cells per drift.
+SHARED_DRIFT_BOX = dict(
+    kappa_a2=st.floats(0.3, 3.0).filter(lambda x: x != 1.0),
+    kappa_m_exp=st.tuples(st.floats(-9.0, 1.0), st.floats(-9.0, 1.0)),
+    g=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)),
+    exceptional=st.booleans(),
+    detunings=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+    drive_ghz=st.tuples(st.floats(5.0, 15.0), st.floats(5.0, 15.0)),
+    theta=st.floats(-math.pi, math.pi).filter(bool),
+    rs=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=7, unique=True).map(sorted),
+    temperatures=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e6)), min_size=1, max_size=4, unique=True).map(sorted),
+)
+
+
+MATCHED_PAIR = dict(
+    kappa_a2=1.5,
+    kappa_m_exp=(-0.5, -1.0),
+    g=(5.0, 4.0),
+    exceptional=False,
+    detunings=(0.1, -0.2, 0.3, 0.4),
+    drive_ghz=(10.0, 10.0),
+    theta=0.5,
+)
+
+
+class TestNoiseMembers:
+    """The member route of a shared-drift grid against each cell's direct solve on the same stacks."""
+
+    @given(**SHARED_DRIFT_BOX)
+    @settings(max_examples=150)
+    # Eight cells on one drift, which take the members, and six, the most that do not.
+    @example(**MATCHED_PAIR, rs=[0.0, 1.0, 2.0, 3.0], temperatures=[0.0, 0.1])
+    @example(**MATCHED_PAIR, rs=[0.0, 1.0, 2.0], temperatures=[0.0, 0.1])
+    def test_superposed_grid_equals_the_direct_solve(self, rs, temperatures, **box):
+        base = box_params(**box, r=0.0, temperature=0.0)
+        assume(base.omega_m[0] != base.omega_m[1])
+        fields = _grid_fields(SweepSpec(base, SweepAxis("r", rs), SweepAxis("temperature", temperatures), ("E_mm",)))
+        a, d, superposition = model._stacks(fields)
+        members, rows = superposition()
+        # Each member is PSD, so the members' solve keeps its PSD check, and the cells' weights give back each D.
+        assert np.all(np.linalg.eigvalsh(members)[:, 0] >= -1e-14 * np.abs(members).max(axis=(1, 2)))
+        # (to the rounding of a sum of six products, 6 eps of its absolute terms)
+        rounding = 6.0 * np.finfo(float).eps * np.einsum("...b,bij->...ij", np.abs(rows), np.abs(members))
+        assert np.all(np.abs(np.einsum("...b,bij->...ij", rows, members) - d) <= rounding)
+        superposed = outcome(lambda: model._steady_states(fields))
+        direct = outcome(lambda: solve_lyapunov(a, d).reshape(-1, 8, 8))
+        if isinstance(superposed, np.ndarray) and isinstance(direct, np.ndarray):
+            # Either route errs by about cond * eps of ||V||, cond the solver's condition estimate.
+            cond = np.abs(a).sum(0).max() / (2.0 * abs(np.linalg.eigvals(a).real.max()))
+            bound = (1e-12 + 10.0 * cond * np.finfo(float).eps) * np.abs(direct).max(axis=(1, 2))
+            assert np.all(np.abs(superposed - direct).max(axis=(1, 2)) <= bound)
+        elif isinstance(superposed, np.ndarray) or isinstance(direct, np.ndarray):
+            # The per-cell checks are the same on both routes: only a residual can tell them apart.
+            failed = direct if isinstance(superposed, np.ndarray) else superposed
+            assert isinstance(failed, NumericalFailureError) and "residual" in str(failed)
+        else:
+            assert type(superposed) is type(direct)
+
+    @pytest.mark.parametrize(
+        "axis1,axis2",
+        [
+            (SweepAxis("g", tuple(np.linspace(0.5, 8.0, 8))), SweepAxis("r", tuple(np.linspace(0.0, 2.0, 8)))),
+            (SweepAxis("r", tuple(np.linspace(0.0, 2.0, 8))), SweepAxis("g", tuple(np.linspace(0.5, 8.0, 8)))),
+            (SweepAxis("kappa_m2", (0.1, 0.5, 1.0)), SweepAxis("theta", tuple(np.linspace(-3.0, 3.0, 9)))),
+        ],
+        ids=["drift-per-row", "drift-per-column", "3-drifts-x-9-phases"],
+    )
+    def test_a_drift_per_axis_value_superposes_along_either_axis(self, axis1, axis2):
+        fields = _grid_fields(SweepSpec(BASELINE.replace(temperature=0.05), axis1, axis2, ("E_mm",)))
+        a, d, _ = model._stacks(fields)
+        assert a.shape[:-2] in ((len(axis1.values), 1), (len(axis2.values),))  # a drift per value of one axis
+        direct = solve_lyapunov(a, d).reshape(-1, 8, 8)
+        assert np.abs(model._steady_states(fields) - direct).max() <= 1e-14 * np.abs(direct).max()
+
+    def test_each_cell_keeps_the_checks_of_a_direct_solve(self, monkeypatch):
+        # fig2c at resolution 7: 49 cells on one drift, so the members route.
+        fields, stacks, solve = _grid_fields(figure_preset("fig2c", 7)), model._stacks, model.solve_lyapunov
+        # Each V is gated against its own A and D: member responses off by a millionth put every cell's
+        # residual at a millionth of its ||D||.
+        monkeypatch.setattr(model, "solve_lyapunov", lambda a, d, gate: solve(a, d, gate) * (1.0 + 1e-6))
+        with pytest.raises(NumericalFailureError, match="Lyapunov residual .* exceeds 1.0e-09"):
+            model._steady_states(fields)
+        monkeypatch.undo()
+
+        def asymmetric(fields):  # cell (3, 3)'s D with one cross term of the wrong sign
+            a, d, superposition = stacks(fields)
+            d[3, 3, 2, 0] *= -1.0
+            return a, d, superposition
+
+        # Each D is checked as the direct solve checks it, before the members are solved.
+        monkeypatch.setattr(model, "_stacks", asymmetric)
+        monkeypatch.setattr(model, "solve_lyapunov", lambda *args, **kwargs: pytest.fail("members solved"))
+        with pytest.raises(ValueError, match="diffusion matrix must be symmetric"):
+            model._steady_states(fields)
 
 
 class TestThermalSteadyState:
@@ -884,7 +984,7 @@ class TestEntanglementReports:
     def test_fields_equal_the_scalar_composition(self):
         # The closed-form pair negativities against the eigen-solve route.
         points = self.grid_points()
-        columns = entanglement_columns(points)
+        columns = columns_of(points)
         assert tuple(columns) == OUTPUT_COLUMNS
         rows = np.stack(list(columns.values()), axis=1)
         assert rows.shape == (len(points), len(OUTPUT_COLUMNS))
@@ -896,24 +996,14 @@ class TestEntanglementReports:
 
     def test_single_report_is_a_batch_of_one(self):
         points = self.grid_points()
-        rows = zip(*entanglement_columns(points).values())
+        rows = zip(*columns_of(points).values())
         for params, row in zip(points, rows):
             single = dataclasses.astuple(entanglement_report(params))
             assert same_floats(single, row)
 
-    def test_a_generator_gives_the_columns_of_the_list(self):
-        points = self.grid_points()
-        columns = entanglement_columns(p for p in points)
-        assert all(same_floats(columns[name], column) for name, column in entanglement_columns(points).items())
-
-    def test_empty_input(self):
-        columns = entanglement_columns([])
-        assert tuple(columns) == OUTPUT_COLUMNS
-        assert all(column.shape == (0,) for column in columns.values())
-
     def test_one_batch_costs_one_pair_call_and_no_spectrum_call(self, calls):
         stages = ("solve_lyapunov", "pair_indicators", "symplectic_spectra", "negativity_indicators")
-        entanglement_columns(self.grid_points())
+        columns_of(self.grid_points())
         assert [calls[name] for name in stages] == [1, 1, 0, 0]
         entanglement_report(BASELINE)
         assert [calls[name] for name in stages] == [2, 2, 0, 0]
@@ -936,7 +1026,7 @@ class TestEntanglementReports:
 
         monkeypatch.setattr(linsys, "_real_schur", counted)
         monkeypatch.setattr(model, "solve_lyapunov", lambda *args: solves.append(args) or solve_lyapunov(*args))
-        assert np.array_equal(model._steady_states(model._Fields.of(points)), per_point)
+        assert np.array_equal(model._steady_states(fields_of(points)), per_point)
         assert len(solves) == 1
         assert [a.tobytes() for a in drifts] == [build_drift(p).tobytes() for p in points]
 
@@ -986,7 +1076,7 @@ class TestClosedFormPairs:
     def test_equal_the_eigen_route_wherever_both_resolve(self, **box):
         params = box_params(**box)
         try:
-            v = model._steady_states(model._Fields.of([params]))
+            v = model._steady_states(fields_of([params]))
         except CavmagError:
             return
         closed = outcome(lambda: pair_indicators(v, model._PAIRS)[0])
@@ -1044,19 +1134,19 @@ class TestBatchErrors:
 
     def test_overflow_comes_before_any_solve(self):
         with pytest.raises(NumericalFailureError, match="overflows"):
-            entanglement_columns([self.OK, self.SINGULAR[0], self.HOT])
+            columns_of([self.OK, self.SINGULAR[0], self.HOT])
 
     def test_solve_comes_before_the_precision_guard(self):
         with pytest.raises(NearSingularError):
-            entanglement_columns([self.BLURRED, self.OK, self.SINGULAR[0]])
+            columns_of([self.BLURRED, self.OK, self.SINGULAR[0]])
 
     def test_drifts_fail_in_the_order_of_their_first_point(self):
         ok, (first, second) = self.OK, self.SINGULAR
         with pytest.raises(NearSingularError, match="5.000e\\+13"):
-            entanglement_columns([ok, second, ok.replace(r=1.0), first, second])
+            columns_of([ok, second, ok.replace(r=1.0), first, second])
         with pytest.raises(NearSingularError, match="5.000e\\+12"):
-            entanglement_columns([ok, first, second, ok.replace(r=1.0)])
+            columns_of([ok, first, second, ok.replace(r=1.0)])
 
     def test_precision_guard_alone(self):
         with pytest.raises(NumericalFailureError, match="resolution"):
-            entanglement_columns([self.OK, self.BLURRED])
+            columns_of([self.OK, self.BLURRED])

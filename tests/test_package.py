@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 import cavmag
 
 # Names that callers outside the package, the benchmark among them, read at top level.
@@ -24,3 +26,20 @@ def test_every_exported_name_resolves_and_is_listed_once():
     for name in cavmag.__all__:
         assert getattr(cavmag, name) is not None, name
     assert set(READ_AT_TOP_LEVEL) <= set(cavmag.__all__)
+
+
+# The public calls that take one object of a package type: anything else is a caller's error, ValueError.
+TYPED_CALLS = (
+    cavmag.steady_state_cm,
+    cavmag.entanglement_report,
+    cavmag.run_sweep,
+    cavmag.log_negativity,
+    cavmag.symplectic_eigenvalues,
+)
+
+
+@pytest.mark.parametrize("value", [1.0, None, "x", True], ids=repr)
+@pytest.mark.parametrize("call", TYPED_CALLS, ids=lambda call: call.__name__)
+def test_a_value_of_another_type_raises_value_error(call, value):
+    with pytest.raises(ValueError, match=f" must be a [A-Za-z]+, not {type(value).__name__}$"):
+        call(value)

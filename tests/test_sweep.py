@@ -46,7 +46,7 @@ from cavmag.sweep import (
 from cavmag.model import entanglement_report
 
 from conftest import STAGES_UNCALLED, outcome, state_nu_min
-from oracles import color_by_cell, grid_points, threshold_by_full_solves, threshold_by_steps
+from oracles import color_by_cell, fields_of, grid_points, threshold_by_full_solves, threshold_by_steps
 
 # One batch of points: one closed-form call for its pairs, and no spectrum of its states.
 ONE_BATCH = dict(pair_indicators=1, _closed_form=1, symplectic_spectra=0)
@@ -381,7 +381,7 @@ def stacks_or_error(build):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            a, d = model._stacks(build())
+            a, d, _ = model._stacks(build())
     except Exception as exc:  # noqa: BLE001 - the type is compared
         return type(exc), str(exc)
     return np.broadcast_to(a, d.shape).tobytes(), d.tobytes()
@@ -398,7 +398,7 @@ class TestGridBuild:
         singles = [(path, None) for path in PARAMETER_PATHS]
         for path1, path2 in singles + list(itertools.permutations(PARAMETER_PATHS, 2)):
             spec = SweepSpec(base, SweepAxis(path1, values1), path2 and SweepAxis(path2, values2), ("E_mm",))
-            expected = stacks_or_error(lambda: model._Fields.of(grid_points(spec)))
+            expected = stacks_or_error(lambda: fields_of(grid_points(spec)))
             assert stacks_or_error(lambda: _grid_fields(spec)) == expected, (path1, path2)
 
     @pytest.mark.parametrize(
@@ -489,12 +489,38 @@ class TestRunSweep:
     def test_shared_drift_grid_costs_one_solve(self, calls):
         axis1 = SweepAxis("r", tuple(np.linspace(0.0, 2.0, 5)))
         run_sweep(tiny_spec(axis1=axis1, axis2=SweepAxis("temperature", tuple(np.linspace(0.0, 1.0, 5)))))
-        assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, _stacks=1, _real_schur=1, **ONE_BATCH)
+        # 25 cells on one drift: its six members solved, no back-substitution per cell.
+        expected = dict(solve_lyapunov=1, _stacks=1, _real_schur=1, _triangular_solve=6, **ONE_BATCH)
+        assert calls == dict(STAGES_UNCALLED, **expected)
 
     def test_varying_drift_grid_costs_one_solve_per_cell(self, calls):
         axis1 = SweepAxis("kappa_m", tuple(np.linspace(0.01, 1.0, 5)))
         run_sweep(tiny_spec(axis1=axis1, axis2=SweepAxis("g", tuple(np.linspace(0.0, 10.0, 5)))))
-        assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, _stacks=1, _real_schur=25, **ONE_BATCH)
+        expected = dict(solve_lyapunov=1, _stacks=1, _real_schur=25, _triangular_solve=25, **ONE_BATCH)
+        assert calls == dict(STAGES_UNCALLED, **expected)
+
+    @pytest.mark.parametrize(
+        "spec,schur,trsyl",
+        [
+            # One drift serving 64 cells: its six members, not a back-substitution per cell.
+            (tiny_spec(axis1=SweepAxis("r", tuple(np.linspace(0.0, 2.0, 8))),
+                       axis2=SweepAxis("temperature", tuple(np.linspace(0.0, 1.0, 8)))), 1, 6),
+            (figure_preset("fig3a", 7), 7, 42),  # 7 drifts (g2/g1), 7 cells each
+            (figure_preset("fig3b", 7), 3, 18),  # 3 drifts (g), 7 cells each
+            (tiny_spec(axis1=SweepAxis("g", tuple(np.linspace(0.5, 8.0, 8))),
+                       axis2=SweepAxis("r", tuple(np.linspace(0.0, 2.0, 8)))), 8, 48),  # a drift per row
+            (tiny_spec(axis1=SweepAxis("r", tuple(np.linspace(0.0, 2.0, 7)))), 1, 6),  # 7 cells: the members
+            # At most six cells per drift: each cell's own D.
+            (tiny_spec(axis1=SweepAxis("r", (0.0, 1.0, 2.0)), axis2=SweepAxis("temperature", (0.0, 0.5))), 1, 6),
+            (tiny_spec(axis1=SweepAxis("r", (0.0, 1.0)), axis2=SweepAxis("temperature", (0.0, 0.5))), 1, 4),
+            (tiny_spec(axis1=SweepAxis("kappa_m", tuple(np.linspace(0.01, 1.0, 8))),
+                       axis2=SweepAxis("g", tuple(np.linspace(0.0, 10.0, 8)))), 64, 64),
+        ],
+        ids=["r-x-T-64", "fig3a-7", "fig3b-7", "g-x-r-64", "r-line-7", "r-x-T-6", "r-x-T-4", "kappa_m-x-g-64"],
+    )
+    def test_a_grid_makes_one_lyapunov_call_and_a_back_substitution_per_member_or_cell(self, calls, spec, schur, trsyl):
+        run_sweep(spec)
+        assert (calls["solve_lyapunov"], calls["_real_schur"], calls["_triangular_solve"]) == (1, schur, trsyl)
 
     def test_provenance_names_the_preset(self):
         grid = run_sweep(figure_preset("fig4", resolution=3))
@@ -754,7 +780,8 @@ class TestTemperatureThreshold:
         assert find_temperature_threshold(BASELINE.replace(r=0.4), 3.0, 1e-3) is not None
         # Probes at 0 and t_max, then ceil(log2(3 / 1e-3)) = 12 steps, 3 tree levels per
         # closed-form call: the probes ride with the first round, so 4 calls.
-        assert calls == dict(STAGES_UNCALLED, solve_lyapunov=1, _stacks=1, _real_schur=1, _closed_form=4)
+        expected = dict(solve_lyapunov=1, _stacks=1, _real_schur=1, _triangular_solve=3, _closed_form=4)
+        assert calls == dict(STAGES_UNCALLED, **expected)
 
 
 EMITTERS = pytest.mark.parametrize(
