@@ -30,7 +30,7 @@ from .errors import NumericalFailureError, PairStructureError, UnphysicalStateEr
 SYMMETRY_RTOL = 1e-12
 NEGATIVITY_PRECISION_LIMIT = 1e-8
 STATE_CHECK_SLACK = 1e-6
-# Largest departure of a pair block from the form pair_indicators needs,
+# Largest departure of a pair block from the form _closed_form needs,
 # relative to the block's scale. Round-off in a solved V leaves about
 # cond * eps: 5e-15 on the presets, 1.2e-6 at kappa_m = 3e-9, near 1e-4 at
 # the Lyapunov solve's condition limit of 1e12.
@@ -73,7 +73,10 @@ class CovarianceMatrix:
     mode_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=float)
+        try:
+            m = np.array(self.entries, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("covariance matrix entries must be finite") from None
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("covariance matrix must be square")
         dim = m.shape[0]
@@ -112,6 +115,7 @@ def reduce(cm: CovarianceMatrix, modes) -> CovarianceMatrix:
     Keeps the rows and columns of the requested modes, in the order given,
     preserving the (X, Y) quadrature pair of each kept mode.
     """
+    _instance("cm", cm, CovarianceMatrix)
     kept = [_mode_index(k, cm.n_modes) for k in _sequence("modes", modes, "mode indices")]
     if len(kept) == 0:
         raise ValueError("at least one mode must be kept")
@@ -130,7 +134,7 @@ def partial_transpose(cm: CovarianceMatrix, transposed_mode: int) -> CovarianceM
     mode: V -> P V P with P = diag(1, -1, 1, 1) or diag(1, 1, 1, -1).
     The operation is involutive.
     """
-    if cm.n_modes != 2:
+    if _instance("cm", cm, CovarianceMatrix).n_modes != 2:
         raise ValueError("partial transposition is defined here for two-mode states")
     p = np.ones(4)
     p[2 * _mode_index(transposed_mode, 2) + 1] = -1.0
@@ -141,7 +145,7 @@ def partial_transpose(cm: CovarianceMatrix, transposed_mode: int) -> CovarianceM
 def two_mode_symplectic_eigenvalues(cm: CovarianceMatrix) -> NDArray[np.float64]:
     """Symplectic eigenvalues of a two-mode covariance matrix, ascending:
     :func:`symplectic_eigenvalues` for two modes only."""
-    if cm.n_modes != 2:
+    if _instance("cm", cm, CovarianceMatrix).n_modes != 2:
         raise ValueError("two_mode_symplectic_eigenvalues requires a two-mode covariance matrix")
     return symplectic_eigenvalues(cm)
 
@@ -227,10 +231,10 @@ def _pair_readout(pairs: tuple, dim: int) -> NDArray[np.float64]:
 
 
 def pair_moments(v, pairs) -> NDArray[np.float64]:
-    """Moments of mode pairs (i, j) of a stack (k, 2n, 2n) of states, (k, 10, pairs) in the order of
+    """Moments of mode pairs (i, j) of a stack (..., 2n, 2n) of states, (..., 10, pairs) in the order of
     :func:`_pair_readout`: each half a sum of two entries of V, so linear in V and in any summation order."""
     v, pairs, dim = np.asarray(v, dtype=float), tuple(map(tuple, pairs)), np.shape(v)[-1]
-    return (v.reshape(len(v), dim * dim) @ _pair_readout(pairs, dim)).reshape(len(v), 10, len(pairs))
+    return (v.reshape(*v.shape[:-2], dim * dim) @ _pair_readout(pairs, dim)).reshape(*v.shape[:-2], 10, len(pairs))
 
 
 def _closed_form(q) -> NDArray[np.float64]:
@@ -259,18 +263,13 @@ def _closed_form(q) -> NDArray[np.float64]:
         den = np.sqrt(inner + 4.0 * p[:, None]) + np.sqrt(inner)
         scaled = 2.0 * p[:, None] / den
     nu_pt, nu_state = np.ldexp(scaled, e[:, None]).transpose(1, 0, 2)
-    norm = 0.5 * np.maximum(den[:, 0], den[:, 1])  # ||V||_2 at the scale of ``scaled``
+    norm = 0.5 * np.fmax(den[:, 0], den[:, 1])  # ||V||_2 at the scale of ``scaled``; NaN where both are
     coarse = (2.0 * nu_pt < 1.0) & (np.finfo(float).eps * norm > NEGATIVITY_PRECISION_LIMIT * scaled[:, 0])
     raise_first(coarse, NumericalFailureError, _UNRESOLVED, nu_pt, np.ldexp(norm, e))
     raise_first(~(nu_state >= 0.5 - STATE_CHECK_SLACK), UnphysicalStateError, _UNPHYSICAL, nu_state)
     # Measured from the pair state's own floor: where round-off leaves its nu_min below 1/2,
     # a partial transpose no further below is no entanglement.
     return np.log(np.minimum(1.0, 2.0 * nu_state)) - np.log(2.0 * nu_pt)
-
-
-def pair_indicators(v, pairs) -> NDArray[np.float64]:
-    """:func:`_closed_form` of :func:`pair_moments`: unclamped -ln(2 nu_min) of the pairs, (k, pairs)."""
-    return _closed_form(pair_moments(v, pairs))
 
 
 def log_negativity(cm: CovarianceMatrix) -> float:
@@ -281,6 +280,6 @@ def log_negativity(cm: CovarianceMatrix) -> float:
 
 
 def clamp_negativity(indicators):
-    """Log-negativity from values of :func:`negativity_indicators` or :func:`pair_indicators`,
+    """Log-negativity from values of :func:`negativity_indicators` or :func:`_closed_form`,
     elementwise: exactly 0.0 where a value is NaN or at most SEPARABLE_SLACK. A 0-d input gives a float."""
     return np.where(np.greater(indicators, SEPARABLE_SLACK), indicators, 0.0)[()]

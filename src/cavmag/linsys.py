@@ -29,7 +29,10 @@ _TINY = np.finfo(float).tiny
 
 
 def _square_matrix(m, name: str, stack: bool = True) -> NDArray[np.float64]:
-    a = np.asarray(m, dtype=float)
+    try:
+        a = np.asarray(m, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} must have finite entries") from None
     if a.ndim < 2 or a.ndim > 2 and not stack or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise ValueError(f"{name} must be a nonempty square matrix")
     if not np.all(np.isfinite(a)):
@@ -76,8 +79,8 @@ def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
 
     Returns
     -------
-    V, of ``d``'s shape, through the per-D checks of :func:`_checked`: each V symmetrized as (V + V^T)/2,
-    with ``|| A V + V A^T + D ||_F <= 1e-9 * ||D||_F`` (where ``gate``).
+    V, of ``d``'s shape, each symmetrized as (V + V^T)/2, with ``|| A V + V A^T + D ||_F <= 1e-9 * ||D||_F`` (where
+    ``gate``): solved and gated with D scaled to unit largest |entry| (:func:`_scale_diffusions`), then scaled back.
 
     Raises
     ------
@@ -100,33 +103,22 @@ def solve_lyapunov(a, d, gate: bool = True) -> NDArray[np.float64]:
     norms = np.abs(a).sum(-2).max(-1).ravel().tolist()  # each ||A||_1, as np.linalg.norm sums it
     owner = np.empty(d.shape[:-2], int)  # each D's drift: its index in a, broadcast to d, or ValueError
     owner[...] = np.arange(len(norms)).reshape(a.shape[:-2])
-
-    def bartels_stewart(d, _):
-        triangular, u = zip(*map(_real_schur, a.reshape(-1, n, n)))
-        # LAPACK gives each 2x2 block of R equal diagonal entries, the real part
-        # of its eigenvalue pair, so diag(R) holds every Re lambda.
-        tops = [float(r.diagonal().max()) for r in triangular]
-        # The operator V -> A V + V A^T has the eigenvalue 2 max Re lambda
-        # (an eigenvalue plus its conjugate) and a norm of order ||A||.
-        conds = [norm / (2.0 * abs(top)) if top < 0.0 else math.inf for norm, top in zip(norms, tops)]
-        if max(conds) > CONDITION_LIMIT:  # an unstable drift's estimate is infinite
-            tops, conds = np.array(tops), np.array(conds)
-            raise_first(tops >= 0.0, UnstableSystemError, _UNSTABLE, tops)
-            raise_first(conds > CONDITION_LIMIT, NearSingularError, _SINGULAR, conds)
-        u = np.array(u).reshape(a.shape)
-        q = u.swapaxes(-1, -2) @ (-d @ u)
-        y = [_triangular_solve(triangular[i], q_k) for i, q_k in zip(owner.ravel().tolist(), q.reshape(-1, n, n))]
-        return u @ np.array(y).reshape(q.shape) @ u.swapaxes(-1, -2)
-
-    return _checked(a, d, bartels_stewart, gate)
-
-
-def _checked(a, d, solve, gate=True):
-    """The per-D checks of every route to V around ``solve(d, e)``, the Vs of the Ds ``d`` scaled by 2^-e to unit
-    largest |entry|: each D's symmetry and PSD tests (:func:`_scale_diffusions`) first, then, where ``gate``, each
-    symmetrized V's residual against its drift in ``a`` and its D, on that scale, where it cannot overflow."""
     d, exponents = _scale_diffusions(d)
-    v = solve(d, exponents)
+    triangular, u = zip(*map(_real_schur, a.reshape(-1, n, n)))
+    # LAPACK gives each 2x2 block of R equal diagonal entries, the real part
+    # of its eigenvalue pair, so diag(R) holds every Re lambda.
+    tops = [float(r.diagonal().max()) for r in triangular]
+    # The operator V -> A V + V A^T has the eigenvalue 2 max Re lambda
+    # (an eigenvalue plus its conjugate) and a norm of order ||A||.
+    conds = [norm / (2.0 * abs(top)) if top < 0.0 else math.inf for norm, top in zip(norms, tops)]
+    if max(conds) > CONDITION_LIMIT:  # an unstable drift's estimate is infinite
+        tops, conds = np.array(tops), np.array(conds)
+        raise_first(tops >= 0.0, UnstableSystemError, _UNSTABLE, tops)
+        raise_first(conds > CONDITION_LIMIT, NearSingularError, _SINGULAR, conds)
+    u = np.array(u).reshape(a.shape)
+    q = u.swapaxes(-1, -2) @ (-d @ u)
+    y = [_triangular_solve(triangular[i], q_k) for i, q_k in zip(owner.ravel().tolist(), q.reshape(-1, n, n))]
+    v = u @ np.array(y).reshape(q.shape) @ u.swapaxes(-1, -2)
     v = 0.5 * (v + v.swapaxes(-1, -2))
     if gate:
         r = a @ v + v @ a.swapaxes(-1, -2) + d
@@ -157,17 +149,18 @@ def _triangular_solve(r, q) -> NDArray[np.float64]:
 
 
 def superposition_gate(a, v, d):
-    """``gate(c, peak)``: residuals of V(c) = sum_b c_b V_b, V_b solving A V_b + V_b A^T + D_b = 0, for rows c
-    and each D(c)'s largest |entry|, raising as :func:`solve_lyapunov`'s gate does. Both squared norms
-    are quadratic forms in c, on members and rows scaled by powers of two to unit largest |D| entry."""
-    exponent = np.frexp(np.abs(d).max(axis=(1, 2)))[1]
-    v, d = np.ldexp(v, -exponent[:, None, None]), np.ldexp(d, -exponent[:, None, None])
-    x = np.stack((a @ v + v @ a.T + d, d)).reshape(2, len(d), -1)
-    forms = x @ x.swapaxes(1, 2)
+    """``gate(c, peak)``: residuals of V(c) = sum_b c_b V_b for rows c (..., b) and each D(c)'s largest |entry| (...),
+    raising as :func:`solve_lyapunov`'s gate does, where ``v`` is ``solve_lyapunov(a, d, gate=False)`` of members D_b
+    (..., b, n, n) on drifts ``a`` that broadcast to them: a drift serves each cell whose batch shape its own broadcasts
+    to. Both squared norms are quadratic forms in c, on members and rows scaled by powers of two to unit largest |D|."""
+    exponent = np.frexp(np.abs(d).max(axis=(-2, -1)))[1]
+    v, d = np.ldexp(v, -exponent[..., None, None]), np.ldexp(d, -exponent[..., None, None])
+    x = np.stack((a @ v + v @ a.swapaxes(-1, -2) + d, d), -4)
+    forms = np.einsum("...bij,...cij->...bc", x, x)  # (..., 2, b, b)
 
     def gate(c, peak) -> NDArray[np.float64]:
-        c = np.ldexp(c, exponent - np.frexp(peak)[1][:, None])
-        return _gate(*np.sum(c @ forms * c, axis=2))
+        c = np.ldexp(c, exponent - np.frexp(peak)[1][..., None])
+        return _gate(*np.einsum("...b,...fbc,...c->f...", c, forms, c))
 
     return gate
 

@@ -29,9 +29,9 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.typing import NDArray
 
-from .cvgaussian import CovarianceMatrix, clamp_negativity, pair_indicators, pair_moments
+from .cvgaussian import CovarianceMatrix, _closed_form, clamp_negativity, pair_moments
 from .errors import NumericalFailureError, _instance
-from .linsys import _checked, solve_lyapunov, superposition_gate
+from .linsys import _scale_diffusions, solve_lyapunov, superposition_gate
 
 HBAR = 1.054571817e-34  # J s, CODATA 2018
 KBOLTZ = 1.380649e-23  # J / K, exact SI value
@@ -222,7 +222,7 @@ def _drive_moments(r: float, theta: float) -> tuple[float, float, float]:
 
 def noise_moments(params: SystemParams) -> NoiseMoments:
     """The drive's moments (:func:`_drive_moments`) and each magnon bath's occupation."""
-    n, re_m, im_m = _drive_moments(params.r, params.theta)
+    n, re_m, im_m = _drive_moments(_instance("params", params, SystemParams).r, params.theta)
     occupations = tuple(thermal_occupation(omega, params.temperature) for omega in params.omega_m)
     return NoiseMoments(n, complex(re_m, im_m), occupations)
 
@@ -282,7 +282,7 @@ def _stacks(fields: _Fields):
     (*shape, 8, 8), the drifts at the broadcast shape of the array fields they depend on. One ``take`` each from a
     value matrix with a column per distinct entry (:func:`_layouts`), each value in the one-point order of operations,
     the noise moments broadcast against the rates; and a function giving each drift's :data:`_MEMBERS` and each cell's
-    weights on them (for the member route). The first r above :data:`R_MAX` raises; overflows give inf or nan."""
+    weights on them (for :func:`_superposed`). The first r above :data:`R_MAX` raises; overflows give inf or nan."""
     (wa1, wa2), (wm1, wm2), (wd1, wd2) = fields.omega_a, fields.omega_m, fields.omega_drive
     noise = np.zeros(fields.shape + (8,))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -316,21 +316,10 @@ def _check_finite(*matrices) -> None:
 
 
 def _steady_states(fields: _Fields) -> NDArray[np.float64]:
-    """Steady-state covariances of the points of ``fields``, (k, 8, 8), from one stacked build and one Lyapunov call.
-    Where a drift serves more cells than it has members, that call solves its members, and a cell's V sums their
-    solutions with its weights scaled by the power of two that scales its D; elsewhere it solves each cell's D. Either
-    way each cell gets a direct solve's checks and messages (:func:`linsys._checked`), so only a residual parts them."""
-    a, d, superposition = _stacks(fields)
+    """Steady-state covariances of the points of ``fields``, (k, 8, 8): one stacked build, one Lyapunov call."""
+    a, d, _ = _stacks(fields)
     _check_finite(a, d)
-    if d.size <= len(_MEMBERS) * a.size:
-        return solve_lyapunov(a, d).reshape(-1, 8, 8)
-    members, rows = superposition()
-
-    def superposed(_, exponents):  # after the cells' D checks, as in a direct solve
-        responses = solve_lyapunov(a[..., None, :, :], members, gate=False)
-        return np.einsum("...b,...bij->...ij", np.ldexp(rows, -exponents[..., None]), responses)
-
-    return _checked(a, d, superposed).reshape(-1, 8, 8)
+    return solve_lyapunov(a, d).reshape(-1, 8, 8)
 
 
 def steady_state_cm(params: SystemParams) -> CovarianceMatrix:
@@ -339,18 +328,31 @@ def steady_state_cm(params: SystemParams) -> CovarianceMatrix:
     return CovarianceMatrix(_steady_states(_Fields.point(params))[0], MODE_LABELS)
 
 
+def _superposed(a, members, pairs):
+    """``moments(c, peak)``: the moments of mode ``pairs`` of V(c) = sum_b c_b V_b at rows c (..., b), c . q (..., 10,
+    pairs), V_b solving A V_b + V_b A^T + D_b = 0 for ``members`` D_b (..., b, 8, 8) on drifts ``a`` that broadcast to
+    them. One Lyapunov call solves them all, and no V(c) is formed: each row is gated by :func:`superposition_gate`
+    against its D(c)'s largest |entry| ``peak`` (...), as a lone member can miss the gate where V(c) passes it."""
+    v = solve_lyapunov(a, members, gate=False)
+    gate, q = superposition_gate(a, v, members), pair_moments(v, pairs)
+
+    def moments(c, peak) -> NDArray[np.float64]:
+        gate(c, peak)
+        return np.einsum("...b,...bij->...ij", c, q)
+
+    return moments
+
+
 def thermal_pair_moments(params: SystemParams, pairs):
     """Steady-state moments of mode ``pairs`` (:func:`pair_moments`) as a function of temperature: (k, 10, pairs)
     for k temperatures. V(T) = V0 + n1(T) W1 + n2(T) W2 (V0 at T = 0, Wj for 2 kappa_mj / kappa_a1 on magnon j),
-    so a temperature costs c . q, c = (1, n1, n2), and the two forms of :func:`superposition_gate`."""
+    so a temperature costs its row c = (1, n1, n2) of :func:`_superposed` on those three members."""
+    _instance("params", params, SystemParams)
     a, (d0,), _ = _stacks(_Fields.point(params.replace(temperature=0.0)))  # the drift does not depend on T
     rates, d = np.array(params.kappa_m) / params.kappa_a[0], np.zeros((3, 8, 8))
     d[0], d[[1, 1, 2, 2], [4, 5, 6, 7], [4, 5, 6, 7]] = d0, np.repeat(2.0 * rates, 2)
     _check_finite(a, d)
-    # Gated only within V(T): a lone Wj can miss the gate where a direct solve passes.
-    v = solve_lyapunov(a, d, gate=False)
-    gate, (q0, q1, q2), d0_peak = superposition_gate(a, v, d), pair_moments(v, pairs), np.abs(d0).max()
-    omega1, omega2 = params.omega_m
+    superposed, d0_peak, (omega1, omega2) = _superposed(a, d, pairs), np.abs(d0).max(), params.omega_m
 
     def moments(temperatures) -> NDArray[np.float64]:
         c = np.array([(1.0, thermal_occupation(omega1, t), thermal_occupation(omega2, t)) for t in temperatures])
@@ -358,8 +360,7 @@ def thermal_pair_moments(params: SystemParams, pairs):
         with np.errstate(over="ignore", invalid="ignore"):  # D(T) differs from D0 only on magnon diagonals
             peak = np.maximum(np.maximum.reduce(rates * (2.0 * c[:, 1:] + 1.0), axis=1), d0_peak)
         _check_finite(peak)
-        gate(c, peak)
-        return q0 + c[:, 1:2, None] * q1 + c[:, 2:, None] * q2
+        return superposed(c, peak)
 
     return moments
 
@@ -392,10 +393,20 @@ OUTPUT_COLUMNS = tuple(field.name for field in fields(EntanglementReport))
 
 
 def _columns(fields: _Fields) -> dict[str, NDArray[np.float64]]:
-    """One array per :data:`OUTPUT_COLUMNS` entry of the points of ``fields``, in row-major order, from one closed-form
-    pair call on their steady states. E_aa: the two cavity modes; E_mm: the two magnon modes; E_a1m1 / E_a2m2: each
-    cavity with its own magnon. No stability test is needed: every drift has A + A^T = -2 diag(kappa) / kappa_a1."""
-    indicators = pair_indicators(_steady_states(fields), _PAIRS)
+    """One array per :data:`OUTPUT_COLUMNS` entry of the points of ``fields``, in row-major order, from one Lyapunov
+    call and one closed-form call on the pair moments of their steady states: where a drift serves more cells than it
+    has :data:`_MEMBERS`, each cell's weights on them (:func:`_superposed`), after each D's checks; elsewhere each
+    cell's direct solve. E_aa: the two cavity modes; E_mm: the two magnon modes; E_a1m1 / E_a2m2: each cavity with
+    its own magnon. No stability test is needed: every drift has A + A^T = -2 diag(kappa) / kappa_a1."""
+    a, d, superposition = _stacks(fields)
+    _check_finite(a, d)
+    if d.size <= len(_MEMBERS) * a.size:
+        q = pair_moments(solve_lyapunov(a, d), _PAIRS)
+    else:
+        _scale_diffusions(d)  # before any member is solved
+        members, weights = superposition()
+        q = _superposed(a[..., None, :, :], members, _PAIRS)(weights, np.abs(d).max(axis=(-2, -1)))
+    indicators = _closed_form(q.reshape(-1, 10, len(_PAIRS)))
     e = clamp_negativity(indicators)
     ratio = np.divide(e[:, 1], e[:, 0], out=np.full(len(e), math.nan), where=e[:, 0] > 0.0)
     return dict(zip(OUTPUT_COLUMNS, (*e.T, ratio, indicators[:, 2])))

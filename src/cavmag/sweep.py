@@ -516,10 +516,6 @@ def _write_svg(destination, width: int, height: int, title: str, body: list[str]
     _write_text(destination, "\n".join(parts) + "\n")
 
 
-def _tick_label(x: float) -> str:
-    return f"{x:.6g}"
-
-
 @functools.cache
 def _colorbar(x: int, top: int, width: int, height: int, steps: int = 32) -> tuple[str, ...]:
     """The heatmap legend's color steps, bottom up, and its frame: the same on every page."""
@@ -574,10 +570,10 @@ def emit_heatmap(grid: SweepGrid, column: str | None, destination) -> None:
     # First, middle and last values, each labelled at the centre of its own cell.
     for i in sorted({0, n1 // 2, n1 - 1}):
         x = left + i * cw + cw / 2
-        parts.append(_text(f"{x:.1f}", top + plot_h + 18, _tick_label(spec.axis1.values[i]), anchor="middle"))
+        parts.append(_text(f"{x:.1f}", top + plot_h + 18, f"{spec.axis1.values[i]:.6g}", anchor="middle"))
     for j in sorted({0, n2 // 2, n2 - 1}):
         y = top + (n2 - 1 - j) * ch + ch / 2
-        parts.append(_text(left - 6, f"{y + 4:.1f}", _tick_label(spec.axis2.values[j]), anchor="end"))
+        parts.append(_text(left - 6, f"{y + 4:.1f}", f"{spec.axis2.values[j]:.6g}", anchor="end"))
     parts.append(_text(f"{left + plot_w / 2:.1f}", height - 14, spec.axis1.path, 13, "middle"))
     mid = f"{top + plot_h / 2:.1f}"
     rotate = f' transform="rotate(-90 16 {mid})"'
@@ -586,8 +582,8 @@ def emit_heatmap(grid: SweepGrid, column: str | None, destination) -> None:
     bar_x = left + plot_w + 24
     bar_w, bar_h = 18, plot_h
     parts.extend(_colorbar(bar_x, top, bar_w, bar_h))
-    parts.append(_text(bar_x + bar_w + 6, top + 10, _tick_label(vmax)))
-    parts.append(_text(bar_x + bar_w + 6, top + bar_h, _tick_label(vmin)))
+    parts.append(_text(bar_x + bar_w + 6, top + 10, f"{vmax:.6g}"))
+    parts.append(_text(bar_x + bar_w + 6, top + bar_h, f"{vmin:.6g}"))
     _write_svg(destination, width, height, f"{spec.name or 'sweep'}: {column}", parts)
 
 
@@ -611,7 +607,7 @@ def emit_lineplot(grid: SweepGrid, destination, columns: tuple[str, ...] | None 
     if spec.axis2 is None:
         series = list(values.items())
     else:
-        series = [(f"{column} @ {spec.axis2.path}={_tick_label(second)}", data[:, j])
+        series = [(f"{column} @ {spec.axis2.path}={second:.6g}", data[:, j])
                   for column, data in values.items() for j, second in enumerate(spec.axis2.values)]
     title = f"{spec.name or 'sweep'}: {', '.join(columns)}"
     render_lines(spec.axis1.values, series, title, spec.axis1.path, destination)
@@ -652,8 +648,8 @@ def render_lines(xs, series, title: str, x_label: str, destination) -> None:
                 parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(_text(left + 8, top + 16 + 14 * k, label, attrs=f' fill="{color}"'))
     for value, x in ((x_lo, left), (x_hi, left + plot_w)):
-        parts.append(_text(x, top + plot_h + 18, _tick_label(value), anchor="middle"))
+        parts.append(_text(x, top + plot_h + 18, f"{value:.6g}", anchor="middle"))
     for value, y in ((vmin, top + plot_h), (vmax, top + 10)):
-        parts.append(_text(left - 6, f"{y:.1f}", _tick_label(value), anchor="end"))
+        parts.append(_text(left - 6, f"{y:.1f}", f"{value:.6g}", anchor="end"))
     parts.append(_text(f"{left + plot_w / 2:.1f}", height - 14, x_label, 13, "middle"))
     _write_svg(destination, width, height, title, parts)

@@ -25,7 +25,6 @@ STAGES_UNCALLED = dict.fromkeys(
         "_stacks",
         "_real_schur",
         "_triangular_solve",
-        "pair_indicators",
         "_closed_form",
         "negativity_indicators",
         "symplectic_spectra",
@@ -56,6 +55,11 @@ def outcome(compute):
         return compute()
     except CavmagError as exc:
         return exc
+
+
+def pair_indicators(v, pairs) -> np.ndarray:
+    """Unclamped -ln(2 nu_min) of mode ``pairs`` of a stack of states, (k, pairs): the closed form of their moments."""
+    return cvgaussian._closed_form(cvgaussian.pair_moments(v, pairs))
 
 
 def state_nu_min(points) -> np.ndarray:

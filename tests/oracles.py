@@ -58,7 +58,7 @@ from cavmag.linsys import _UNSTABLE, _scale_diffusions, _square_matrix, solve_ly
 from cavmag.model import _FIELD_RULES, R_MAX, SystemParams, _columns, _Fields, _floats, steady_state_cm
 from cavmag.model import thermal_occupation, thermal_pair_moments
 from cavmag.sweep import COLOR_ANCHORS, NAN_FILL, PARAMETER_PATHS, SweepGrid, SweepSpec, _fmt, _rect, _text
-from cavmag.sweep import _tick_label, _write_svg, _write_text
+from cavmag.sweep import _write_svg, _write_text
 
 
 def drift_by_point(params: SystemParams) -> np.ndarray:
@@ -652,10 +652,10 @@ def heatmap_by_cell(grid: SweepGrid, column: str | None) -> str:
 
     for i in sorted({0, n1 // 2, n1 - 1}):
         x = left + i * cw + cw / 2
-        parts.append(_text(f"{x:.1f}", top + plot_h + 18, _tick_label(spec.axis1.values[i]), anchor="middle"))
+        parts.append(_text(f"{x:.1f}", top + plot_h + 18, f"{spec.axis1.values[i]:.6g}", anchor="middle"))
     for j in sorted({0, n2 // 2, n2 - 1}):
         y = top + (n2 - 1 - j) * ch + ch / 2
-        parts.append(_text(left - 6, f"{y + 4:.1f}", _tick_label(spec.axis2.values[j]), anchor="end"))
+        parts.append(_text(left - 6, f"{y + 4:.1f}", f"{spec.axis2.values[j]:.6g}", anchor="end"))
     parts.append(_text(f"{left + plot_w / 2:.1f}", height - 14, spec.axis1.path, 13, "middle"))
     mid = f"{top + plot_h / 2:.1f}"
     rotate = f' transform="rotate(-90 16 {mid})"'
@@ -669,8 +669,8 @@ def heatmap_by_cell(grid: SweepGrid, column: str | None) -> str:
         fill = color_by_cell((s + 0.5) / steps)
         parts.append(_rect(bar_x, f"{y:.2f}", bar_w, f"{bar_h / steps + 0.05:.2f}", fill))
     parts.append(_rect(bar_x, top, bar_w, bar_h))
-    parts.append(_text(bar_x + bar_w + 6, top + 10, _tick_label(vmax)))
-    parts.append(_text(bar_x + bar_w + 6, top + bar_h, _tick_label(vmin)))
+    parts.append(_text(bar_x + bar_w + 6, top + 10, f"{vmax:.6g}"))
+    parts.append(_text(bar_x + bar_w + 6, top + bar_h, f"{vmin:.6g}"))
     buf = io.StringIO()
     _write_svg(buf, width, height, f"{spec.name or 'sweep'}: {column}", parts)
     return buf.getvalue()

@@ -16,7 +16,6 @@ from cavmag.cvgaussian import (
     clamp_negativity,
     log_negativity,
     negativity_indicators,
-    pair_indicators,
     partial_transpose,
     reduce,
     symplectic_eigenvalues,
@@ -26,7 +25,7 @@ from cavmag.cvgaussian import (
 from cavmag.errors import NumericalFailureError, PairStructureError, UnphysicalStateError
 from cavmag.model import BASELINE, steady_state_cm
 
-from conftest import local_rotation, random_physical_cm, random_separable_cm, two_mode_squeezer
+from conftest import local_rotation, pair_indicators, random_physical_cm, random_separable_cm, two_mode_squeezer
 from oracles import symplectic_eigenvalues_by_invariants, symplectic_spectra_by_eigvals, tmsv_cm
 
 # Frozen reference values, independently evaluated with 40-digit
@@ -100,6 +99,11 @@ class TestCovarianceMatrix:
     def test_invalid_entries_rejected(self, bad):
         with pytest.raises(ValueError):
             CovarianceMatrix(bad)
+
+    @pytest.mark.parametrize("entries", [10**400, [[10**400, 0], [0, 1]]], ids=["int", "int-entry"])
+    def test_an_integer_beyond_the_float_range_is_not_finite(self, entries):
+        with pytest.raises(ValueError, match="^covariance matrix entries must be finite$"):
+            CovarianceMatrix(entries)
 
     def test_symmetry_tolerance_is_relative(self):
         m = 1e6 * np.eye(2)
@@ -593,6 +597,18 @@ class TestPairIndicators:
         )
         with pytest.raises(NumericalFailureError, match="resolution"):
             pair_indicators(structured_state(5.0, (0.0, 0.0), (0.0,) * 4)[None], ALL_PAIRS[:1])
+
+    def test_a_pair_state_without_a_real_spectrum_still_meets_the_precision_guard(self):
+        # |mu| one ulp above a = b, as the round-off of a pair squeezed far past r = 4.4 leaves it: ab - |mu|^2 < 0
+        # puts a NaN in the pair state's denominator, and the partial transpose's still measures ||V||_2.
+        a = 4.864940204138144e16
+        v = a * np.eye(4)
+        v[0, 2] = v[2, 0] = np.nextafter(a, np.inf)
+        v[1, 3] = v[3, 1] = -v[0, 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailureError, match="below the resolution"):
+                pair_indicators(v[None], ((0, 1),))
 
     def test_unphysical_blocks_are_typed_errors(self):
         with pytest.raises(UnphysicalStateError):

@@ -123,6 +123,15 @@ class TestSolveLyapunov:
         with pytest.raises(ValueError):
             solve_lyapunov(-np.eye(2), np.diag([1.0, -0.5]))
 
+    @pytest.mark.parametrize(
+        "a,d,message",
+        [(10**400, [[1.0]], "drift matrix"), ([[-1.0]], [[10**400]], "diffusion matrix")],
+        ids=["drift", "diffusion"],
+    )
+    def test_an_integer_beyond_the_float_range_is_not_finite(self, a, d, message):
+        with pytest.raises(ValueError, match=f"^{message} must have finite entries$"):
+            solve_lyapunov(a, d)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             solve_lyapunov(-np.eye(3), np.eye(2))

@@ -20,7 +20,6 @@ from cavmag.cvgaussian import (
     clamp_negativity,
     log_negativity,
     negativity_indicators,
-    pair_indicators,
     pair_moments,
     reduce,
     symplectic_eigenvalues,
@@ -46,7 +45,7 @@ from cavmag.model import (
 )
 from cavmag.sweep import PRESET_NAMES, SweepAxis, SweepSpec, _grid_fields, apply_parameter, figure_preset, run_sweep
 
-from conftest import outcome, state_nu_min
+from conftest import outcome, pair_indicators, state_nu_min
 from oracles import (
     ReducedParams,
     assembled_state,
@@ -701,8 +700,25 @@ MATCHED_PAIR = dict(
 )
 
 
+def member_moments(fields):
+    """Each cell's pair moments on the member route of a shared-drift grid (``model._columns``), (*shape, 10, pairs):
+    its weights on its drift's members, through ``model._superposed``, gated against its own D's largest |entry|."""
+    a, d, superposition = model._stacks(fields)
+    members, weights = superposition()
+    return model._superposed(a[..., None, :, :], members, model._PAIRS)(weights, np.abs(d).max(axis=(-2, -1)))
+
+
+# Grids whose drift is one, one per row (axis 1 is a coupling) or one per column (axis 2 is), and its batch shape.
+DRIFT_LAYOUTS = {
+    "one-drift": (lambda rs, ts, gs: (SweepAxis("r", rs), SweepAxis("temperature", ts)), lambda rs, ts, gs: ()),
+    "drift-per-row": (lambda rs, ts, gs: (SweepAxis("g1", gs), SweepAxis("r", rs)), lambda rs, ts, gs: (len(gs), 1)),
+    "drift-per-column": (lambda rs, ts, gs: (SweepAxis("r", rs), SweepAxis("g1", gs)), lambda rs, ts, gs: (len(gs),)),
+}
+
+
 class TestNoiseMembers:
-    """The member route of a shared-drift grid against each cell's direct solve on the same stacks."""
+    """The member route of a shared-drift grid, read as pair moments, against each cell's direct solve on the same
+    stacks, and its forms gate against each cell's assembled state."""
 
     @given(**SHARED_DRIFT_BOX)
     @settings(max_examples=150)
@@ -720,15 +736,16 @@ class TestNoiseMembers:
         # (to the rounding of a sum of six products, 6 eps of its absolute terms)
         rounding = 6.0 * np.finfo(float).eps * np.einsum("...b,bij->...ij", np.abs(rows), np.abs(members))
         assert np.all(np.abs(np.einsum("...b,bij->...ij", rows, members) - d) <= rounding)
-        superposed = outcome(lambda: model._steady_states(fields))
+        superposed = outcome(lambda: member_moments(fields).reshape(-1, 10, len(model._PAIRS)))
         direct = outcome(lambda: solve_lyapunov(a, d).reshape(-1, 8, 8))
         if isinstance(superposed, np.ndarray) and isinstance(direct, np.ndarray):
-            # Either route errs by about cond * eps of ||V||, cond the solver's condition estimate.
+            # Either route errs by about cond * eps of ||V||, cond the solver's condition estimate; each moment is
+            # half a sum of two entries of V, so it errs by no more than V does.
             cond = np.abs(a).sum(0).max() / (2.0 * abs(np.linalg.eigvals(a).real.max()))
             bound = (1e-12 + 10.0 * cond * np.finfo(float).eps) * np.abs(direct).max(axis=(1, 2))
-            assert np.all(np.abs(superposed - direct).max(axis=(1, 2)) <= bound)
+            assert np.all(np.abs(superposed - pair_moments(direct, model._PAIRS)).max(axis=(1, 2)) <= bound)
         elif isinstance(superposed, np.ndarray) or isinstance(direct, np.ndarray):
-            # The per-cell checks are the same on both routes: only a residual can tell them apart.
+            # The checks are the same on both routes: only a residual can tell them apart.
             failed = direct if isinstance(superposed, np.ndarray) else superposed
             assert isinstance(failed, NumericalFailureError) and "residual" in str(failed)
         else:
@@ -747,17 +764,61 @@ class TestNoiseMembers:
         fields = _grid_fields(SweepSpec(BASELINE.replace(temperature=0.05), axis1, axis2, ("E_mm",)))
         a, d, _ = model._stacks(fields)
         assert a.shape[:-2] in ((len(axis1.values), 1), (len(axis2.values),))  # a drift per value of one axis
-        direct = solve_lyapunov(a, d).reshape(-1, 8, 8)
-        assert np.abs(model._steady_states(fields) - direct).max() <= 1e-14 * np.abs(direct).max()
+        assert d.size > len(model._MEMBERS) * a.size  # more cells than members per drift: the grid takes them
+        direct = pair_moments(solve_lyapunov(a, d), model._PAIRS)
+        superposed = member_moments(fields)
+        assert np.abs(superposed - direct).max() <= 1e-14 * np.abs(direct).max()
+        # ... and they are the moments that the grid's columns are read from.
+        indicators = _closed_form(superposed.reshape(-1, 10, len(model._PAIRS)))
+        columns = model._columns(fields)
+        assert np.array_equal(columns["N_am"], indicators[:, 2])
+        assert np.array_equal(columns["E_mm"], clamp_negativity(indicators[:, 1]))
+
+    @given(
+        **SHARED_DRIFT_BOX,
+        layout=st.sampled_from(sorted(DRIFT_LAYOUTS)),
+        couplings=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3, unique=True).map(sorted),
+    )
+    @settings(max_examples=150)
+    @example(**MATCHED_PAIR, rs=[0.0, 1.0, 2.0], temperatures=[0.0, 0.1], layout="drift-per-row", couplings=[1.0, 5.0])
+    @example(**MATCHED_PAIR, rs=[0.0, 1.0, 2.0], temperatures=[0.1], layout="drift-per-column", couplings=[1.0, 5.0])
+    def test_forms_gate_each_cell_as_its_assembled_state(self, rs, temperatures, layout, couplings, **box):
+        # The gate's residual of a cell is two quadratic forms in its weights; it must equal what the cell's assembled
+        # 8x8 V(c) gives against its drift and its own D, on drift stacks of shape (), (m, 1) and (m,).
+        base = box_params(**box, r=0.0, temperature=temperatures[-1])
+        assume(base.omega_m[0] != base.omega_m[1])
+        axes, shape = (f(rs, temperatures, couplings) for f in DRIFT_LAYOUTS[layout])
+        a, d, superposition = model._stacks(_grid_fields(SweepSpec(base, *axes, ("E_mm",))))
+        assert a.shape[:-2] == shape
+        members, weights = superposition()
+        v = outcome(lambda: solve_lyapunov(a[..., None, :, :], members, gate=False))
+        assume(isinstance(v, np.ndarray))  # an unsolvable drift stops both routes alike
+        peak, forms, raise_first = np.abs(d).max(axis=(-2, -1)), [], linsys.raise_first
+
+        def record(failed, error, message, *values):
+            if message != linsys._RESIDUAL:
+                raise_first(failed, error, message, *values)
+            forms.append(values[0])
+
+        with mock.patch.object(linsys, "raise_first", record):
+            linsys.superposition_gate(a[..., None, :, :], v, members)(weights, peak)
+        exponent = np.frexp(peak)[1][..., None, None]
+        v, d = np.ldexp(np.einsum("...b,...bij->...ij", weights, v), -exponent), np.ldexp(d, -exponent)
+        residual = np.linalg.norm(a @ v + v @ a.swapaxes(-1, -2) + d, axis=(-2, -1))
+        # The rounding of V(c)'s sum and of either residual, eps * (2 ||A|| ||V|| + ||D||).
+        norm = lambda x: np.linalg.norm(x, axis=(-2, -1))  # noqa: E731
+        rounding = np.finfo(float).eps * (2.0 * norm(a) * norm(v) + norm(d))
+        assert forms[0].shape == residual.shape == d.shape[:-2]
+        assert np.all(np.abs(forms[0] - residual) <= 2.0 * rounding)
 
     def test_each_cell_keeps_the_checks_of_a_direct_solve(self, monkeypatch):
         # fig2c at resolution 7: 49 cells on one drift, so the members route.
         fields, stacks, solve = _grid_fields(figure_preset("fig2c", 7)), model._stacks, model.solve_lyapunov
-        # Each V is gated against its own A and D: member responses off by a millionth put every cell's
+        # Each cell is gated against its own A and D: member responses off by a millionth put every cell's
         # residual at a millionth of its ||D||.
         monkeypatch.setattr(model, "solve_lyapunov", lambda a, d, gate: solve(a, d, gate) * (1.0 + 1e-6))
         with pytest.raises(NumericalFailureError, match="Lyapunov residual .* exceeds 1.0e-09"):
-            model._steady_states(fields)
+            model._columns(fields)
         monkeypatch.undo()
 
         def asymmetric(fields):  # cell (3, 3)'s D with one cross term of the wrong sign
@@ -769,7 +830,7 @@ class TestNoiseMembers:
         monkeypatch.setattr(model, "_stacks", asymmetric)
         monkeypatch.setattr(model, "solve_lyapunov", lambda *args, **kwargs: pytest.fail("members solved"))
         with pytest.raises(ValueError, match="diffusion matrix must be symmetric"):
-            model._steady_states(fields)
+            model._columns(fields)
 
 
 class TestThermalSteadyState:
@@ -1002,7 +1063,7 @@ class TestEntanglementReports:
             assert same_floats(single, row)
 
     def test_one_batch_costs_one_pair_call_and_no_spectrum_call(self, calls):
-        stages = ("solve_lyapunov", "pair_indicators", "symplectic_spectra", "negativity_indicators")
+        stages = ("solve_lyapunov", "_closed_form", "symplectic_spectra", "negativity_indicators")
         columns_of(self.grid_points())
         assert [calls[name] for name in stages] == [1, 1, 0, 0]
         entanglement_report(BASELINE)
@@ -1099,10 +1160,15 @@ class TestClosedFormPairs:
         assert rep.E_a1m1 == rep.E_a2m2 == 0.0 and rep.N_am == closed[2]
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_pair_indicators_are_the_closed_form_of_the_moments(self, name):
-        v = model._steady_states(_grid_fields(figure_preset(name, 7)))
-        expected = _closed_form(pair_moments(v, model._PAIRS))
-        assert pair_indicators(v, model._PAIRS).tobytes() == expected.tobytes()
+    def test_preset_columns_are_the_closed_form_of_the_direct_moments(self, name):
+        fields = _grid_fields(figure_preset(name, 7))
+        columns, expected = model._columns(fields), pair_indicators(model._steady_states(fields), model._PAIRS)
+        a, d, _ = model._stacks(fields)
+        if d.size <= len(model._MEMBERS) * a.size:  # each cell solved directly: the same bytes
+            assert columns["N_am"].tobytes() == expected[:, 2].tobytes()
+        # On the member route, within the round-off of either route.
+        assert np.allclose(columns["N_am"], expected[:, 2], rtol=1e-12, atol=1e-14)
+        assert np.allclose(columns["E_mm"], clamp_negativity(expected[:, 1]), rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("dim,pairs", [(8, ((2, 3),)), (8, model._PAIRS), (4, ((0, 1),)), (8, ()), (4, [])])
     def test_an_empty_stack_gives_empty_moments_and_indicators(self, dim, pairs):

@@ -49,7 +49,7 @@ from conftest import STAGES_UNCALLED, outcome, state_nu_min
 from oracles import color_by_cell, fields_of, grid_points, threshold_by_full_solves, threshold_by_steps
 
 # One batch of points: one closed-form call for its pairs, and no spectrum of its states.
-ONE_BATCH = dict(pair_indicators=1, _closed_form=1, symplectic_spectra=0)
+ONE_BATCH = dict(_closed_form=1, symplectic_spectra=0)
 
 UNIT = BASELINE.kappa_a[0]
 
