@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from ._version import __version__
-from .errors import CavmagError, NoEntanglementError
+from .errors import CavmagError, NoEntanglementError, _instance, _sequence
 from .model import BASELINE, SystemParams, _floats, entanglement_report
 from .sweep import (
     PRESET_NAMES,
@@ -239,7 +239,8 @@ def _run_list_presets(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+def main(argv=None) -> int:  # argv: None for sys.argv[1:], or a sequence of str; anything else is a ValueError
+    argv = argv if argv is None else [_instance("argv entry", word, str) for word in _sequence("argv", argv, "str")]
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)

@@ -75,7 +75,7 @@ class CovarianceMatrix:
     def __post_init__(self):
         try:
             m = np.array(self.entries, dtype=float)
-        except OverflowError:  # an integer beyond the float range
+        except (OverflowError, TypeError):  # an integer beyond the float range, or no real number
             raise ValueError("covariance matrix entries must be finite") from None
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("covariance matrix must be square")
@@ -88,7 +88,7 @@ class CovarianceMatrix:
         if float(np.max(np.abs(m - m.T))) > SYMMETRY_RTOL * scale:
             raise ValueError("covariance matrix must be symmetric")
         n = dim // 2
-        labels = tuple(self.mode_labels) or tuple(f"mode{i}" for i in range(n))
+        labels = _sequence("mode_labels", self.mode_labels, "names") or tuple(f"mode{i}" for i in range(n))
         if len(labels) != n:
             raise ValueError(f"expected {n} mode labels, got {len(labels)}")
         m.flags.writeable = False

@@ -31,7 +31,7 @@ _TINY = np.finfo(float).tiny
 def _square_matrix(m, name: str, stack: bool = True) -> NDArray[np.float64]:
     try:
         a = np.asarray(m, dtype=float)
-    except OverflowError:  # an integer beyond the float range
+    except (OverflowError, TypeError):  # an integer beyond the float range, or no real number
         raise ValueError(f"{name} must have finite entries") from None
     if a.ndim < 2 or a.ndim > 2 and not stack or a.shape[-1] != a.shape[-2] or a.size == 0:
         raise ValueError(f"{name} must be a nonempty square matrix")

@@ -132,7 +132,7 @@ _field_values = operator.attrgetter(*_FIELD_RULES)
 
 def _pair(name: str, value, member=_real) -> tuple:
     """``value``'s two members through ``member``; ValueError unless an ordered iterable of two (a set has no order)."""
-    if isinstance(value, (str, bytes, Set, Mapping)) or not hasattr(value, "__iter__"):
+    if isinstance(value, (str, bytes, Set, Mapping)) or not np.iterable(value):  # a 0-d array is not iterable
         raise ValueError(f"{name} must hold two numbers, not {type(value).__name__}")
     if len(value := tuple(member(name, x) for x in value)) != 2:
         raise ValueError(f"{name} must hold exactly two values")
@@ -271,18 +271,21 @@ _MEMBERS[1:4, :2], _WEIGHTS[5:7, 1] = 0.5, -2.0
 
 def _diffusions(v, noise):
     """The diffusions of rates ``v`` (:func:`_layouts`' drift columns) at noise rows (N, N, n1, n2, vacuum, Re M, Im M,
-    0), broadcast: one ``take`` of ka_j (2N + vacuum), km_j (2 n_j + vacuum), c_xx, c_xy, 0 and -c_xx."""
+    0), broadcast: one ``take`` of :func:`_diagonal`, c_xx, c_xy, 0 and -c_xx."""
     c = np.sqrt(v[..., 1:2]) * 2.0 * noise[..., 5:]  # (c_xx, c_xy, 0): v = rates / kappa_a1 has v[0] = 1
-    return np.concatenate((v[..., :4] * (2.0 * noise[..., :4] + noise[..., 4:5]), c, -c[..., :1]), -1).take(
-        _DIFFUSION_LAYOUT, -1)
+    return np.concatenate((_diagonal(v, noise), c, -c[..., :1]), -1).take(_DIFFUSION_LAYOUT, -1)
+
+
+def _diagonal(v, noise):
+    """The distinct diagonal entries of :func:`_diffusions`: ka_j (2N + vacuum) and km_j (2 n_j + vacuum)."""
+    return v[..., :4] * (2.0 * noise[..., :4] + noise[..., 4:5])
 
 
 def _stacks(fields: _Fields):
     """Drift and diffusion stacks of ``fields``, normalized by each kappa_a1: the diffusions at the record's shape,
-    (*shape, 8, 8), the drifts at the broadcast shape of the array fields they depend on. One ``take`` each from a
-    value matrix with a column per distinct entry (:func:`_layouts`), each value in the one-point order of operations,
-    the noise moments broadcast against the rates; and a function giving each drift's :data:`_MEMBERS` and each cell's
-    weights on them (for :func:`_superposed`). The first r above :data:`R_MAX` raises; overflows give inf or nan."""
+    the drifts at the broadcast shape of the fields they depend on, one ``take`` each from a value matrix with a column
+    per distinct entry (:func:`_layouts`); and a function giving each drift's :data:`_MEMBERS`, each cell's noise row
+    and ``weigh`` (for :func:`_superposed`). The first r above :data:`R_MAX` raises; overflows give inf."""
     (wa1, wa2), (wm1, wm2), (wd1, wd2) = fields.omega_a, fields.omega_m, fields.omega_drive
     noise = np.zeros(fields.shape + (8,))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -297,7 +300,14 @@ def _stacks(fields: _Fields):
             noise[..., column] = x
         v = f / f[..., :1]
         a, d = np.concatenate((v, -v), -1).take(_DRIFT_LAYOUT, -1), _diffusions(v, noise)
-        return a, d, lambda: (_diffusions(v[..., None, :], _MEMBERS), noise @ _WEIGHTS)
+
+    def weigh(rows):  # rows' weights on the members, and each D's largest |entry|, its largest diagonal entry (PSD)
+        with np.errstate(over="ignore", invalid="ignore"):
+            peak = _diagonal(v, rows).max(-1)
+        _check_finite(peak)  # then no weight overflows either
+        return rows @ _WEIGHTS, peak
+
+    return a, d, lambda: (_diffusions(v[..., None, :], _MEMBERS), noise, weigh)
 
 
 def build_drift(params: SystemParams) -> NDArray[np.float64]:
@@ -344,25 +354,15 @@ def _superposed(a, members, pairs):
 
 
 def thermal_pair_moments(params: SystemParams, pairs):
-    """Steady-state moments of mode ``pairs`` (:func:`pair_moments`) as a function of temperature: (k, 10, pairs)
-    for k temperatures. V(T) = V0 + n1(T) W1 + n2(T) W2 (V0 at T = 0, Wj for 2 kappa_mj / kappa_a1 on magnon j),
-    so a temperature costs its row c = (1, n1, n2) of :func:`_superposed` on those three members."""
-    _instance("params", params, SystemParams)
-    a, (d0,), _ = _stacks(_Fields.point(params.replace(temperature=0.0)))  # the drift does not depend on T
-    rates, d = np.array(params.kappa_m) / params.kappa_a[0], np.zeros((3, 8, 8))
-    d[0], d[[1, 1, 2, 2], [4, 5, 6, 7], [4, 5, 6, 7]] = d0, np.repeat(2.0 * rates, 2)
-    _check_finite(a, d)
-    superposed, d0_peak, (omega1, omega2) = _superposed(a, d, pairs), np.abs(d0).max(), params.omega_m
-
-    def moments(temperatures) -> NDArray[np.float64]:
-        c = np.array([(1.0, thermal_occupation(omega1, t), thermal_occupation(omega2, t)) for t in temperatures])
-        c = c.reshape(-1, 3)  # (0, 3) for no temperatures
-        with np.errstate(over="ignore", invalid="ignore"):  # D(T) differs from D0 only on magnon diagonals
-            peak = np.maximum(np.maximum.reduce(rates * (2.0 * c[:, 1:] + 1.0), axis=1), d0_peak)
-        _check_finite(peak)
-        return superposed(c, peak)
-
-    return moments
+    """Steady-state moments of mode ``pairs`` (:func:`pair_moments`), (k, 10, pairs) for k temperatures: each weighed
+    and gated on the point's :data:`_MEMBERS` as a grid cell is, its row's n1 and n2 from :func:`thermal_occupation`."""
+    a, _, superposition = _stacks(_Fields.point(params))
+    _check_finite(a)  # the members are finite with the rates
+    members, (noise,), weigh = superposition()
+    superposed, (omega1, omega2), (n, _, _, _, *rest) = _superposed(a, members, pairs), params.omega_m, noise.tolist()
+    return lambda temperatures: superposed(*weigh(np.array(  # (0, 8) rows for no temperatures
+        [(n, n, thermal_occupation(omega1, t), thermal_occupation(omega2, t), *rest) for t in temperatures]
+    ).reshape(-1, 8)))
 
 
 # Modes of the four reported pairs in field order: the cavities, the
@@ -395,17 +395,16 @@ OUTPUT_COLUMNS = tuple(field.name for field in fields(EntanglementReport))
 def _columns(fields: _Fields) -> dict[str, NDArray[np.float64]]:
     """One array per :data:`OUTPUT_COLUMNS` entry of the points of ``fields``, in row-major order, from one Lyapunov
     call and one closed-form call on the pair moments of their steady states: where a drift serves more cells than it
-    has :data:`_MEMBERS`, each cell's weights on them (:func:`_superposed`), after each D's checks; elsewhere each
-    cell's direct solve. E_aa: the two cavity modes; E_mm: the two magnon modes; E_a1m1 / E_a2m2: each cavity with
-    its own magnon. No stability test is needed: every drift has A + A^T = -2 diag(kappa) / kappa_a1."""
+    has :data:`_MEMBERS`, each cell's weights and peak from ``weigh`` (:func:`_superposed`), after each D's checks;
+    elsewhere each cell's direct solve. No stability test: every drift has A + A^T = -2 diag(kappa) / kappa_a1."""
     a, d, superposition = _stacks(fields)
     _check_finite(a, d)
     if d.size <= len(_MEMBERS) * a.size:
         q = pair_moments(solve_lyapunov(a, d), _PAIRS)
     else:
         _scale_diffusions(d)  # before any member is solved
-        members, weights = superposition()
-        q = _superposed(a[..., None, :, :], members, _PAIRS)(weights, np.abs(d).max(axis=(-2, -1)))
+        members, noise, weigh = superposition()
+        q = _superposed(a[..., None, :, :], members, _PAIRS)(*weigh(noise))
     indicators = _closed_form(q.reshape(-1, 10, len(_PAIRS)))
     e = clamp_negativity(indicators)
     ratio = np.divide(e[:, 1], e[:, 0], out=np.full(len(e), math.nan), where=e[:, 0] > 0.0)

@@ -69,7 +69,7 @@ PARAMETER_PATHS = {
 
 def _known_path(path: str) -> str:
     """``path`` itself when it names a knob of :data:`PARAMETER_PATHS`."""
-    if path not in PARAMETER_PATHS:
+    if _instance("path", path, str) not in PARAMETER_PATHS:
         known = ", ".join(sorted(PARAMETER_PATHS))
         raise ValueError(f"unknown parameter path {path!r}; known paths: {known}")
     return path
@@ -193,9 +193,9 @@ class SweepGrid:
         bad = [line for line in lines if not (isinstance(line, str) and line.isprintable())]
         if bad:
             raise ValueError(f"provenance lines must be printable text, not {bad[0]!r}")
-        if set(self.columns) != set(OUTPUT_COLUMNS):
+        if set(_instance("columns", self.columns, dict)) != set(OUTPUT_COLUMNS):
             raise ValueError(f"expected one array per column of {', '.join(OUTPUT_COLUMNS)}")
-        shape = self.spec.shape
+        shape = _instance("spec", self.spec, SweepSpec).shape
         columns = {name: np.array(self.columns[name], dtype=float).reshape(shape) for name in OUTPUT_COLUMNS}
         for data in columns.values():
             data.flags.writeable = False

@@ -702,10 +702,11 @@ MATCHED_PAIR = dict(
 
 def member_moments(fields):
     """Each cell's pair moments on the member route of a shared-drift grid (``model._columns``), (*shape, 10, pairs):
-    its weights on its drift's members, through ``model._superposed``, gated against its own D's largest |entry|."""
-    a, d, superposition = model._stacks(fields)
-    members, weights = superposition()
-    return model._superposed(a[..., None, :, :], members, model._PAIRS)(weights, np.abs(d).max(axis=(-2, -1)))
+    its weights on its drift's members, through ``model._superposed``, gated against its own D's largest |entry|, both
+    from ``weigh``."""
+    a, _, superposition = model._stacks(fields)
+    members, noise, weigh = superposition()
+    return model._superposed(a[..., None, :, :], members, model._PAIRS)(*weigh(noise))
 
 
 # Grids whose drift is one, one per row (axis 1 is a coupling) or one per column (axis 2 is), and its batch shape.
@@ -730,7 +731,10 @@ class TestNoiseMembers:
         assume(base.omega_m[0] != base.omega_m[1])
         fields = _grid_fields(SweepSpec(base, SweepAxis("r", rs), SweepAxis("temperature", temperatures), ("E_mm",)))
         a, d, superposition = model._stacks(fields)
-        members, rows = superposition()
+        members, noise, weigh = superposition()
+        rows, peak = weigh(noise)
+        # Each D's largest |entry| is its largest diagonal entry, the one peak rule of grids and the search.
+        assert np.array_equal(peak, np.abs(d).max(axis=(-2, -1)))
         # Each member is PSD, so the members' solve keeps its PSD check, and the cells' weights give back each D.
         assert np.all(np.linalg.eigvalsh(members)[:, 0] >= -1e-14 * np.abs(members).max(axis=(1, 2)))
         # (to the rounding of a sum of six products, 6 eps of its absolute terms)
@@ -790,10 +794,10 @@ class TestNoiseMembers:
         axes, shape = (f(rs, temperatures, couplings) for f in DRIFT_LAYOUTS[layout])
         a, d, superposition = model._stacks(_grid_fields(SweepSpec(base, *axes, ("E_mm",))))
         assert a.shape[:-2] == shape
-        members, weights = superposition()
+        members, noise, weigh = superposition()
         v = outcome(lambda: solve_lyapunov(a[..., None, :, :], members, gate=False))
         assume(isinstance(v, np.ndarray))  # an unsolvable drift stops both routes alike
-        peak, forms, raise_first = np.abs(d).max(axis=(-2, -1)), [], linsys.raise_first
+        (weights, gated_peak), forms, raise_first = weigh(noise), [], linsys.raise_first
 
         def record(failed, error, message, *values):
             if message != linsys._RESIDUAL:
@@ -801,8 +805,8 @@ class TestNoiseMembers:
             forms.append(values[0])
 
         with mock.patch.object(linsys, "raise_first", record):
-            linsys.superposition_gate(a[..., None, :, :], v, members)(weights, peak)
-        exponent = np.frexp(peak)[1][..., None, None]
+            linsys.superposition_gate(a[..., None, :, :], v, members)(weights, gated_peak)
+        exponent = np.frexp(np.abs(d).max(axis=(-2, -1)))[1][..., None, None]
         v, d = np.ldexp(np.einsum("...b,...bij->...ij", weights, v), -exponent), np.ldexp(d, -exponent)
         residual = np.linalg.norm(a @ v + v @ a.swapaxes(-1, -2) + d, axis=(-2, -1))
         # The rounding of V(c)'s sum and of either residual, eps * (2 ||A|| ||V|| + ||D||).
@@ -902,10 +906,15 @@ class TestThermalSteadyState:
         expected = pair_moments(np.ldexp(v, exponent)[None], model._PAIRS)[0]
         assert np.max(np.abs(moments - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    def test_zero_temperature_is_the_direct_solve_exactly(self):
+    def test_zero_temperature_is_the_direct_solve_to_its_bound(self):
+        # T = 0 sums the six member solves, as a grid cell does: within the grid test's bound of the direct solve,
+        # (1e-12 + 10 cond eps) of the largest |V| entry, cond the solver's condition estimate.
         params = valid_params(r=0.7, g=(4.0 * BASELINE.kappa_a[0], 6.0 * BASELINE.kappa_a[0]))
         moments = thermal_pair_moments(params, model._PAIRS)([0.0])
-        assert np.array_equal(moments, pair_moments(steady_state_cm(params).entries[None], model._PAIRS))
+        a, direct = build_drift(params), steady_state_cm(params).entries
+        cond = np.abs(a).sum(0).max() / (2.0 * abs(np.linalg.eigvals(a).real.max()))
+        bound = (1e-12 + 10.0 * cond * np.finfo(float).eps) * np.abs(direct).max()
+        assert np.abs(moments - pair_moments(direct[None], model._PAIRS)).max() <= bound
 
     @pytest.mark.parametrize("temperatures", [[], (), np.empty(0)])
     def test_no_temperatures_give_an_empty_stack(self, temperatures):
@@ -930,13 +939,33 @@ class TestThermalSteadyState:
             moments([temperature])
             a, members, (c,), (peak,) = gated[-1]
             params = BASELINE.replace(temperature=temperature)
-            d = build_diffusion(params)
+            d, noise = build_diffusion(params), noise_moments(params)
             assert np.array_equal(a, build_drift(params))
-            assert list(c) == [1.0, *(thermal_occupation(omega, temperature) for omega in params.omega_m)]
+            # The weights are the point's noise row on the six members, with the baths' occupations at T.
+            n, m, (n1, n2) = noise.mean_occupation, noise.correlation, noise.magnon_occupation
+            assert np.array_equal(c, (np.array([[n, n, n1, n2, 1.0, m.real, m.imag, 0.0]]) @ model._WEIGHTS)[0])
             assert peak == np.max(np.abs(d))
-            # D(T) = D0 + n1 D1 + n2 D2, to the rounding of the sum.
+            # D(T) = sum_b c_b D_b, to the rounding of the sum.
             assert np.allclose(np.tensordot(c, members, 1), d, rtol=4e-16, atol=0.0)
         assert len(gated) == 3
+
+    @given(
+        **{name: strategy for name, strategy in THERMAL_BOX.items() if name != "temperature"},
+        temperatures=st.lists(THERMAL_BOX["temperature"], min_size=1, max_size=9, unique=True).map(sorted),
+    )
+    @settings(max_examples=100)
+    def test_a_temperature_is_a_grid_cell_on_a_temperature_axis(self, temperatures, **box):
+        # The search weighs, gates and sums a temperature's row on the point's members as a shared-drift grid does
+        # the cell of that temperature: the same moments to rounding, or the same error.
+        params = box_params(**box, temperature=0.0)
+        spec = SweepSpec(params, SweepAxis("temperature", temperatures), None, ("E_mm",))
+        grid = outcome(lambda: member_moments(_grid_fields(spec)).reshape(-1, 10, len(model._PAIRS)))
+        search = outcome(lambda: thermal_pair_moments(params, model._PAIRS)(temperatures))
+        if isinstance(grid, np.ndarray) and isinstance(search, np.ndarray):
+            rounding = 4.0 * np.finfo(float).eps * np.abs(grid).max(axis=(1, 2), keepdims=True)
+            assert np.all(np.abs(search - grid) <= rounding)
+        else:
+            assert type(search) is type(grid)
 
     def test_overflowing_bath_raises_the_steady_state_error(self):
         moments = thermal_pair_moments(BASELINE, model._PAIRS)

@@ -778,9 +778,9 @@ class TestTemperatureThreshold:
 
     def test_one_search_costs_one_solve(self, calls):
         assert find_temperature_threshold(BASELINE.replace(r=0.4), 3.0, 1e-3) is not None
-        # Probes at 0 and t_max, then ceil(log2(3 / 1e-3)) = 12 steps, 3 tree levels per
-        # closed-form call: the probes ride with the first round, so 4 calls.
-        expected = dict(solve_lyapunov=1, _stacks=1, _real_schur=1, _triangular_solve=3, _closed_form=4)
+        # One solve of the point's six noise members. Probes at 0 and t_max, then ceil(log2(3 / 1e-3))
+        # = 12 steps, 3 tree levels per closed-form call: the probes ride with the first round, so 4 calls.
+        expected = dict(solve_lyapunov=1, _stacks=1, _real_schur=1, _triangular_solve=6, _closed_form=4)
         assert calls == dict(STAGES_UNCALLED, **expected)
 
 
