@@ -17,6 +17,7 @@ import functools
 import math
 import os
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -91,14 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="preset name (see list-presets); repeatable, default all",
     )
     p_sweep.add_argument("--out-dir", metavar="DIR", help="write NAME.csv/.svg there, not stdout")
-    p_sweep.add_argument(
-        "--resolution", type=int, metavar="N", help="points per continuous axis"
-    )
+    p_sweep.add_argument("--resolution", type=int, metavar="N", help="points per continuous axis")
     _add_param_options(p_sweep)
 
-    p_thr = sub.add_parser(
-        "threshold", help="bisect the temperature where magnon entanglement vanishes"
-    )
+    p_thr = sub.add_parser("threshold", help="bisect the temperature where magnon entanglement vanishes")
     p_thr.set_defaults(run=_run_threshold)
     which = p_thr.add_mutually_exclusive_group(required=True)
     which.add_argument("--r", type=float, help="drive squeezing strength")
@@ -240,7 +237,8 @@ def _run_list_presets(args) -> int:
 
 
 def main(argv=None) -> int:  # argv: None for sys.argv[1:], or a sequence of str; anything else is a ValueError
-    argv = argv if argv is None else [_instance("argv entry", word, str) for word in _sequence("argv", argv, "str")]
+    if argv is not None:  # a mapping iterates as its keys, but is no sequence
+        argv = [_instance("argv entry", w, str) for w in _sequence("argv", _instance("argv", argv, Sequence), "str")]
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)

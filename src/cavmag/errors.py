@@ -48,9 +48,9 @@ def _instance(role: str, value, kind: type):
 
 
 def _sequence(role: str, items, what: str) -> tuple:
-    """``items`` as a tuple; ValueError for a string, a mapping, a 0-d array or another non-iterable."""
+    """``items`` as a tuple; ValueError for a string or a non-iterable (a 0-d array too), where a sequence belongs."""
     kind = "a string" if isinstance(items, (str, bytes)) else type(items).__name__
-    if kind == "a string" or hasattr(items, "keys") or not np.iterable(items):  # not a mapping, nor a 0-d array
+    if kind == "a string" or not np.iterable(items):
         raise ValueError(f"{role} must be a sequence of {what}, not {kind}")
     return tuple(items)
 

@@ -267,6 +267,7 @@ _DRIVE, _BATH = np.frompyfunc(_drive_moments, 2, 3), np.frompyfunc(thermal_occup
 _MEMBERS = np.eye(8)[[4, 0, 5, 6, 2, 3]] / 2
 _WEIGHTS = 4.0 * _MEMBERS.T  # a cell's c = noise row @ _WEIGHTS = 2 (1, N - Re M - Im M, Re M, Im M, n1, n2)
 _MEMBERS[1:4, :2], _WEIGHTS[5:7, 1] = 0.5, -2.0
+_FOLDED = _WEIGHTS[:, [0, 4, 5]]  # the search's 2 (1, n1, n2): on half its D at T = 0 and on _MEMBERS[4:]
 
 
 def _diffusions(v, noise):
@@ -277,15 +278,15 @@ def _diffusions(v, noise):
 
 
 def _diagonal(v, noise):
-    """The distinct diagonal entries of :func:`_diffusions`: ka_j (2N + vacuum) and km_j (2 n_j + vacuum)."""
+    """The distinct diagonal entries of :func:`_diffusions`: their max is each D's largest |entry| (every D is PSD)."""
     return v[..., :4] * (2.0 * noise[..., :4] + noise[..., 4:5])
 
 
 def _stacks(fields: _Fields):
     """Drift and diffusion stacks of ``fields``, normalized by each kappa_a1: the diffusions at the record's shape,
     the drifts at the broadcast shape of the fields they depend on, one ``take`` each from a value matrix with a column
-    per distinct entry (:func:`_layouts`); and a function giving each drift's :data:`_MEMBERS`, each cell's noise row
-    and ``weigh`` (for :func:`_superposed`). The first r above :data:`R_MAX` raises; overflows give inf."""
+    per distinct entry (:func:`_layouts`); and each drift's rates v and each cell's noise row, which :func:`_diffusions`
+    and :func:`_diagonal` take. The first r above :data:`R_MAX` raises; overflows give inf."""
     (wa1, wa2), (wm1, wm2), (wd1, wd2) = fields.omega_a, fields.omega_m, fields.omega_drive
     noise = np.zeros(fields.shape + (8,))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -299,15 +300,7 @@ def _stacks(fields: _Fields):
         for column, x in enumerate((n, n, n1, n2, 1.0, re_m, im_m)):
             noise[..., column] = x
         v = f / f[..., :1]
-        a, d = np.concatenate((v, -v), -1).take(_DRIFT_LAYOUT, -1), _diffusions(v, noise)
-
-    def weigh(rows):  # rows' weights on the members, and each D's largest |entry|, its largest diagonal entry (PSD)
-        with np.errstate(over="ignore", invalid="ignore"):
-            peak = _diagonal(v, rows).max(-1)
-        _check_finite(peak)  # then no weight overflows either
-        return rows @ _WEIGHTS, peak
-
-    return a, d, lambda: (_diffusions(v[..., None, :], _MEMBERS), noise, weigh)
+        return np.concatenate((v, -v), -1).take(_DRIFT_LAYOUT, -1), _diffusions(v, noise), (v, noise)
 
 
 def build_drift(params: SystemParams) -> NDArray[np.float64]:
@@ -354,15 +347,22 @@ def _superposed(a, members, pairs):
 
 
 def thermal_pair_moments(params: SystemParams, pairs):
-    """Steady-state moments of mode ``pairs`` (:func:`pair_moments`), (k, 10, pairs) for k temperatures: each weighed
-    and gated on the point's :data:`_MEMBERS` as a grid cell is, its row's n1 and n2 from :func:`thermal_occupation`."""
-    a, _, superposition = _stacks(_Fields.point(params))
+    """Steady-state moments of mode ``pairs`` (:func:`pair_moments`), (k, 10, pairs) for k temperatures: V(T) = V0 +
+    n1(T) W1 + n2(T) W2, each temperature's noise row weighed (:data:`_FOLDED`) and gated as a grid cell's is."""
+    a, _, (v, noise) = _stacks(_Fields.point(params))
     _check_finite(a)  # the members are finite with the rates
-    members, (noise,), weigh = superposition()
-    superposed, (omega1, omega2), (n, _, _, _, *rest) = _superposed(a, members, pairs), params.omega_m, noise.tolist()
-    return lambda temperatures: superposed(*weigh(np.array(  # (0, 8) rows for no temperatures
-        [(n, n, thermal_occupation(omega1, t), thermal_occupation(omega2, t), *rest) for t in temperatures]
-    ).reshape(-1, 8)))
+    noise[:, 2:4] = 0.0  # the point's noise row at T = 0
+    superposed = _superposed(a, _diffusions(v[..., None, :], np.vstack((noise / 2.0, _MEMBERS[4:]))), pairs)
+
+    def moments(temperatures) -> NDArray[np.float64]:
+        rows = noise.repeat(len(temperatures), 0)  # (0, 8) for no temperatures
+        rows.T[2:4] = [[thermal_occupation(omega, t) for t in temperatures] for omega in params.omega_m]
+        with np.errstate(over="ignore", invalid="ignore"):  # 2 n overflows for an occupation above 8.9e307
+            peak = _diagonal(v, rows).max(-1)
+        _check_finite(peak)  # then no weight overflows either
+        return superposed(rows.dot(_FOLDED), peak)  # ndarray.dot: half the call overhead of @ on a few rows
+
+    return moments
 
 
 # Modes of the four reported pairs in field order: the cavities, the
@@ -395,16 +395,16 @@ OUTPUT_COLUMNS = tuple(field.name for field in fields(EntanglementReport))
 def _columns(fields: _Fields) -> dict[str, NDArray[np.float64]]:
     """One array per :data:`OUTPUT_COLUMNS` entry of the points of ``fields``, in row-major order, from one Lyapunov
     call and one closed-form call on the pair moments of their steady states: where a drift serves more cells than it
-    has :data:`_MEMBERS`, each cell's weights and peak from ``weigh`` (:func:`_superposed`), after each D's checks;
+    has :data:`_MEMBERS`, each cell's weights on them and peak (:func:`_superposed`), after each D's checks;
     elsewhere each cell's direct solve. No stability test: every drift has A + A^T = -2 diag(kappa) / kappa_a1."""
-    a, d, superposition = _stacks(fields)
+    a, d, (v, noise) = _stacks(fields)
     _check_finite(a, d)
     if d.size <= len(_MEMBERS) * a.size:
         q = pair_moments(solve_lyapunov(a, d), _PAIRS)
     else:
         _scale_diffusions(d)  # before any member is solved
-        members, noise, weigh = superposition()
-        q = _superposed(a[..., None, :, :], members, _PAIRS)(*weigh(noise))
+        q = _superposed(a[..., None, :, :], _diffusions(v[..., None, :], _MEMBERS), _PAIRS)(
+            noise @ _WEIGHTS, _diagonal(v, noise).max(-1))
     indicators = _closed_form(q.reshape(-1, 10, len(_PAIRS)))
     e = clamp_negativity(indicators)
     ratio = np.divide(e[:, 1], e[:, 0], out=np.full(len(e), math.nan), where=e[:, 0] > 0.0)

@@ -15,6 +15,7 @@ import itertools
 import math
 import numbers
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,7 +194,7 @@ class SweepGrid:
         bad = [line for line in lines if not (isinstance(line, str) and line.isprintable())]
         if bad:
             raise ValueError(f"provenance lines must be printable text, not {bad[0]!r}")
-        if set(_instance("columns", self.columns, dict)) != set(OUTPUT_COLUMNS):
+        if set(_instance("columns", self.columns, Mapping)) != set(OUTPUT_COLUMNS):
             raise ValueError(f"expected one array per column of {', '.join(OUTPUT_COLUMNS)}")
         shape = _instance("spec", self.spec, SweepSpec).shape
         columns = {name: np.array(self.columns[name], dtype=float).reshape(shape) for name in OUTPUT_COLUMNS}

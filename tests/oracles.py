@@ -490,38 +490,22 @@ def threshold_by_steps(params: SystemParams, t_max: float, tol: float) -> float 
 
 
 def thermal_members(params: SystemParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The drift A, the six noise members D_b that the library's thermal route superposes and
-    their ungated solutions V_b, built entry by entry: half the diffusion of the vacuum, and the
-    parts of D at unit N, at unit N and Re M, at unit N and Im M, at unit n1 and at unit n2 (the
-    order of ``model._MEMBERS``). D(T) = sum_b c_b(T) D_b for :func:`thermal_weights`' c(T)."""
-    unit = params.kappa_a[0]
-    (ka1, ka2), (km1, km2) = (tuple(k / unit for k in pair) for pair in (params.kappa_a, params.kappa_m))
-    rates, cross = np.array([ka1, ka1, ka2, ka2, km1, km1, km2, km2]), math.sqrt(ka1 * ka2)
-    d = np.zeros((6, 8, 8))
-    d[0] = np.diag(rates) / 2.0
-    d[1:4, range(4), range(4)] = rates[:4]  # N on every cavity quadrature
-    d[2, 0, 2] = d[2, 2, 0] = cross  # Re M: +X1 X2, -Y1 Y2
-    d[2, 1, 3] = d[2, 3, 1] = -cross
-    d[3, 0, 3] = d[3, 3, 0] = d[3, 1, 2] = d[3, 2, 1] = cross  # Im M: X1 Y2 and Y1 X2
-    d[4, 4, 4] = d[4, 5, 5] = km1
-    d[5, 6, 6] = d[5, 7, 7] = km2
+    """The drift A, the diffusions (D0, D1, D2) and their ungated solutions (V0, W1, W2) that
+    the library's thermal route superposes: D0 at T = 0 and Dj = 2 kappa_mj / kappa_a1 on magnon
+    j's block, built entry by entry."""
+    d = np.zeros((3, 8, 8))
+    d[0] = diffusion_by_point(params.replace(temperature=0.0))
+    for j in range(2):
+        d[1 + j, 4 + 2 * j, 4 + 2 * j] = d[1 + j, 5 + 2 * j, 5 + 2 * j] = params.kappa_m[j] / params.kappa_a[0] * 2.0
     a = drift_by_point(params)
     return a, d, solve_lyapunov(a, d, gate=False)
 
 
-def thermal_weights(params: SystemParams, temperature: float) -> np.ndarray:
-    """c(T) = 2 (1, N - Re M - Im M, Re M, Im M, n1(T), n2(T)): the weights of :func:`thermal_members`
-    at ``params``' drive and the baths' occupations at ``temperature``."""
-    sh, ch = math.sinh(params.r), math.cosh(params.r)
-    n, m = sh * sh, complex(math.cos(params.theta), math.sin(params.theta)) * sh * ch
-    n1, n2 = (thermal_occupation(omega, temperature) for omega in params.omega_m)
-    return 2.0 * np.array([1.0, n - m.real - m.imag, m.real, m.imag, n1, n2])
-
-
 def assembled_state(params: SystemParams, members: np.ndarray, temperature: float) -> np.ndarray:
-    """V(T) = sum_b c_b(T) V_b as one 8x8 matrix, from :func:`thermal_members`'s solutions and
-    :func:`thermal_weights`: the superposition that the library evaluates without assembling it."""
-    return np.tensordot(thermal_weights(params, temperature), members, 1)
+    """V(T) = V0 + n1(T) W1 + n2(T) W2 as one 8x8 matrix, from :func:`thermal_members`'s
+    solutions: the superposition that the library evaluates without assembling it."""
+    n1, n2 = (thermal_occupation(omega, temperature) for omega in params.omega_m)
+    return members[0] + n1 * members[1] + n2 * members[2]
 
 
 # ---------------------------------------------------------------------------

@@ -700,13 +700,19 @@ MATCHED_PAIR = dict(
 )
 
 
+def member_route(fields):
+    """The stacks of ``fields``, each drift's members, and each cell's weights on them and its D's largest |entry| as
+    the member route of a shared-drift grid (``model._columns``) reads them off the rates and noise rows."""
+    a, d, (v, noise) = model._stacks(fields)
+    members = model._diffusions(v[..., None, :], model._MEMBERS)
+    return a, d, members, noise @ model._WEIGHTS, model._diagonal(v, noise).max(-1)
+
+
 def member_moments(fields):
-    """Each cell's pair moments on the member route of a shared-drift grid (``model._columns``), (*shape, 10, pairs):
-    its weights on its drift's members, through ``model._superposed``, gated against its own D's largest |entry|, both
-    from ``weigh``."""
-    a, _, superposition = model._stacks(fields)
-    members, noise, weigh = superposition()
-    return model._superposed(a[..., None, :, :], members, model._PAIRS)(*weigh(noise))
+    """Each cell's pair moments on the member route of a shared-drift grid, (*shape, 10, pairs): its weights on its
+    drift's members, through ``model._superposed``, gated against its own D's largest |entry|."""
+    a, _, members, weights, peak = member_route(fields)
+    return model._superposed(a[..., None, :, :], members, model._PAIRS)(weights, peak)
 
 
 # Grids whose drift is one, one per row (axis 1 is a coupling) or one per column (axis 2 is), and its batch shape.
@@ -730,9 +736,7 @@ class TestNoiseMembers:
         base = box_params(**box, r=0.0, temperature=0.0)
         assume(base.omega_m[0] != base.omega_m[1])
         fields = _grid_fields(SweepSpec(base, SweepAxis("r", rs), SweepAxis("temperature", temperatures), ("E_mm",)))
-        a, d, superposition = model._stacks(fields)
-        members, noise, weigh = superposition()
-        rows, peak = weigh(noise)
+        a, d, members, rows, peak = member_route(fields)
         # Each D's largest |entry| is its largest diagonal entry, the one peak rule of grids and the search.
         assert np.array_equal(peak, np.abs(d).max(axis=(-2, -1)))
         # Each member is PSD, so the members' solve keeps its PSD check, and the cells' weights give back each D.
@@ -792,12 +796,11 @@ class TestNoiseMembers:
         base = box_params(**box, r=0.0, temperature=temperatures[-1])
         assume(base.omega_m[0] != base.omega_m[1])
         axes, shape = (f(rs, temperatures, couplings) for f in DRIFT_LAYOUTS[layout])
-        a, d, superposition = model._stacks(_grid_fields(SweepSpec(base, *axes, ("E_mm",))))
+        a, d, members, weights, peak = member_route(_grid_fields(SweepSpec(base, *axes, ("E_mm",))))
         assert a.shape[:-2] == shape
-        members, noise, weigh = superposition()
         v = outcome(lambda: solve_lyapunov(a[..., None, :, :], members, gate=False))
         assume(isinstance(v, np.ndarray))  # an unsolvable drift stops both routes alike
-        (weights, gated_peak), forms, raise_first = weigh(noise), [], linsys.raise_first
+        forms, raise_first = [], linsys.raise_first
 
         def record(failed, error, message, *values):
             if message != linsys._RESIDUAL:
@@ -805,8 +808,8 @@ class TestNoiseMembers:
             forms.append(values[0])
 
         with mock.patch.object(linsys, "raise_first", record):
-            linsys.superposition_gate(a[..., None, :, :], v, members)(weights, gated_peak)
-        exponent = np.frexp(np.abs(d).max(axis=(-2, -1)))[1][..., None, None]
+            linsys.superposition_gate(a[..., None, :, :], v, members)(weights, peak)
+        exponent = np.frexp(peak)[1][..., None, None]
         v, d = np.ldexp(np.einsum("...b,...bij->...ij", weights, v), -exponent), np.ldexp(d, -exponent)
         residual = np.linalg.norm(a @ v + v @ a.swapaxes(-1, -2) + d, axis=(-2, -1))
         # The rounding of V(c)'s sum and of either residual, eps * (2 ||A|| ||V|| + ||D||).
@@ -814,6 +817,23 @@ class TestNoiseMembers:
         rounding = np.finfo(float).eps * (2.0 * norm(a) * norm(v) + norm(d))
         assert forms[0].shape == residual.shape == d.shape[:-2]
         assert np.all(np.abs(forms[0] - residual) <= 2.0 * rounding)
+
+    def test_each_cell_is_gated_against_its_own_diffusion(self, monkeypatch):
+        # Eight cells on one drift, so the members route, with a cavity or a magnon entry the largest of D. Each
+        # cell's row of the gate is its noise row's weights, against its own D's largest |entry|.
+        gated, superposition_gate = [], model.superposition_gate
+
+        def record(a, v, d):
+            gate = superposition_gate(a, v, d)
+            return lambda c, peak: gated.append((c, peak)) or gate(c, peak)
+
+        monkeypatch.setattr(model, "superposition_gate", record)
+        axes = SweepAxis("r", (0.0, 0.5)), SweepAxis("temperature", (0.0, 1.0, 10.0, 100.0))
+        fields = _grid_fields(SweepSpec(BASELINE, *axes, ("E_mm",)))
+        model._columns(fields)
+        (c, peak), (_, d, (_, noise)) = gated[0], model._stacks(fields)
+        assert len(gated) == 1 and np.array_equal(c, noise @ model._WEIGHTS)
+        assert np.array_equal(peak, np.abs(d).max(axis=(-2, -1)))
 
     def test_each_cell_keeps_the_checks_of_a_direct_solve(self, monkeypatch):
         # fig2c at resolution 7: 49 cells on one drift, so the members route.
@@ -906,15 +926,10 @@ class TestThermalSteadyState:
         expected = pair_moments(np.ldexp(v, exponent)[None], model._PAIRS)[0]
         assert np.max(np.abs(moments - expected)) <= 1e-12 * np.max(np.abs(expected))
 
-    def test_zero_temperature_is_the_direct_solve_to_its_bound(self):
-        # T = 0 sums the six member solves, as a grid cell does: within the grid test's bound of the direct solve,
-        # (1e-12 + 10 cond eps) of the largest |V| entry, cond the solver's condition estimate.
+    def test_zero_temperature_is_the_direct_solve_exactly(self):
         params = valid_params(r=0.7, g=(4.0 * BASELINE.kappa_a[0], 6.0 * BASELINE.kappa_a[0]))
         moments = thermal_pair_moments(params, model._PAIRS)([0.0])
-        a, direct = build_drift(params), steady_state_cm(params).entries
-        cond = np.abs(a).sum(0).max() / (2.0 * abs(np.linalg.eigvals(a).real.max()))
-        bound = (1e-12 + 10.0 * cond * np.finfo(float).eps) * np.abs(direct).max()
-        assert np.abs(moments - pair_moments(direct[None], model._PAIRS)).max() <= bound
+        assert np.array_equal(moments, pair_moments(steady_state_cm(params).entries[None], model._PAIRS))
 
     @pytest.mark.parametrize("temperatures", [[], (), np.empty(0)])
     def test_no_temperatures_give_an_empty_stack(self, temperatures):
@@ -939,13 +954,12 @@ class TestThermalSteadyState:
             moments([temperature])
             a, members, (c,), (peak,) = gated[-1]
             params = BASELINE.replace(temperature=temperature)
-            d, noise = build_diffusion(params), noise_moments(params)
+            d = build_diffusion(params)
             assert np.array_equal(a, build_drift(params))
-            # The weights are the point's noise row on the six members, with the baths' occupations at T.
-            n, m, (n1, n2) = noise.mean_occupation, noise.correlation, noise.magnon_occupation
-            assert np.array_equal(c, (np.array([[n, n, n1, n2, 1.0, m.real, m.imag, 0.0]]) @ model._WEIGHTS)[0])
+            # The vacuum's and the baths' weights of the noise row, c = 2 (1, n1, n2), on D0 / 2 and the bath members.
+            assert list(c) == [2.0, *(2.0 * thermal_occupation(omega, temperature) for omega in params.omega_m)]
             assert peak == np.max(np.abs(d))
-            # D(T) = sum_b c_b D_b, to the rounding of the sum.
+            # D(T) = D0 + n1 D1 + n2 D2, to the rounding of the sum.
             assert np.allclose(np.tensordot(c, members, 1), d, rtol=4e-16, atol=0.0)
         assert len(gated) == 3
 
@@ -955,15 +969,23 @@ class TestThermalSteadyState:
     )
     @settings(max_examples=100)
     def test_a_temperature_is_a_grid_cell_on_a_temperature_axis(self, temperatures, **box):
-        # The search weighs, gates and sums a temperature's row on the point's members as a shared-drift grid does
-        # the cell of that temperature: the same moments to rounding, or the same error.
+        # The search weighs and gates a temperature's row as a shared-drift grid does the cell of that temperature,
+        # on its three members where the grid has six: the same moments within the grid test's bound of the direct
+        # solve, or the same error.
         params = box_params(**box, temperature=0.0)
         spec = SweepSpec(params, SweepAxis("temperature", temperatures), None, ("E_mm",))
         grid = outcome(lambda: member_moments(_grid_fields(spec)).reshape(-1, 10, len(model._PAIRS)))
         search = outcome(lambda: thermal_pair_moments(params, model._PAIRS)(temperatures))
         if isinstance(grid, np.ndarray) and isinstance(search, np.ndarray):
-            rounding = 4.0 * np.finfo(float).eps * np.abs(grid).max(axis=(1, 2), keepdims=True)
-            assert np.all(np.abs(search - grid) <= rounding)
+            a = build_drift(params)
+            cond = np.abs(a).sum(0).max() / (2.0 * abs(np.linalg.eigvals(a).real.max()))
+            # max|V| is a diagonal entry of V, at most twice its mode's moment a = (V_xx + V_pp) / 2.
+            bound = (1e-12 + 10.0 * cond * np.finfo(float).eps) * 2.0 * np.abs(grid).max(axis=(1, 2))
+            assert np.all(np.abs(search - grid).max(axis=(1, 2)) <= bound)
+        elif isinstance(grid, np.ndarray) or isinstance(search, np.ndarray):
+            # The checks are the same on both routes: only a residual can tell them apart.
+            failed = grid if isinstance(search, np.ndarray) else search
+            assert isinstance(failed, NumericalFailureError) and "residual" in str(failed)
         else:
             assert type(search) is type(grid)
 

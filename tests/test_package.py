@@ -104,9 +104,10 @@ def test_the_valid_calls_cover_every_exported_callable_and_its_positional_argume
 @pytest.mark.parametrize(
     "name,index", [(name, i) for name, (_, args) in VALID_CALLS.items() for i in range(len(args))]
 )
-def test_any_value_in_any_argument_raises_nothing_or_value_error(name, index, monkeypatch, capsys):
+def test_any_value_in_any_argument_raises_nothing_or_value_error(name, index, monkeypatch, capsys, tmp_path):
     # A caller's mistake is ValueError, or the CavmagError of a valid input the model cannot solve.
     monkeypatch.setattr(sys, "argv", ["cavmag", "list-presets"])  # what cli.main(None) reads
+    monkeypatch.chdir(tmp_path)  # an emitter given "x" or b"x" writes the file x
     call, args = VALID_CALLS[name]
     call(*args)
     for value in HOSTILE:

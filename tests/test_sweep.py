@@ -7,6 +7,7 @@ import itertools
 import math
 import os
 import re
+import types
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -469,6 +470,12 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="provenance"):
             SweepGrid(spec=tiny_spec(), columns=columns, provenance=provenance)
 
+    def test_grid_takes_its_columns_from_any_mapping(self):
+        grid = SweepGrid(tiny_spec(), types.MappingProxyType(dict.fromkeys(OUTPUT_COLUMNS, np.ones(2))), ())
+        assert grid.value_array("E_mm").tolist() == [1.0, 1.0]
+        with pytest.raises(ValueError, match="columns must be a Mapping, not list"):
+            SweepGrid(tiny_spec(), list(OUTPUT_COLUMNS), ())
+
     def test_grid_keeps_provenance_lines_as_a_tuple(self):
         columns = dict.fromkeys(OUTPUT_COLUMNS, np.zeros(2))
         grid = SweepGrid(spec=tiny_spec(), columns=columns, provenance=iter(["a <b>", ""]))
@@ -778,9 +785,9 @@ class TestTemperatureThreshold:
 
     def test_one_search_costs_one_solve(self, calls):
         assert find_temperature_threshold(BASELINE.replace(r=0.4), 3.0, 1e-3) is not None
-        # One solve of the point's six noise members. Probes at 0 and t_max, then ceil(log2(3 / 1e-3))
-        # = 12 steps, 3 tree levels per closed-form call: the probes ride with the first round, so 4 calls.
-        expected = dict(solve_lyapunov=1, _stacks=1, _real_schur=1, _triangular_solve=6, _closed_form=4)
+        # Probes at 0 and t_max, then ceil(log2(3 / 1e-3)) = 12 steps, 3 tree levels per
+        # closed-form call: the probes ride with the first round, so 4 calls.
+        expected = dict(solve_lyapunov=1, _stacks=1, _real_schur=1, _triangular_solve=3, _closed_form=4)
         assert calls == dict(STAGES_UNCALLED, **expected)
 
 
